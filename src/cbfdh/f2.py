@@ -50,22 +50,21 @@ def _pack_positions(n: int, positions: Iterable[int]) -> int:
     return bits
 
 
+# _REV[b] is byte b with its bit order reversed: it maps the wire's
+# big-endian bit order within a byte to the payload's little-endian one.
+_REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _bits_to_bytes(bits: int, n: int) -> bytes:
-    out = bytearray((n + 7) // 8)
-    for i in range(n):
-        if bits >> i & 1:
-            out[i >> 3] |= 0x80 >> (i & 7)
-    return bytes(out)
+    nbytes = (n + 7) // 8
+    return (bits & ((1 << n) - 1)).to_bytes(nbytes, "little").translate(_REV)
 
 
 def _bytes_to_bits(data: bytes, n: int) -> int:
-    if len(data) < (n + 7) // 8:
+    nbytes = (n + 7) // 8
+    if len(data) < nbytes:
         raise ValueError(f"{len(data)} bytes cannot hold {n} bits")
-    bits = 0
-    for i in range(n):
-        if data[i >> 3] >> (7 - (i & 7)) & 1:
-            bits |= 1 << i
-    return bits
+    return int.from_bytes(data[:nbytes].translate(_REV), "little") & ((1 << n) - 1)
 
 
 @dataclass(frozen=True)

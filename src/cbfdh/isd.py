@@ -4,8 +4,12 @@ The generalized attack reduces the parity check to
 ``U H_perm = [[I, hp], [0, hpp]]`` for a random size-(n-k-l) column
 selection, enumerates the weight-p window words solving the l-bit
 subsyndrome by a meet-in-the-middle split, and accepts when the forced part
-has weight w - p.  The multi-target variant amortizes one reduction across
-many syndromes.
+has weight w - p.  The multi-target (DOOM) variant joins all q syndromes
+against one window enumeration per trial: the enumerator memoises its words
+per l-bit syndrome tail, each with its front syndrome ``hp e''^T``, so a
+trial runs at most min(q, 2^l) probes and completes every candidate with
+one XOR and a popcount.  Among several hits in a trial the lowest target
+index wins, then that target's first word in enumerator order.
 
 Trials are driven by 64-bit child seeds drawn in trial order from the
 caller's rng, so results are reproducible and independent of the worker
@@ -192,45 +196,60 @@ def doom_success(n: int, k: int, w: int, p: int, l: int, q: int) -> SuccessEstim
 
 
 class WindowEnumerator:
-    """All weight-p window words e'' with ``hpp e''^T = target``.
+    """All weight-p window words e'' with ``hpp e''^T = tail``, each paired
+    with its front syndrome ``hp e''^T``.
 
-    Meet-in-the-middle join: left-half patterns are tabulated by their
-    subsyndrome once, right-half patterns probe the table, so repeated
-    targets (the multi-target attack) reuse the tables.
+    Meet-in-the-middle join over the r-bit window column syndromes of
+    ``[hp; hpp]``: left-half patterns are tabulated by their l-bit tail once,
+    right-half patterns probe the table.  The answer for each tail is
+    memoised, so q targets cost at most min(q, 2^l) probes.
     """
 
-    def __init__(self, hpp: BitMatrix, p: int):
+    def __init__(self, hp: BitMatrix, hpp: BitMatrix, p: int):
         self.window = hpp.ncols
         self.p = p
         if p > self.window:
             raise ValueError("window weight exceeds window size")
-        self.cols = hpp.columns()
+        # bits below `front` hold hp's rows, the l bits above hold hpp's
+        self.front = front = hp.nrows
+        self.cols = cols = hp.vstack(hpp).columns()
         self.half = self.window // 2
-        self.tables: dict[int, dict[int, list[int]]] = {}
+        self.tables: dict[int, dict[int, list[tuple[int, int]]]] = {}
         for p_left in range(
             max(0, p - (self.window - self.half)), min(p, self.half) + 1
         ):
-            table: dict[int, list[int]] = {}
+            table: dict[int, list[tuple[int, int]]] = {}
             for combo in combinations(range(self.half), p_left):
-                key = 0
+                syn = 0
                 mask = 0
                 for i in combo:
-                    key ^= self.cols[i]
+                    syn ^= cols[i]
                     mask |= 1 << i
-                table.setdefault(key, []).append(mask)
+                table.setdefault(syn >> front, []).append((syn, mask))
             self.tables[p_left] = table
+        self._memo: dict[int, tuple[tuple[int, int], ...]] = {}
 
-    def solutions(self, target: int) -> list[int]:
-        out: list[int] = []
+    def solutions(self, tail: int) -> tuple[tuple[int, int], ...]:
+        """(front syndrome, window word) pairs: left weight, then right
+        pattern, then left pattern, each in lexicographic order."""
+        got = self._memo.get(tail)
+        if got is None:
+            got = self._memo[tail] = tuple(self._probe(tail))
+        return got
+
+    def _probe(self, tail: int) -> list[tuple[int, int]]:
+        cols, front = self.cols, self.front
+        out: list[tuple[int, int]] = []
         for p_left, table in self.tables.items():
             for combo in combinations(range(self.half, self.window), self.p - p_left):
-                key = target
+                syn = tail << front
                 mask = 0
                 for i in combo:
-                    key ^= self.cols[i]
+                    syn ^= cols[i]
                     mask |= 1 << i
-                for left in table.get(key, ()):
-                    out.append(left | mask)
+                # a matching left half cancels the tail bits, leaving hp e''
+                for left_syn, left in table.get(syn >> front, ()):
+                    out.append((syn ^ left_syn, left | mask))
         return out
 
 
@@ -241,7 +260,12 @@ def _isd_trial(
     payload: tuple[tuple[int, ...], int, tuple[int, ...], int, int, int],
     child_seed: int,
 ) -> tuple[int, int] | None:
-    """One information-set trial; returns (target index, error bits) or None."""
+    """One information-set trial; returns (target index, error bits) or None.
+
+    Targets are scanned in index order against one shared enumerator, and
+    each target's window words in enumerator order, so the first hit is the
+    lowest target index and then that target's first word.
+    """
     rows, ncols, targets, w, p, l = payload
     r = len(rows)
     rng = random.Random(child_seed)
@@ -251,20 +275,23 @@ def _isd_trial(
         u, hp, hpp = systematic_form(h, cols, l)
     except SingularSelectionError:
         return None
-    perm_inv = front_permutation(cols, ncols).inverse()
-    enum = WindowEnumerator(hpp, p)
+    enum = WindowEnumerator(hp, hpp, p)
+    u_cols = u.columns()
     front = r - l
-    window = ncols - front
     front_mask = (1 << front) - 1
+    need = w - p
     for ti, s_bits in enumerate(targets):
-        transformed = mat_vec_mul(u, BitVector(r, s_bits)).bits
-        sp = transformed & front_mask
-        spp = transformed >> front
-        for e2 in enum.solutions(spp):
-            e1 = sp ^ mat_vec_mul(hp, BitVector(window, e2)).bits
-            if e1.bit_count() == w - p:
-                e_bits = perm_inv.apply_bits(e1 | e2 << front)
-                return ti, e_bits
+        reduced = 0  # U s^T, summed over the columns of U at the bits of s
+        while s_bits:
+            low = s_bits & -s_bits
+            reduced ^= u_cols[low.bit_length() - 1]
+            s_bits ^= low
+        sp = reduced & front_mask
+        for syn, e2 in enum.solutions(reduced >> front):
+            e1 = sp ^ syn
+            if e1.bit_count() == need:
+                perm_inv = front_permutation(cols, ncols).inverse()
+                return ti, perm_inv.apply_bits(e1 | e2 << front)
     return None
 
 
@@ -341,8 +368,14 @@ def doom_attack(
     targets: Sequence[bytes] | None = None,
     workers: int = 1,
 ) -> SearchResult:
-    """Decode any one of q hashed targets; one reduction per trial is shared
-    across all target syndromes."""
+    """Decode any one of q hashed targets.
+
+    Each trial shares one reduction and one window enumeration, memoised per
+    syndrome tail, across all target syndromes.  When several targets decode
+    in the same trial, the result names the lowest target index and that
+    target's first window word in enumerator order, exactly as a scan of the
+    targets one at a time would.
+    """
     n, k = h.ncols, h.ncols - h.nrows
     params.check(n, k, w)
     if targets is None:

@@ -375,13 +375,18 @@ def _parse_header(data: bytes) -> tuple[SchemeParams, bytes]:
 
 
 def _split_matrix_blocks(text: str, count: int) -> list[str]:
-    lines = text.splitlines()
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     blocks: list[str] = []
     pos = 0
     for _ in range(count):
         if pos >= len(lines):
             raise ValueError("truncated key body")
-        nrows = int(lines[pos].split()[0])
+        try:
+            nrows = int(lines[pos].split()[0])
+        except ValueError as exc:
+            raise ValueError(f"bad matrix header: {lines[pos]!r}") from exc
+        if nrows < 0:
+            raise ValueError(f"bad matrix header: {lines[pos]!r}")
         blocks.append("\n".join(lines[pos : pos + 1 + nrows]))
         pos += 1 + nrows
     blocks.append("\n".join(lines[pos:]))

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from cbfdh.cli import main, parse_count, parse_level_log2
+from cbfdh.scheme import MAGIC
 
 import math
 
@@ -106,6 +107,52 @@ def test_malformed_files_exit_2(tmp_path, capsys):
         "--signature", str(tmp_path / "m.sig"), "--message", "hello",
     )
     assert code == 2 and "error:" in err
+
+
+def _key_body_lines(path):
+    data = path.read_bytes()
+    fixed = len(MAGIC) + 17  # magic, four packed u32 fields, newline
+    return data[:fixed], data[fixed:].decode().splitlines()
+
+
+def test_secret_key_with_blank_line_signs(tmp_path, capsys):
+    main(keygen_args(tmp_path))
+    sign = ["sign", "--message", "hello", "--seed", "9"]
+    assert main([*sign, "--secret-key", str(tmp_path / "sk.key"),
+                 "--signature", str(tmp_path / "m.sig")]) == 0
+    head, lines = _key_body_lines(tmp_path / "sk.key")
+    first_rows = int(lines[0].split()[0])
+    lines.insert(1 + first_rows, "")  # before the second block header
+    lines.insert(1, "  ")
+    spaced = tmp_path / "spaced.key"
+    spaced.write_bytes(head + ("\n".join(lines) + "\n").encode())
+    code, _, err = run_cli(
+        capsys, *sign, "--secret-key", str(spaced),
+        "--signature", str(tmp_path / "spaced.sig"),
+    )
+    assert code == 0, err
+    assert (tmp_path / "spaced.sig").read_bytes() == (tmp_path / "m.sig").read_bytes()
+    code, out, _ = run_cli(
+        capsys, "verify", "--public-key", str(tmp_path / "pk.key"),
+        "--signature", str(tmp_path / "spaced.sig"), "--message", "hello",
+    )
+    assert code == 0 and "result=ACCEPT" in out
+
+
+@pytest.mark.parametrize("header", ["x 24", "-1 24"])
+def test_secret_key_bad_block_header_exit_2(tmp_path, capsys, header):
+    main(keygen_args(tmp_path))
+    head, lines = _key_body_lines(tmp_path / "sk.key")
+    lines[0] = header
+    bad = tmp_path / "bad.key"
+    bad.write_bytes(head + ("\n".join(lines) + "\n").encode())
+    code, _, err = run_cli(
+        capsys, "sign", "--secret-key", str(bad),
+        "--signature", str(tmp_path / "m.sig"), "--message", "hello",
+    )
+    assert code == 2
+    assert "error: bad matrix header" in err
+    assert "Traceback" not in err
 
 
 def test_same_seed_gives_byte_identical_keys(tmp_path):

@@ -49,6 +49,32 @@ def test_vector_pads_to_whole_bytes():
     assert BitVector.from_bytes(v.to_bytes(), 4) == v
 
 
+def bitwise_to_bytes(bits: int, n: int) -> bytes:
+    """Reference packing: coordinate i to bit 7 - i % 8 of byte i // 8."""
+    out = bytearray((n + 7) // 8)
+    for i in range(n):
+        if bits >> i & 1:
+            out[i >> 3] |= 0x80 >> (i & 7)
+    return bytes(out)
+
+
+def bitwise_from_bytes(data: bytes, n: int) -> int:
+    return sum(1 << i for i in range(n) if data[i >> 3] >> (7 - (i & 7)) & 1)
+
+
+@given(st.integers(0, 200), st.data())
+def test_byte_conversions_match_bitwise_reference(n, data):
+    bits = data.draw(st.integers(0, (1 << n) - 1))
+    assert BitVector(n, bits).to_bytes() == bitwise_to_bytes(bits, n)
+    # trailing bytes and the padding bits past n are ignored on the way in
+    nbytes = (n + 7) // 8
+    raw = data.draw(st.binary(min_size=nbytes, max_size=nbytes + 3))
+    assert BitVector.from_bytes(raw, n).bits == bitwise_from_bytes(raw, n)
+    if nbytes:
+        with pytest.raises(ValueError, match="cannot hold"):
+            BitVector.from_bytes(raw[: nbytes - 1], n)
+
+
 def test_vector_basics():
     v = BitVector.from_support(6, [1, 4])
     assert v.weight() == 2

@@ -6,7 +6,15 @@ from itertools import combinations
 
 import pytest
 
-from cbfdh.f2 import BitMatrix, BitVector, mat_vec_mul, random_full_rank
+from cbfdh.f2 import (
+    BitMatrix,
+    BitVector,
+    SingularSelectionError,
+    front_permutation,
+    mat_vec_mul,
+    random_full_rank,
+    systematic_form,
+)
 from cbfdh.hashing import syndrome_hash
 from cbfdh.isd import (
     DoomSolution,
@@ -123,19 +131,26 @@ def test_doom_success_scales_with_targets():
 def test_window_enumerator_matches_filtered_enumeration():
     rng = random.Random(3)
     for _ in range(20):
-        window, l, p = 12, 3, rng.choice([0, 1, 2, 3])
+        window, front, l, p = 12, 5, 3, rng.choice([0, 1, 2, 3])
+        hp = BitMatrix(
+            front, window, tuple(rng.getrandbits(window) for _ in range(front))
+        )
         hpp = BitMatrix(
             l, window, tuple(rng.getrandbits(window) for _ in range(l))
         )
         target = rng.getrandbits(l)
-        enum = WindowEnumerator(hpp, p)
+        enum = WindowEnumerator(hp, hpp, p)
         got = sorted(enum.solutions(target))
         brute = sorted(
-            BitVector.from_support(window, supp).bits
-            for supp in combinations(range(window), p)
-            if mat_vec_mul(hpp, BitVector.from_support(window, supp)).bits == target
+            (mat_vec_mul(hp, e).bits, e.bits)
+            for e in (
+                BitVector.from_support(window, supp)
+                for supp in combinations(range(window), p)
+            )
+            if mat_vec_mul(hpp, e).bits == target
         )
         assert got == brute
+        assert enum.solutions(target) is enum.solutions(target)  # memoised
 
 
 # --- attacks ----------------------------------------------------------------------
@@ -273,3 +288,120 @@ def test_doom_multi_target_gain():
     assert p1 > 0, "tuned instance must keep the single-target rate positive"
     ratio = p16 / p1
     assert 4.0 <= ratio <= 16.0, (p1, p16, ratio)
+
+
+# --- the multi-target join against a per-target reference ---------------------------
+
+
+def reference_window_words(hpp: BitMatrix, p: int, tail: int) -> list[int]:
+    """Weight-p words with ``hpp e^T = tail`` in meet-in-the-middle order,
+    probed afresh for every call."""
+    window = hpp.ncols
+    cols = hpp.columns()
+    half = window // 2
+    out = []
+    for p_left in range(max(0, p - (window - half)), min(p, half) + 1):
+        table: dict[int, list[int]] = {}
+        for combo in combinations(range(half), p_left):
+            key = mask = 0
+            for i in combo:
+                key ^= cols[i]
+                mask |= 1 << i
+            table.setdefault(key, []).append(mask)
+        for combo in combinations(range(half, window), p - p_left):
+            key, mask = tail, 0
+            for i in combo:
+                key ^= cols[i]
+                mask |= 1 << i
+            out.extend(left | mask for left in table.get(key, ()))
+    return out
+
+
+def reference_trial(h, syndromes, w, p, l, child_seed) -> list[tuple[int, int]]:
+    """Every target's first hit in one trial, one target at a time, each
+    completed by a matrix-vector product."""
+    r, n = h.nrows, h.ncols
+    cols = sorted(random.Random(child_seed).sample(range(n), r - l))
+    try:
+        u, hp, hpp = systematic_form(h, cols, l)
+    except SingularSelectionError:
+        return []
+    perm_inv = front_permutation(cols, n).inverse()
+    front = r - l
+    hits = []
+    for ti, s_bits in enumerate(syndromes):
+        t = mat_vec_mul(u, BitVector(r, s_bits)).bits
+        for e2 in reference_window_words(hpp, p, t >> front):
+            e1 = t & ((1 << front) - 1) ^ mat_vec_mul(hp, BitVector(n - front, e2)).bits
+            if e1.bit_count() == w - p:
+                hits.append((ti, perm_inv.apply_bits(e1 | e2 << front)))
+                break
+    return hits
+
+
+def reference_search(h, syndromes, w, p, l, budget, rng):
+    """(iterations, hits of the first successful trial)."""
+    for idx in range(budget):
+        hits = reference_trial(h, syndromes, w, p, l, rng.getrandbits(64))
+        if hits:
+            return idx + 1, hits
+    return budget, []
+
+
+@pytest.mark.parametrize("q", [1, 8, 64])
+def test_doom_join_matches_per_target_reference(q):
+    budget = 20
+    multi_hit = 0
+    for p in range(4):
+        for l in range(5):
+            for rep in range(2):
+                seed = 10_000 * q + 100 * p + 10 * l + rep
+                rng = random.Random(seed)
+                n = rng.randrange(12, 17)
+                k = n // 2
+                w = max(1, p + rng.randrange(0, 3))
+                h, planted, _ = plant_instance(n, k, w, rng)
+                targets = [b"%d/%d" % (seed, j) for j in range(q)]
+
+                def hash_fn(t, h=h, planted=planted, last=targets[-1]):
+                    return planted if t == last else syndrome_hash(t, h.nrows)
+
+                syndromes = [hash_fn(t).bits for t in targets]
+                params = IsdParams(p, l, budget)
+                used, hits = reference_search(
+                    h, syndromes, w, p, l, budget, random.Random(seed)
+                )
+                multi_hit += len(hits) > 1
+                expect = (used, *hits[0]) if hits else (used, None, None)
+
+                res = doom_attack(
+                    h, hash_fn, w, params, q, random.Random(seed), targets=targets
+                )
+                got = (
+                    res.iterations,
+                    res.target_index,
+                    res.solution.e.bits if res.found else None,
+                )
+                assert got == expect, (n, k, w, p, l, seed)
+
+                used, hits = reference_search(
+                    h, syndromes[:1], w, p, l, budget, random.Random(seed)
+                )
+                res = generalized_isd(
+                    h, BitVector(h.nrows, syndromes[0]), w, params, random.Random(seed)
+                )
+                got = (res.iterations, res.solution.bits if res.found else None)
+                assert got == (used, hits[0][1] if hits else None), (n, k, w, p, l, seed)
+    if q > 1:
+        assert multi_hit > 0, "no trial decoded several targets at once"
+
+
+def test_doom_worker_pool_matches_sequential():
+    rng = random.Random(29)
+    h = random_full_rank(12, 24, rng)
+    hash_fn = hash_for(h)
+    params = IsdParams(2, 3, 200)
+    seq = doom_attack(h, hash_fn, 3, params, 32, random.Random(4), workers=1)
+    par = doom_attack(h, hash_fn, 3, params, 32, random.Random(4), workers=2)
+    assert seq == par
+    assert seq.found
