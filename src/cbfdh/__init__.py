@@ -28,7 +28,7 @@ from .exponents import (
     prange_exponent_classical,
     prange_exponent_quantum,
 )
-from .f2 import BitMatrix, BitVector, Permutation, permutation_apply
+from .f2 import BitMatrix, BitVector, Permutation
 from .foursum import (
     FourSumInstance,
     build_foursum_instance,
@@ -71,7 +71,6 @@ from .scheme import (
     Signature,
     SignatureKeyPair,
     SigningFailure,
-    SyndromeDecoder,
     keygen,
     measure_decoder_distance,
     random_code_family,

@@ -14,21 +14,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "BitVector",
     "BitMatrix",
     "Permutation",
-    "IndexSet",
     "SingularSelectionError",
+    "ReducedForm",
     "mat_vec_mul",
     "mat_mul",
     "rank",
     "inverse",
     "systematic_form",
     "front_permutation",
-    "permutation_apply",
     "random_permutation",
     "random_matrix",
     "random_nonsingular",
@@ -79,6 +79,15 @@ class BitVector:
             raise ValueError("negative length")
         if self.bits < 0 or self.bits >> self.n:
             raise ValueError("payload does not fit the stated length")
+
+    @classmethod
+    def _unchecked(cls, n: int, bits: int) -> "BitVector":
+        """``cls(n, bits)`` at half the cost, for bits that fit n by construction."""
+        v = object.__new__(cls)
+        fields = v.__dict__
+        fields["n"] = n
+        fields["bits"] = bits
+        return v
 
     @classmethod
     def zeros(cls, n: int) -> "BitVector":
@@ -139,9 +148,6 @@ class BitVector:
 
     def to_hex(self) -> str:
         return self.to_bytes().hex()
-
-    def to01(self) -> str:
-        return "".join(str(self.bits >> i & 1) for i in range(self.n))
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
@@ -304,35 +310,6 @@ class Permutation:
         )
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Sorted set of distinct coordinate indices inside [0, n)."""
-
-    n: int
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ms = self.members
-        if any(not 0 <= i < self.n for i in ms):
-            raise ValueError("member outside [0, n)")
-        if any(ms[i] >= ms[i + 1] for i in range(len(ms) - 1)):
-            raise ValueError("members must be strictly increasing")
-
-    @classmethod
-    def of(cls, n: int, members: Iterable[int]) -> "IndexSet":
-        return cls(n, tuple(sorted(members)))
-
-    def complement(self) -> tuple[int, ...]:
-        inside = set(self.members)
-        return tuple(i for i in range(self.n) if i not in inside)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
 def front_permutation(cols: Sequence[int], n: int) -> Permutation:
     """Permutation sending ``cols[j]`` to position ``j``.
 
@@ -355,11 +332,6 @@ def random_permutation(n: int, rng: random.Random) -> Permutation:
     images = list(range(n))
     rng.shuffle(images)
     return Permutation(tuple(images))
-
-
-def permutation_apply(p: Permutation, v: BitVector) -> BitVector:
-    """Free-function form of :meth:`Permutation.apply`."""
-    return p.apply(v)
 
 
 def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
@@ -399,22 +371,12 @@ def rank(m: BitMatrix) -> int:
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix; raises ValueError when singular."""
+    """Inverse of a square matrix: U of its reduction on every column.
+    Raises ValueError (SingularSelectionError) when singular."""
     if m.nrows != m.ncols:
         raise ValueError("matrix is not square")
     n = m.nrows
-    work = [m.rows[i] | 1 << (n + i) for i in range(n)]
-    for col in range(n):
-        pivot = next(
-            (i for i in range(col, n) if work[i] >> col & 1), None
-        )
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        for i in range(n):
-            if i != col and work[i] >> col & 1:
-                work[i] ^= work[col]
-    return BitMatrix(n, n, tuple(r >> n for r in work))
+    return BitMatrix(n, n, tuple(row >> n for row in ReducedForm(m, range(n)).rows))
 
 
 def random_matrix(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
@@ -427,10 +389,7 @@ def random_matrix(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
 
 def random_nonsingular(n: int, rng: random.Random) -> BitMatrix:
     """Uniform nonsingular n x n matrix by rejection (density > 0.28)."""
-    while True:
-        m = random_matrix(n, n, rng)
-        if rank(m) == n:
-            return m
+    return random_full_rank(n, n, rng)
 
 
 def random_full_rank(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
@@ -440,51 +399,120 @@ def random_full_rank(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
             return m
 
 
+class ReducedForm:
+    """``h`` row-reduced on a column selection, in place on its own columns.
+
+    U is the nonsingular r x r matrix for which ``U h`` holds the identity
+    on the selection (front row j has its 1 at ``cols[j]``) and zeros there
+    in the r - len(cols) bottom rows.  Row i of ``U h`` keeps h's positions,
+    with row i of U in the bits from n up; the window is the non-selected
+    columns, ascending.  The pivot for ``cols[j]`` is the first row >= j
+    holding it, as in :func:`systematic_form`, so U and both blocks equal
+    its output.  Back substitution waits until every pivot is found, so a
+    singular selection (SingularSelectionError) costs about half a reduction.
+    """
+
+    __slots__ = ("n", "cols", "window", "rows")
+
+    def __init__(self, h: BitMatrix, cols: Sequence[int]):
+        n, r, f = h.ncols, h.nrows, len(cols)
+        selected = set(cols)
+        if f > r or len(selected) != f or f and not (min(cols) >= 0 and max(cols) < n):
+            raise ValueError(f"need at most {r} distinct positions in [0, {n})")
+        work = [row | 1 << n + i for i, row in enumerate(h.rows)]
+        for j, c in enumerate(cols):
+            bit = 1 << c
+            for i in range(j, r):
+                if work[i] & bit:
+                    break
+            else:
+                raise SingularSelectionError(f"column selection singular at pivot {j}")
+            work[i], work[j] = work[j], work[i]
+            pivot = work[j]
+            # rows j+1..i lack the bit: they were skipped, or hold old row j
+            for k in range(i + 1, r):
+                if work[k] & bit:
+                    work[k] ^= pivot
+        for j in range(f - 1, 0, -1):
+            pivot, bit = work[j], 1 << cols[j]
+            for k in range(j):
+                if work[k] & bit:
+                    work[k] ^= pivot
+        self.n = n
+        self.cols = tuple(cols)
+        self.window = tuple(c for c in range(n) if c not in selected)
+        self.rows = work
+
+    def window_columns(self) -> tuple[int, ...]:
+        """r-bit syndromes of the window columns of ``U h``: bit i of entry t
+        is row i at the t-th non-selected column."""
+        return tuple(self.reduce(0, 1 << c) for c in self.window)
+
+    def reduce(self, s: int, e: int = 0) -> int:
+        """``U (s^T + h e^T)``: the reduced syndrome ``U s^T``, less what the
+        error bits ``e`` (on h's positions) already cover.  One parity per
+        row; nothing is transposed."""
+        mask = e | s << self.n
+        out = 0
+        for i, row in enumerate(self.rows):
+            if (row & mask).bit_count() & 1:
+                out |= 1 << i
+        return out
+
+    def reduce_all(self, syndromes: Iterable[int]) -> Iterator[int]:
+        """``U s^T`` for each syndrome, lazily: r parities each for the first
+        r, then one lookup per byte of s in XOR tables of the columns of U,
+        built when the (r + 1)-th syndrome is reached."""
+        r = len(self.rows)
+        syndromes = iter(syndromes)
+        yield from map(self.reduce, islice(syndromes, r))
+        tables: list[list[int]] = []  # [k][b]: U (b << 8k)^T
+        for s in syndromes:
+            if not tables:
+                tables = [[0] for _ in range(0, r, 8)]
+                for i in range(r):
+                    col = self.reduce(1 << i)
+                    tables[i >> 3] += [x ^ col for x in tables[i >> 3]]
+            out = 0
+            for table in tables:
+                out ^= table[s & 255]
+                s >>= 8
+            yield out
+
+    def complete(self, front_bits: int, window_word: int) -> int:
+        """The error on h's positions: front bit j goes to ``cols[j]``,
+        window bit t to the t-th non-selected column."""
+        out = 0
+        for positions, bits in ((self.cols, front_bits), (self.window, window_word)):
+            while bits:
+                low = bits & -bits
+                out |= 1 << positions[low.bit_length() - 1]
+                bits ^= low
+        return out
+
+
 def systematic_form(
     h: BitMatrix, cols: Sequence[int], l: int | None = None
 ) -> tuple[BitMatrix, BitMatrix, BitMatrix]:
     """Row-reduce ``h`` so the selected columns become an identity block.
 
-    ``cols`` lists r - l column indices (r = number of rows of ``h``); after
-    moving them to the front with :func:`front_permutation`, a nonsingular U
-    with ``U @ h_perm == [[I, hp], [0, hpp]]`` is computed.  ``l`` is the
-    number of zero-block rows and must equal r - len(cols) when given.
-
-    Returns:
-        (U, hp, hpp) where hp has r - l rows and hpp has l rows, both with
-        ncols - len(cols) columns.
-
-    Raises:
-        SingularSelectionError: the selected columns have column rank below
-            len(cols); the caller is expected to resample the selection.
-        ValueError: ``h`` itself is rank deficient (detected via hpp).
+    With the selection moved to the front (:func:`front_permutation`),
+    returns (U, hp, hpp) with ``U @ h_perm == [[I, hp], [0, hpp]]``: hp has
+    len(cols) rows and hpp has l = r - len(cols) rows (checked when given).
+    The blocks are read off :class:`ReducedForm`, which never permutes.
+    Raises SingularSelectionError for a singular selection (resample it)
+    and ValueError when ``h`` itself is rank deficient (seen via hpp).
     """
-    r = h.nrows
+    r, n = h.nrows, h.ncols
     front = len(cols)
     if l is None:
         l = r - front
     if l != r - front or l < 0:
         raise ValueError(f"need len(cols) == nrows - l, got {front} != {r} - {l}")
-    wnd = h.ncols - front
-    perm = front_permutation(cols, h.ncols)
-    hp_rows = [perm.apply_bits(row) for row in h.rows]
-    work = [hp_rows[i] | 1 << (h.ncols + i) for i in range(r)]
-    for col in range(front):
-        pivot = next(
-            (i for i in range(col, r) if work[i] >> col & 1), None
-        )
-        if pivot is None:
-            raise SingularSelectionError(
-                f"column selection singular at pivot {col}"
-            )
-        work[col], work[pivot] = work[pivot], work[col]
-        for i in range(r):
-            if i != col and work[i] >> col & 1:
-                work[i] ^= work[col]
-    u = BitMatrix(r, r, tuple(row >> h.ncols for row in work))
-    mask = (1 << wnd) - 1
-    hp = BitMatrix(front, wnd, tuple(work[i] >> front & mask for i in range(front)))
-    hpp = BitMatrix(l, wnd, tuple(work[i] >> front & mask for i in range(front, r)))
+    form = ReducedForm(h, cols)
+    block = BitMatrix(n - front, r, form.window_columns()).transpose()
+    hp = BitMatrix(front, n - front, block.rows[:front])
+    hpp = BitMatrix(l, n - front, block.rows[front:])
     if rank(hpp) < l:
         raise ValueError("parity-check matrix is rank deficient")
-    return u, hp, hpp
+    return BitMatrix(r, r, tuple(row >> n for row in form.rows)), hp, hpp

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Any, Callable, Sequence
 
-from .f2 import BitMatrix, BitVector, Permutation, front_permutation, mat_vec_mul, systematic_form
+from .f2 import BitMatrix, BitVector, ReducedForm, rank
 from .isd import DoomSolution
 
 __all__ = [
@@ -60,10 +60,7 @@ class FourSumInstance:
     p: int
     l: int
     w: int
-    u: BitMatrix
-    hp: BitMatrix
-    hpp: BitMatrix
-    perm_inv: Permutation
+    form: ReducedForm
     v1: tuple[int, ...]
     v2: tuple[int, ...]
     v3: tuple[int, ...]
@@ -79,7 +76,8 @@ class FourSumInstance:
         return len(self.v1)
 
     def window_syndrome(self, mask: int) -> int:
-        return mat_vec_mul(self.hpp, BitVector(self.window, mask)).bits
+        """``hpp mask^T``: the reduced syndrome of the window word, less its front."""
+        return self.form.reduce(0, self.form.complete(0, mask)) >> len(self.cols)
 
     def _reduced_target(self, preimage: Any) -> tuple[int, int]:
         """(front part, window part) of U @ hash(preimage)."""
@@ -88,8 +86,8 @@ class FourSumInstance:
             s = self.hash_fn(preimage)
             if s.n != self.h.nrows:
                 raise ValueError("hash output width does not match the matrix")
-            bits = mat_vec_mul(self.u, s).bits
-            front = self.h.nrows - self.l
+            bits = self.form.reduce(s.bits)
+            front = len(self.cols)
             got = (bits & ((1 << front) - 1), bits >> front)
             self._f4_cache[preimage] = got
         return got
@@ -102,11 +100,9 @@ class FourSumInstance:
         """Error vector whose window part is ``window_mask`` and whose forced
         part closes the syndrome of ``preimage``."""
         sp, _ = self._reduced_target(preimage)
-        e1 = sp ^ mat_vec_mul(self.hp, BitVector(self.window, window_mask)).bits
-        front = self.h.nrows - self.l
-        return BitVector(
-            self.h.ncols, self.perm_inv.apply_bits(e1 | window_mask << front)
-        )
+        e2 = self.form.complete(0, window_mask)
+        e1 = (sp ^ self.form.reduce(0, e2)) & ((1 << len(self.cols)) - 1)
+        return BitVector(self.h.ncols, e2 | self.form.complete(e1, 0))
 
     def g(self, v1: int, v2: int, v3: int, preimage: Any) -> bool:
         """Accept when the completed error vector has full weight w."""
@@ -151,7 +147,8 @@ def build_foursum_instance(
     third, p3 = window // 3, p // 3
     if p3 > third:
         raise ValueError("third weight exceeds third size")
-    u, hp, hpp = systematic_form(h, cols, l)
+    if rank(h) < h.nrows:
+        raise ValueError("parity-check matrix is rank deficient")
     size = math.comb(third, p3)
     if preimages is None:
         preimages = [i.to_bytes(8, "big") for i in range(size)]
@@ -167,10 +164,7 @@ def build_foursum_instance(
         p=p,
         l=l,
         w=w,
-        u=u,
-        hp=hp,
-        hpp=hpp,
-        perm_inv=front_permutation(cols, h.ncols).inverse(),
+        form=ReducedForm(h, cols),
         v1=_third_masks(0, third, p3),
         v2=_third_masks(third, third, p3),
         v3=_third_masks(2 * third, third, p3),

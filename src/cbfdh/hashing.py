@@ -18,7 +18,7 @@ import hashlib
 import math
 from fractions import Fraction
 
-from .f2 import BitVector
+from .f2 import BitVector, _bytes_to_bits
 
 __all__ = [
     "SYNDROME_PREFIX",
@@ -58,7 +58,8 @@ class _BitStream:
 def syndrome_hash(payload: bytes, out_bits: int) -> BitVector:
     """First ``out_bits`` bits of SHAKE-256 over the syndrome-domain input."""
     data = hashlib.shake_256(SYNDROME_PREFIX + payload).digest((out_bits + 7) // 8)
-    return BitVector.from_bytes(data, out_bits)
+    # the payload is masked to out_bits, so it fits without a range check
+    return BitVector._unchecked(out_bits, _bytes_to_bits(data, out_bits))
 
 
 class FdhHash:
@@ -71,10 +72,6 @@ class FdhHash:
 
     def __call__(self, message: bytes, salt: BitVector) -> BitVector:
         return syndrome_hash(message + salt.to_bytes(), self.out_bits)
-
-    def over_bytes(self, payload: bytes) -> BitVector:
-        """Hash a raw payload (used for multi-target syndrome generation)."""
-        return syndrome_hash(payload, self.out_bits)
 
 
 def unrank_weight_pattern(index: int, n: int, w: int) -> BitVector:

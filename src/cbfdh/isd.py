@@ -26,16 +26,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .f2 import (
     BitMatrix,
     BitVector,
+    ReducedForm,
     SingularSelectionError,
-    front_permutation,
     mat_vec_mul,
     random_full_rank,
-    systematic_form,
+    rank,
 )
 
 __all__ = [
@@ -199,20 +199,20 @@ class WindowEnumerator:
     """All weight-p window words e'' with ``hpp e''^T = tail``, each paired
     with its front syndrome ``hp e''^T``.
 
-    Meet-in-the-middle join over the r-bit window column syndromes of
-    ``[hp; hpp]``: left-half patterns are tabulated by their l-bit tail once,
-    right-half patterns probe the table.  The answer for each tail is
-    memoised, so q targets cost at most min(q, 2^l) probes.
+    ``cols`` are the r-bit window column syndromes of the reduced matrix
+    (:meth:`cbfdh.f2.ReducedForm.window_columns`), hp's bits below ``front``
+    and hpp's above.  Meet-in-the-middle join: left-half patterns are
+    tabulated by their l-bit tail once, right-half patterns probe the table,
+    and each tail's answer is memoised (at most min(q, 2^l) probes).
     """
 
-    def __init__(self, hp: BitMatrix, hpp: BitMatrix, p: int):
-        self.window = hpp.ncols
+    def __init__(self, cols: Sequence[int], front: int, p: int):
+        self.window = len(cols)
         self.p = p
         if p > self.window:
             raise ValueError("window weight exceeds window size")
-        # bits below `front` hold hp's rows, the l bits above hold hpp's
-        self.front = front = hp.nrows
-        self.cols = cols = hp.vstack(hpp).columns()
+        self.front = front
+        self.cols = cols = tuple(cols)
         self.half = self.window // 2
         self.tables: dict[int, dict[int, list[tuple[int, int]]]] = {}
         for p_left in range(
@@ -256,8 +256,24 @@ class WindowEnumerator:
 # --- attack driver ----------------------------------------------------------------
 
 
+class _HashedTargets:
+    """Target syndromes, hashed in index order as trials first reach them."""
+
+    def __init__(self, targets: list, hash_fn: Callable[[Any], BitVector], r: int):
+        self.targets, self.hash_fn, self.r, self.bits = targets, hash_fn, r, []
+
+    def __iter__(self) -> Iterator[int]:
+        yield from self.bits
+        for t in self.targets[len(self.bits) :]:
+            s = self.hash_fn(t)
+            if s.n != self.r:
+                raise ValueError("hash output width does not match the matrix")
+            self.bits.append(s.bits)
+            yield s.bits
+
+
 def _isd_trial(
-    payload: tuple[tuple[int, ...], int, tuple[int, ...], int, int, int],
+    payload: tuple[BitMatrix, Iterable[int], int, int, int],
     child_seed: int,
 ) -> tuple[int, int] | None:
     """One information-set trial; returns (target index, error bits) or None.
@@ -266,42 +282,40 @@ def _isd_trial(
     each target's window words in enumerator order, so the first hit is the
     lowest target index and then that target's first word.
     """
-    rows, ncols, targets, w, p, l = payload
-    r = len(rows)
+    h, targets, w, p, l = payload
+    front = h.nrows - l
     rng = random.Random(child_seed)
-    cols = sorted(rng.sample(range(ncols), r - l))
-    h = BitMatrix(r, ncols, rows)
+    cols = sorted(rng.sample(range(h.ncols), front))
     try:
-        u, hp, hpp = systematic_form(h, cols, l)
+        form = ReducedForm(h, cols)
     except SingularSelectionError:
         return None
-    enum = WindowEnumerator(hp, hpp, p)
-    u_cols = u.columns()
-    front = r - l
+    enum = WindowEnumerator(form.window_columns(), front, p)
     front_mask = (1 << front) - 1
     need = w - p
-    for ti, s_bits in enumerate(targets):
-        reduced = 0  # U s^T, summed over the columns of U at the bits of s
-        while s_bits:
-            low = s_bits & -s_bits
-            reduced ^= u_cols[low.bit_length() - 1]
-            s_bits ^= low
+    for ti, reduced in enumerate(form.reduce_all(targets)):
         sp = reduced & front_mask
         for syn, e2 in enum.solutions(reduced >> front):
             e1 = sp ^ syn
             if e1.bit_count() == need:
-                perm_inv = front_permutation(cols, ncols).inverse()
-                return ti, perm_inv.apply_bits(e1 | e2 << front)
+                return ti, form.complete(e1, e2)
     return None
 
 
 def _search(
-    payload: tuple,
-    budget: int,
+    h: BitMatrix,
+    targets: Iterable[int],
+    w: int,
+    params: IsdParams,
     rng: random.Random,
     workers: int,
 ) -> tuple[tuple[int, int] | None, int]:
-    trial = partial(_isd_trial, payload)
+    """Run trials until one hits or the budget is spent; h's rank is checked
+    once, as a trial cannot tell it from a singular selection."""
+    if rank(h) < h.nrows:
+        raise ValueError("parity-check matrix is rank deficient")
+    trial = partial(_isd_trial, (h, targets, w, params.p, params.l))
+    budget = params.max_iterations
     if workers <= 1:
         for idx in range(budget):
             got = trial(rng.getrandbits(64))
@@ -330,13 +344,13 @@ def generalized_isd(
     workers: int = 1,
 ) -> SearchResult:
     """Search for e with ``h e^T = s`` and ``|e| = w``; a None solution in
-    the result means the budget ran out, not that no solution exists."""
+    the result means the budget ran out, not that no solution exists.
+    Raises ValueError when h is rank deficient."""
     n, k = h.ncols, h.ncols - h.nrows
     if s.n != h.nrows:
         raise ValueError("syndrome length mismatch")
     params.check(n, k, w)
-    payload = (h.rows, n, (s.bits,), w, params.p, params.l)
-    got, used = _search(payload, params.max_iterations, rng, workers)
+    got, used = _search(h, (s.bits,), w, params, rng, workers)
     if got is None:
         return SearchResult(None, used)
     return SearchResult(BitVector(n, got[1]), used)
@@ -374,7 +388,9 @@ def doom_attack(
     syndrome tail, across all target syndromes.  When several targets decode
     in the same trial, the result names the lowest target index and that
     target's first window word in enumerator order, exactly as a scan of the
-    targets one at a time would.
+    targets one at a time would.  With one worker, targets are hashed in
+    index order as the trials reach them, so a hash of the wrong width
+    raises ValueError when it is first reached, not before the first trial.
     """
     n, k = h.ncols, h.ncols - h.nrows
     params.check(n, k, w)
@@ -382,14 +398,10 @@ def doom_attack(
         targets = default_doom_targets(q_limit)
     else:
         targets = list(targets)[:q_limit]
-    syndromes = []
-    for t in targets:
-        s = hash_fn(t)
-        if s.n != h.nrows:
-            raise ValueError("hash output width does not match the matrix")
-        syndromes.append(s.bits)
-    payload = (h.rows, n, tuple(syndromes), w, params.p, params.l)
-    got, used = _search(payload, params.max_iterations, rng, workers)
+    syndromes = _HashedTargets(targets, hash_fn, h.nrows)
+    if workers > 1:  # the workers' payload carries every syndrome
+        syndromes = tuple(syndromes)
+    got, used = _search(h, syndromes, w, params, rng, workers)
     if got is None:
         return SearchResult(None, used)
     ti, e_bits = got

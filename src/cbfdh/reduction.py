@@ -43,9 +43,6 @@ __all__ = [
     "ReductionError",
     "LazyOracle",
     "ZOracle",
-    "oracle_query",
-    "z_query",
-    "j_query",
     "sign_without_secret",
     "Adversary",
     "NullAdversary",
@@ -138,11 +135,6 @@ class LazyOracle:
         return cls(sampler, rng)
 
 
-def oracle_query(oracle: LazyOracle, key: Any) -> Any:
-    """Query with memoization; see :class:`LazyOracle`."""
-    return oracle.query(key)
-
-
 class ZOracle:
     """Hash oracle that secretly branches on a hidden coin per input.
 
@@ -187,14 +179,6 @@ class ZOracle:
             return Fraction(0)
         count = math.comb(self.h_pub.ncols, self.w)
         return mod_bias(max(1, count.bit_length()), count)
-
-
-def z_query(z: ZOracle, m: bytes, r: BitVector) -> BitVector:
-    return z.z_query(m, r)
-
-
-def j_query(z: ZOracle, m: bytes, r: BitVector) -> tuple[int, BitVector]:
-    return z.j_query(m, r)
 
 
 def sign_without_secret(

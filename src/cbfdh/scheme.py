@@ -30,15 +30,15 @@ import random
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 from .exponents import gv_bound
 from .f2 import (
     BitMatrix,
     BitVector,
     Permutation,
+    ReducedForm,
     SingularSelectionError,
-    front_permutation,
     inverse,
     mat_mul,
     mat_vec_mul,
@@ -46,7 +46,6 @@ from .f2 import (
     random_nonsingular,
     random_permutation,
     rank,
-    systematic_form,
 )
 from .hashing import FdhHash
 
@@ -58,7 +57,6 @@ __all__ = [
     "Signature",
     "SigningFailure",
     "KeyGenerationFailure",
-    "SyndromeDecoder",
     "random_code_family",
     "uuv_code_family",
     "keygen",
@@ -79,26 +77,9 @@ MAGIC = b"CBFDH1"
 CodeFamily = Callable[[random.Random], BitMatrix]
 
 
-class SyndromeDecoder(Protocol):
-    """Behavior contract: produce e with ``h e^T = s`` and ``|e| = w``
-    within ``budget`` attempts, or None when the budget runs out.
-
-    Any returned vector must pass both checks; :func:`decode_to_weight`
-    is the reference implementation.
-    """
-
-    def __call__(
-        self,
-        h: BitMatrix,
-        s: BitVector,
-        w: int,
-        budget: int,
-        rng: random.Random,
-    ) -> BitVector | None: ...
-
-
 class SigningFailure(Exception):
-    """The decoder exhausted its budget for this (message, salt) pair."""
+    """The decoder exhausted its budget for this (message, salt) pair, or
+    the signature failed the signer's own check against the public key."""
 
 
 class KeyGenerationFailure(Exception):
@@ -254,18 +235,17 @@ def decode_to_weight(
     for _ in range(budget):
         cols = sorted(rng.sample(range(n), r))
         try:
-            u, hp, _ = systematic_form(h, cols, 0)
+            form = ReducedForm(h, cols)
         except SingularSelectionError:
             continue
-        perm_inv = front_permutation(cols, n).inverse()
-        base = mat_vec_mul(u, s)
-        for p in range(0, min(w, window) + 1):
-            if w - p > r:
-                continue
-            seed = BitVector.from_support(window, rng.sample(range(window), p))
-            forced = base ^ mat_vec_mul(hp, seed)
-            if forced.weight() == w - p:
-                return perm_inv.apply(forced.concat(seed))
+        rest = form.window
+        for p in range(max(0, w - r), min(w, window) + 1):
+            seed = 0
+            for t in rng.sample(range(window), p):
+                seed |= 1 << rest[t]
+            forced = form.reduce(s.bits, seed)
+            if forced.bit_count() == w - p:
+                return BitVector(n, seed | form.complete(forced, 0))
     return None
 
 
@@ -281,7 +261,8 @@ def sign(
 
     Decoder failure raises :class:`SigningFailure`; when
     ``resalt_on_failure`` is positive, that many additional salts are tried
-    first (off by default so failures stay visible).
+    first (off by default so failures stay visible).  A signature that
+    fails the public key's check (a faulty key or signer) raises it too.
     """
     params, secret = keypair.params, keypair.secret
     for _ in range(1 + max(0, resalt_on_failure)):
@@ -294,7 +275,10 @@ def sign(
             secret.h_sec, unscrambled, params.w, decoder_budget, rng
         )
         if e_sec is not None:
-            return Signature(secret.perm.apply(e_sec), salt)
+            e = secret.perm.apply(e_sec)
+            if e.weight() != params.w or mat_vec_mul(keypair.public.h_pub, e) != target:
+                raise SigningFailure("signature fails the public key's check")
+            return Signature(e, salt)
     raise SigningFailure(
         f"decoder exhausted {decoder_budget} information sets per salt"
     )

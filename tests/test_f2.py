@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from cbfdh.f2 import (
     BitMatrix,
     BitVector,
-    IndexSet,
     Permutation,
+    ReducedForm,
     SingularSelectionError,
     front_permutation,
     inverse,
     mat_mul,
     mat_vec_mul,
-    permutation_apply,
     random_full_rank,
     random_matrix,
     random_nonsingular,
@@ -205,8 +204,7 @@ def test_permutation_inverse_round_trip():
         perm = random_permutation(12, rng)
         v = BitVector.random(12, rng)
         assert perm.inverse().apply(perm.apply(v)) == v
-        assert permutation_apply(perm, v) == perm.apply(v)
-        assert permutation_apply(perm, v).weight() == v.weight()
+        assert perm.apply(v).weight() == v.weight()
 
 
 def test_permutation_matrix_matches_apply():
@@ -227,16 +225,6 @@ def test_permute_cols_consistent_with_vector_action():
     for _ in range(10):
         e = BitVector.random(8, rng)
         assert mat_vec_mul(hp, perm.apply(e)) == mat_vec_mul(h, e)
-
-
-def test_index_set_validation():
-    s = IndexSet.of(6, [4, 1])
-    assert s.members == (1, 4)
-    assert s.complement() == (0, 2, 3, 5)
-    with pytest.raises(ValueError):
-        IndexSet(6, (1, 1))
-    with pytest.raises(ValueError):
-        IndexSet(3, (5,))
 
 
 # --- systematic form -------------------------------------------------------
@@ -291,3 +279,96 @@ def test_systematic_form_size_contract():
     h = BitMatrix.from_dense([[1, 0, 1], [0, 1, 1]])
     with pytest.raises(ValueError):
         systematic_form(h, [0], 0)
+
+
+# --- reduced form -----------------------------------------------------------
+
+
+def permuting_reference(h, cols):
+    """The reduction ReducedForm replaced: move the selection to the front
+    with front_permutation, then Gauss-Jordan with the first-row-below pivot
+    rule.  Returns (perm, reduced permuted rows with U above bit n), or None
+    for a singular selection."""
+    r, n = h.nrows, h.ncols
+    perm = front_permutation(cols, n)
+    work = [perm.apply_bits(row) | 1 << (n + i) for i, row in enumerate(h.rows)]
+    for col in range(len(cols)):
+        pivot = next((i for i in range(col, r) if work[i] >> col & 1), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        for i in range(r):
+            if i != col and work[i] >> col & 1:
+                work[i] ^= work[col]
+    return perm, work
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_reduced_form_matches_permuting_reference(l):
+    rng = random.Random(40 + l)
+    seen = {"singular": 0, "rank deficient": 0, "full rank": 0}
+    for _ in range(150):
+        r = rng.randrange(max(l, 1), 8)
+        n = r + rng.randrange(1, 8)
+        h = random_matrix(r, n, rng)
+        front, window = r - l, n - (r - l)
+        cols = rng.sample(range(n), front)
+        if rng.random() < 0.5:
+            cols.sort()
+        ref = permuting_reference(h, cols)
+        if ref is None:
+            seen["singular"] += 1
+            with pytest.raises(SingularSelectionError):
+                ReducedForm(h, cols)
+            with pytest.raises(SingularSelectionError):
+                systematic_form(h, cols, l)
+            continue
+        perm, work = ref
+        form = ReducedForm(h, cols)
+        u = BitMatrix(r, r, tuple(row >> n for row in work))
+        reduced = BitMatrix(r, n, tuple(row & ((1 << n) - 1) for row in work))
+        assert form.window == tuple(sorted(set(range(n)) - set(cols)))
+        assert form.window_columns() == reduced.columns()[front:]
+        for _ in range(4):
+            s = BitVector.random(r, rng)
+            e = BitVector.random(n, rng)
+            assert form.reduce(s.bits) == mat_vec_mul(u, s).bits
+            assert form.reduce(s.bits, e.bits) == mat_vec_mul(u, s ^ mat_vec_mul(h, e)).bits
+            front_bits, word = rng.getrandbits(front), rng.getrandbits(window)
+            expect = perm.inverse().apply_bits(front_bits | word << front)
+            assert form.complete(front_bits, word) == expect
+        mask = (1 << window) - 1
+        if rank(h) == r:
+            seen["full rank"] += 1
+            hp = BitMatrix(front, window, tuple(row >> front & mask for row in reduced.rows[:front]))
+            hpp = BitMatrix(l, window, tuple(row >> front & mask for row in reduced.rows[front:]))
+            assert systematic_form(h, cols, l) == (u, hp, hpp)
+        else:
+            seen["rank deficient"] += 1
+            with pytest.raises(ValueError, match="rank deficient"):
+                systematic_form(h, cols, l)
+    assert seen["singular"] and seen["full rank"], seen
+    if l:
+        assert seen["rank deficient"], seen
+
+
+def test_reduce_all_matches_reduce_on_both_sides_of_the_table_switch():
+    rng = random.Random(8)
+    for r in (3, 9, 20):
+        h = random_full_rank(r, 2 * r, rng)
+        while True:
+            try:
+                form = ReducedForm(h, rng.sample(range(2 * r), r - 1))
+                break
+            except SingularSelectionError:
+                continue
+        for count in (0, r, r + 1, 5 * r):
+            ss = [rng.getrandbits(r) for _ in range(count)]
+            assert list(form.reduce_all(ss)) == [form.reduce(x) for x in ss]
+
+
+def test_reduced_form_rejects_bad_selections():
+    h = random_full_rank(3, 6, random.Random(1))
+    for cols in ([0, 0], [0, 6], [-1, 2], [0, 1, 2, 3]):
+        with pytest.raises(ValueError):
+            ReducedForm(h, cols)

@@ -139,7 +139,7 @@ def test_window_enumerator_matches_filtered_enumeration():
             l, window, tuple(rng.getrandbits(window) for _ in range(l))
         )
         target = rng.getrandbits(l)
-        enum = WindowEnumerator(hp, hpp, p)
+        enum = WindowEnumerator(hp.vstack(hpp).columns(), front, p)
         got = sorted(enum.solutions(target))
         brute = sorted(
             (mat_vec_mul(hp, e).bits, e.bits)
@@ -184,6 +184,22 @@ def test_prange_equals_generalized_at_zero_parameters():
     b = generalized_isd(h, s, 3, IsdParams(0, 0, 200), random.Random(123))
     assert a == b
     assert a.found
+
+
+def test_rank_deficient_matrix_raises_before_any_trial():
+    rng = random.Random(17)
+    full = random_full_rank(6, 12, rng)
+    h = BitMatrix(6, 12, full.rows[:-1] + (full.rows[0] ^ full.rows[1],))
+    s = mat_vec_mul(h, BitVector.from_support(12, [0, 5]))
+    for l in (0, 2):  # with l = 0 every selection is singular
+        trial_rng = random.Random(0)
+        with pytest.raises(ValueError, match="rank deficient"):
+            generalized_isd(h, s, 2, IsdParams(1, l, 50), trial_rng)
+        assert trial_rng.getstate() == random.Random(0).getstate()
+        with pytest.raises(ValueError, match="rank deficient"):
+            doom_attack(
+                h, lambda t: syndrome_hash(t, 6), 2, IsdParams(1, l, 50), 4, random.Random(0)
+            )
 
 
 def test_unsolvable_budget_exhaustion_returns_none():
@@ -405,3 +421,29 @@ def test_doom_worker_pool_matches_sequential():
     par = doom_attack(h, hash_fn, 3, params, 32, random.Random(4), workers=2)
     assert seq == par
     assert seq.found
+
+
+def test_doom_hashes_targets_in_order_only_as_far_as_reached():
+    h = random_full_rank(12, 24, random.Random(37))
+    calls = []
+
+    def counting_hash(t):
+        calls.append(t)
+        return syndrome_hash(t, h.nrows)
+
+    targets = default_doom_targets(256)
+    res = doom_attack(h, counting_hash, 3, IsdParams(2, 3, 200), 256, random.Random(4))
+    assert res.found
+    # the last call is DoomSolution.checked re-hashing the solved preimage
+    scanned, recheck = calls[:-1], calls[-1]
+    assert recheck == targets[res.target_index]
+    assert scanned == targets[: len(scanned)]  # each target once, in index order
+    assert res.target_index < len(scanned) < len(targets)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_doom_rejects_a_hash_of_the_wrong_width(workers):
+    h = random_full_rank(12, 24, random.Random(41))
+    narrow = lambda t: syndrome_hash(t, h.nrows - 1)
+    with pytest.raises(ValueError, match="width"):
+        doom_attack(h, narrow, 3, IsdParams(2, 3, 200), 8, random.Random(4), workers=workers)

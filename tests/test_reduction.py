@@ -26,14 +26,11 @@ from cbfdh.reduction import (
     ZHANDRY_CONSTANT,
     condition_check,
     extract_doom_solution,
-    j_query,
-    oracle_query,
     run_game,
     sign_without_secret,
     theorem1_bound,
     theorem1_bound_log2,
     wilson_interval,
-    z_query,
     zhandry_bound,
 )
 from cbfdh.scheme import (
@@ -56,10 +53,10 @@ def toy_params(**overrides):
 
 def test_oracle_memoization_and_count():
     oracle = LazyOracle.uniform(16, random.Random(0))
-    first = oracle_query(oracle, (b"m", 3))
-    assert oracle_query(oracle, (b"m", 3)) == first
+    first = oracle.query((b"m", 3))
+    assert oracle.query((b"m", 3)) == first
     assert oracle.query_count == 1
-    assert oracle_query(oracle, b"") is not None  # empty key is valid
+    assert oracle.query(b"") is not None  # empty key is valid
     assert oracle.query_count == 2
     assert oracle.queries() == ((b"m", 3), b"")
 
@@ -106,9 +103,9 @@ def test_z_query_follows_the_hidden_coin():
     z = make_z()
     for i in range(300):
         m, r = f"m{i}".encode(), BitVector.random(z.salt_bits, random.Random(i))
-        out = z_query(z, m, r)
-        assert z_query(z, m, r) == out  # deterministic per input
-        b, e = j_query(z, m, r)
+        out = z.z_query(m, r)
+        assert z.z_query(m, r) == out  # deterministic per input
+        b, e = z.j_query(m, r)
         if b == 0:
             assert out == z.h.table[(m, r)]
         else:
@@ -120,11 +117,11 @@ def test_z_query_forced_branches():
     z = make_z()
     m, r = b"forced", BitVector.zeros(z.salt_bits)
     z.j.table[(m, r)] = (0, None)
-    assert z_query(z, m, r) == z.h.query((m, r))
+    assert z.z_query(m, r) == z.h.query((m, r))
     m2 = b"forced-the-other-way"
     e = BitVector.from_support(12, (0, 3, 5, 9))
     z.j.table[(m2, r)] = (1, e)
-    assert z_query(z, m2, r) == mat_vec_mul(z.h_pub, e)
+    assert z.z_query(m2, r) == mat_vec_mul(z.h_pub, e)
 
 
 def test_z_output_distribution_is_the_exact_half_mixture():

@@ -1,16 +1,25 @@
 import math
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
-from cbfdh.f2 import BitMatrix, BitVector, mat_mul, mat_vec_mul, rank
+from cbfdh.f2 import (
+    BitMatrix,
+    BitVector,
+    front_permutation,
+    mat_mul,
+    mat_vec_mul,
+    random_matrix,
+    rank,
+)
 from cbfdh.hashing import FdhHash
 from cbfdh.scheme import (
     SchemeParams,
     Signature,
+    SignatureKeyPair,
     SigningFailure,
-    SyndromeDecoder,
     decode_to_weight,
     keygen,
     load_public_key,
@@ -91,10 +100,9 @@ def test_uuv_family_shape():
 
 
 def test_decode_hand_example():
-    decoder: SyndromeDecoder = decode_to_weight  # reference implementation
     h = BitMatrix.from_dense([[1, 0, 1, 0], [0, 1, 0, 1]])
     s = BitVector.from_bits([1, 0])
-    e = decoder(h, s, 1, 50, random.Random(0))
+    e = decode_to_weight(h, s, 1, 50, random.Random(0))
     assert e is not None
     assert e in (BitVector.from_bits([1, 0, 0, 0]), BitVector.from_bits([0, 0, 1, 0]))
 
@@ -123,7 +131,77 @@ def test_decode_output_always_checks():
         assert mat_vec_mul(h, e) == s
 
 
+def permuting_decoder(h, s, w, budget, rng):
+    """The decoder as it was before ReducedForm: move the information set to
+    the front, eliminate, sweep p, and permute the error back."""
+    r, n = h.nrows, h.ncols
+    window = n - r
+    for _ in range(budget):
+        cols = sorted(rng.sample(range(n), r))
+        perm = front_permutation(cols, n)
+        work = [perm.apply_bits(row) | 1 << (n + i) for i, row in enumerate(h.rows)]
+        for col in range(r):
+            pivot = next((i for i in range(col, r) if work[i] >> col & 1), None)
+            if pivot is None:
+                break
+            work[col], work[pivot] = work[pivot], work[col]
+            for i in range(r):
+                if i != col and work[i] >> col & 1:
+                    work[i] ^= work[col]
+        else:
+            u = BitMatrix(r, r, tuple(row >> n for row in work))
+            hp = BitMatrix(r, window, tuple(row >> r & ((1 << window) - 1) for row in work))
+            base = mat_vec_mul(u, s)
+            for p in range(0, min(w, window) + 1):
+                if w - p > r:
+                    continue
+                seed = BitVector.from_support(window, rng.sample(range(window), p))
+                forced = base ^ mat_vec_mul(hp, seed)
+                if forced.weight() == w - p:
+                    return perm.inverse().apply(forced.concat(seed))
+    return None
+
+
+def test_decode_matches_permuting_reference():
+    seen = Counter()
+    for case in range(400):
+        rng = random.Random(case)
+        r = rng.randrange(1, 9)
+        n = r + rng.randrange(1, 9)
+        h = random_matrix(r, n, rng)
+        if case % 4 == 0 and r > 1:  # force a rank-deficient h
+            h = BitMatrix(r, n, h.rows[:-1] + (h.rows[0] ^ h.rows[-2],))
+        w = rng.randrange(0, n + 1)
+        if rng.random() < 0.5:
+            s = mat_vec_mul(h, BitVector.from_support(n, rng.sample(range(n), w)))
+        else:
+            s = BitVector.random(r, rng)
+        budget = rng.randrange(0, 30)
+        seed = rng.getrandbits(64)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = decode_to_weight(h, s, w, budget, ours)
+        assert got == permuting_decoder(h, s, w, budget, theirs), case
+        assert ours.getstate() == theirs.getstate(), case
+        seen["found" if got is not None else "exhausted"] += 1
+        seen["rank deficient"] += rank(h) < r
+        seen["w > r"] += w > r
+    assert min(seen.values()) >= 20, seen
+
+
 # --- sign / verify -------------------------------------------------------------
+
+
+def test_sign_refuses_a_signature_its_public_key_rejects():
+    keypair, rng = toy_keypair(seed=3)
+    other, _ = toy_keypair(seed=4)
+    mismatched = SignatureKeyPair(keypair.params, keypair.secret, other.public)
+    hash_fn = FdhHash(keypair.params.n_k)
+    with pytest.raises(SigningFailure, match="public key"):
+        sign(mismatched, b"message", hash_fn, rng)
+    # the matching pair signs, and the signature verifies
+    sig = sign(keypair, b"message", hash_fn, rng)
+    assert verify(keypair.public, b"message", sig, hash_fn)
+
 
 
 def test_sign_verify_round_trip_and_rejections():
