@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -219,6 +218,7 @@ def syndrome_weight_distribution(
     if nshards == 1:
         tallies = [_count_shard(*args[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=nshards) as pool:
             tallies = list(pool.map(_count_shard, *zip(*args)))
     counts: dict[int, int] = {}

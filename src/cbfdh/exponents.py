@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import minimize_scalar
-
 __all__ = [
     "RatePoint",
     "ExponentResult",
@@ -137,6 +135,71 @@ def doom_quantum_objective(pt: RatePoint, lambda_rel: float) -> tuple[float, flo
     return value, pi
 
 
+def _fminbound(func, lo: float, hi: float, xatol: float) -> float:
+    """Brent's bounded minimisation of ``func`` on [lo, hi].
+
+    A step-for-step port of scipy's ``minimize_scalar(method="bounded")``
+    (same constants, steps, float operation order and 500-evaluation cap),
+    so it returns the same argmin to the last bit.  Its step sign is
+    np.sign(d) + (d == 0), i.e. +1 at zero.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit through the last three points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
 def doom_quantum_exponent(pt: RatePoint, grid_step: float = 1e-3) -> ExponentResult:
     """Minimize the multi-target quantum decoding exponent over lambda_rel.
 
@@ -162,9 +225,7 @@ def doom_quantum_exponent(pt: RatePoint, grid_step: float = 1e-3) -> ExponentRes
         got = doom_quantum_objective(pt, lam)
         return got[0] if got is not None else math.inf
 
-    res = minimize_scalar(penalized, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    lam = float(res.x)
+    lam = _fminbound(penalized, lo, hi, 1e-12)
     got = doom_quantum_objective(pt, lam)
     if got is None or got[0] > best_val:
         lam = best_lam

@@ -1,15 +1,9 @@
-"""SHAKE-256 hash oracles.
+"""SHAKE-256 syndrome oracle and constant-weight word (un)ranking.
 
-Two domain-separated oracles share one wire convention: the XOF input is a
-single prefix byte (0x01 for the syndrome oracle, 0x02 for the weight-pattern
-oracle) followed by the raw payload, and output bits are read most
-significant bit first within each byte.
-
-The syndrome oracle truncates the stream to exactly ``out_bits`` bits.  The
-weight-pattern oracle reads one branch bit, then decodes a constant-weight
-word by lexicographic unranking of an index drawn from the remaining stream;
-the index is either rejection-sampled (exactly uniform) or a single chunk
-reduced modulo C(n, w), whose bias is exactly computable.
+The syndrome oracle hashes a prefix byte (0x01) plus the raw payload and
+reads the first ``out_bits`` bits, most significant bit first within each
+byte.  Weight-w words are (un)ranked lexicographically by support;
+``mod_bias`` is the exact bias of reducing a uniform chunk modulo C(n, w).
 """
 
 from __future__ import annotations
@@ -22,37 +16,14 @@ from .f2 import BitVector, _bytes_to_bits
 
 __all__ = [
     "SYNDROME_PREFIX",
-    "PATTERN_PREFIX",
     "syndrome_hash",
     "FdhHash",
     "unrank_weight_pattern",
     "rank_weight_pattern",
-    "WeightPatternHash",
     "mod_bias",
 ]
 
 SYNDROME_PREFIX = b"\x01"
-PATTERN_PREFIX = b"\x02"
-
-
-class _BitStream:
-    """MSB-first bit reader over a SHAKE XOF, squeezing bytes on demand."""
-
-    def __init__(self, prefix: bytes, payload: bytes):
-        self._xof = hashlib.shake_256(prefix + payload)
-        self._buf = b""
-        self._pos = 0
-
-    def read(self, nbits: int) -> int:
-        end = self._pos + nbits
-        need = (end + 7) // 8
-        if need > len(self._buf):
-            self._buf = self._xof.digest(max(need, 2 * len(self._buf), 32))
-        out = 0
-        for i in range(self._pos, end):
-            out = out << 1 | (self._buf[i >> 3] >> (7 - (i & 7)) & 1)
-        self._pos = end
-        return out
 
 
 def syndrome_hash(payload: bytes, out_bits: int) -> BitVector:
@@ -121,37 +92,3 @@ def mod_bias(sample_bits: int, modulus: int) -> Fraction:
     light = Fraction(1, modulus) - Fraction(q, space)
     return (r * heavy + (modulus - r) * light) / 2
 
-
-class WeightPatternHash:
-    """(m, salt) -> (branch bit, weight-w word), deterministic from the XOF.
-
-    With ``exact=True`` the pattern index is rejection sampled from
-    ceil(log2 C(n, w))-bit chunks, so the word is exactly uniform.  With
-    ``exact=False`` a single chunk is reduced modulo C(n, w); the induced
-    bias is reported by :attr:`bias`.
-    """
-
-    def __init__(self, n: int, w: int, exact: bool = True):
-        if not 0 <= w <= n:
-            raise ValueError("weight outside [0, n]")
-        self.n = n
-        self.w = w
-        self.exact = exact
-        self.count = math.comb(n, w)
-        self.index_bits = max(1, self.count.bit_length())
-
-    @property
-    def bias(self) -> Fraction:
-        return Fraction(0) if self.exact else mod_bias(self.index_bits, self.count)
-
-    def __call__(self, message: bytes, salt: BitVector) -> tuple[int, BitVector]:
-        stream = _BitStream(PATTERN_PREFIX, message + salt.to_bytes())
-        branch = stream.read(1)
-        if self.exact:
-            while True:
-                index = stream.read(self.index_bits)
-                if index < self.count:
-                    break
-        else:
-            index = stream.read(self.index_bits) % self.count
-        return branch, unrank_weight_pattern(index, self.n, self.w)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -322,6 +321,7 @@ def _search(
             if got is not None:
                 return got, idx + 1
         return None, budget
+    from concurrent.futures import ProcessPoolExecutor
     block = max(8 * workers, 16)
     done = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, ClassVar, Mapping, Protocol, Sequence
@@ -533,6 +532,7 @@ def run_game(
             if transcript is not None:
                 stats.transcripts.append(transcript)
         return stats
+    from concurrent.futures import ProcessPoolExecutor
     jobs = [(game_id, adversary, config, seed, keep_transcripts) for seed in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for win, transcript in pool.map(_trial_worker, jobs, chunksize=16):

@@ -344,3 +344,41 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "0.020349" in proc.stdout
+
+
+# --- standard-library runtime ---------------------------------------------------------
+
+NO_SCIPY_PRELUDE = """
+import sys
+sys.modules["scipy"] = sys.modules["numpy"] = None
+from cbfdh.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--seed", "0"],
+    ["bound", "--preset", "surf", "--seed", "0"],
+    ["simulate", "--trials", "4", "--seed", "0"],
+], ids=("exponents", "bound", "simulate"))
+def test_cli_runs_with_scipy_and_numpy_blocked(argv, capsys):
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PRELUDE, *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out
+
+
+def test_import_loads_no_scipy_numpy_or_process_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cbfdh, cbfdh.cli; print(sorted(k for k in sys.modules"
+         " if k.split('.')[0] in ('scipy', 'numpy')"
+         " or k == 'concurrent.futures.process'))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,8 +4,9 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
+from cbfdh import exponents
 from cbfdh.exponents import (
     RatePoint,
     doom_quantum_exponent,
@@ -127,3 +128,47 @@ def test_exponent_continuity_in_omega():
         if prev is not None:
             assert abs(val - prev) < 0.01
         prev = val
+
+
+# an all-inf penalty window gives inf - inf in scipy's parabola; both sides
+# then take the golden step, so the warning is expected
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_fminbound_port_matches_scipy_bounded_brent(monkeypatch):
+    """The pure-Python polish is exact: over a grid of rate points,
+    doom_quantum_exponent returns the same floats (or raises the same
+    error) as with scipy's bounded Brent, the independent oracle."""
+
+    def scipy_fminbound(func, lo, hi, xatol):
+        res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol})
+        return float(res.x)
+
+    port = exponents._fminbound
+    objective = exponents.doom_quantum_objective
+
+    def outcome(pt, fminbound):
+        monkeypatch.setattr(exponents, "_fminbound", fminbound)
+        try:
+            return exponents.doom_quantum_exponent(pt)
+        except ValueError as err:
+            return str(err)
+
+    infeasible = 0
+    for i in range(1, 100):
+        rate = i / 100
+        for j in range(21):
+            pt = RatePoint(rate, (1 - rate) / 2 * (j / 20))
+            # the objective is pure: the second run reads the first's values
+            memo = {}
+
+            def memo_objective(pt_, lam):
+                if lam not in memo:
+                    memo[lam] = objective(pt_, lam)
+                return memo[lam]
+
+            monkeypatch.setattr(exponents, "doom_quantum_objective", memo_objective)
+            ours = outcome(pt, port)
+            oracle = outcome(pt, scipy_fminbound)
+            assert ours == oracle, (rate, pt.omega)
+            infeasible += isinstance(ours, str)
+    assert infeasible == 99  # omega = 0 has no feasible window weight

@@ -1,16 +1,13 @@
 import hashlib
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from scipy.stats import chisquare
 
 from cbfdh.f2 import BitVector
 from cbfdh.hashing import (
     FdhHash,
-    WeightPatternHash,
     mod_bias,
     rank_weight_pattern,
     syndrome_hash,
@@ -71,32 +68,3 @@ def test_mod_bias_exact_small_case():
         3 * (Fraction(2, 8) - Fraction(1, 5)) + 2 * (Fraction(1, 5) - Fraction(1, 8))
     ) / 2
     assert mod_bias(4, 16) == 0
-    assert WeightPatternHash(6, 2, exact=True).bias == 0
-    biased = WeightPatternHash(6, 2, exact=False)
-    assert biased.bias == mod_bias(biased.index_bits, 15)
-
-
-def test_pattern_hash_determinism_and_weight():
-    j = WeightPatternHash(10, 3)
-    salt = BitVector.from_support(8, [2])
-    b0, e0 = j(b"m", salt)
-    b1, e1 = j(b"m", salt)
-    assert (b0, e0) == (b1, e1)
-    assert b0 in (0, 1)
-    assert e0.weight() == 3 and e0.n == 10
-
-
-def test_pattern_hash_exact_mode_is_uniform_by_chisquare():
-    n, w = 8, 2
-    j = WeightPatternHash(n, w, exact=True)
-    counts: Counter[int] = Counter()
-    branches = Counter()
-    for i in range(10_000):
-        b, e = j(b"input-%06d" % i, BitVector.zeros(8))
-        counts[e.bits] += 1
-        branches[b] += 1
-    assert len(counts) == math.comb(n, w)
-    stat, p = chisquare(list(counts.values()))
-    assert p > 0.01
-    # branch bit is close to balanced
-    assert abs(branches[0] - branches[1]) < 4 * (10_000**0.5)
