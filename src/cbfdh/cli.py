@@ -15,12 +15,10 @@ headers.  Exit codes: 0 success, 1 verification reject, 2 input error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import random
 import sys
 import warnings
-from dataclasses import dataclass
 
 from .exponents import (
     RatePoint,
@@ -29,7 +27,7 @@ from .exponents import (
     prange_exponent_classical,
     prange_exponent_quantum,
 )
-from .f2 import BitVector, mat_mul, random_full_rank
+from .f2 import BitVector, random_full_rank
 from .hashing import FdhHash, syndrome_hash
 from .isd import (
     IsdParams,
@@ -48,11 +46,10 @@ from .reduction import (
     theorem1_bound_log2,
 )
 from .scheme import (
-    PublicKey,
     SchemeParams,
-    SignatureKeyPair,
     SigningFailure,
     keygen,
+    keypair_from_secret,
     load_public_key,
     load_secret_key,
     load_signature,
@@ -82,47 +79,6 @@ SURF_PRESET = {
     "q_hash": "2^128",
     "q_sign": "2^64",
 }
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: command, numeric parameters, paths, format."""
-
-    command: str
-    n: int = 24
-    k: int = 12
-    w: int = 4
-    lam: int = 128
-    lam0: int = 64
-    p: int = 0
-    l: int = 0
-    q: int = 1
-    budget: int = 1000
-    seed: int = 0
-    workers: int = 1
-    fmt: str = "text"
-    mode: str = "sd"
-    force: bool = False
-    preset: str | None = None
-    family: str = "random"
-    k_u: int | None = None
-    k_v: int | None = None
-    games: str = "all"
-    trials: int = 400
-    fast_patterns: bool = False
-    rate: float | None = None
-    omega: float | None = None
-    eps_doom: str | None = None
-    dist: str | None = None
-    exp_rho_pub: str | None = None
-    rho_sign: str | None = None
-    q_hash: str | None = None
-    q_sign: str | None = None
-    public_key: str | None = None
-    secret_key: str | None = None
-    signature: str | None = None
-    message: str | None = None
-    message_file: str | None = None
 
 
 # --- parsing helpers ---------------------------------------------------------------
@@ -195,102 +151,97 @@ class Report:
         print("\n".join(self.lines))
 
 
-def _scheme_params(config: RunConfig) -> SchemeParams:
+def _scheme_params(args: argparse.Namespace) -> SchemeParams:
     # toy parameters are the normal case here, so the library's security
     # warnings would only be noise on stderr
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return SchemeParams(
-            n=config.n, k=config.k, w=config.w, lam=config.lam, lam0=config.lam0
+            n=args.n, k=args.k, w=args.w, lam=args.lam, lam0=args.lam0
         )
 
 
-def _read_message(config: RunConfig) -> bytes:
-    if (config.message is None) == (config.message_file is None):
+def _read_message(args: argparse.Namespace) -> bytes:
+    if (args.message is None) == (args.message_file is None):
         raise ValueError("give exactly one of --message and --message-file")
-    if config.message is not None:
-        return config.message.encode()
-    with open(config.message_file, "rb") as fh:
+    if args.message is not None:
+        return args.message.encode()
+    with open(args.message_file, "rb") as fh:
         return fh.read()
 
 
 # --- key and signature commands -----------------------------------------------------
 
 
-def cmd_keygen(config: RunConfig) -> int:
-    params = _scheme_params(config)
-    if config.family == "uuv":
-        k_u = config.k_u if config.k_u is not None else (config.k + 1) // 2
-        k_v = config.k_v if config.k_v is not None else config.k // 2
-        family = uuv_code_family(config.n, k_u, k_v)
+def cmd_keygen(args: argparse.Namespace) -> int:
+    params = _scheme_params(args)
+    if args.family == "uuv":
+        k_u = args.k_u if args.k_u is not None else (args.k + 1) // 2
+        k_v = args.k_v if args.k_v is not None else args.k // 2
+        family = uuv_code_family(args.n, k_u, k_v)
     else:
-        family = random_code_family(config.n, config.k)
-    keypair = keygen(params, family, random.Random(config.seed))
-    save_secret_key(config.secret_key, params, keypair.secret)
-    save_public_key(config.public_key, params, keypair.public)
-    report = Report(config.fmt)
+        family = random_code_family(args.n, args.k)
+    keypair = keygen(params, family, random.Random(args.seed))
+    save_secret_key(args.secret_key, params, keypair.secret)
+    save_public_key(args.public_key, params, keypair.public)
+    report = Report(args.fmt)
     report.record(
         ("command", "keygen"),
-        ("seed", config.seed),
-        ("n", config.n),
-        ("k", config.k),
-        ("w", config.w),
-        ("lambda", config.lam),
-        ("lambda0", config.lam0),
-        ("family", config.family),
+        ("seed", args.seed),
+        ("n", args.n),
+        ("k", args.k),
+        ("w", args.w),
+        ("lambda", args.lam),
+        ("lambda0", args.lam0),
+        ("family", args.family),
     )
-    report.record(("wrote_secret", config.secret_key))
-    report.record(("wrote_public", config.public_key))
+    report.record(("wrote_secret", args.secret_key))
+    report.record(("wrote_public", args.public_key))
     report.flush()
     return 0
 
 
-def cmd_sign(config: RunConfig) -> int:
-    message = _read_message(config)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params, secret = load_secret_key(config.secret_key)
-    h_pub = mat_mul(secret.scramble, secret.h_sec).permute_cols(secret.perm)
-    keypair = SignatureKeyPair(params, secret, PublicKey(h_pub, params.w))
+def cmd_sign(args: argparse.Namespace) -> int:
+    message = _read_message(args)
+    params, secret = load_secret_key(args.secret_key)
+    keypair = keypair_from_secret(params, secret)
     hash_fn = FdhHash(params.n_k)
     try:
         sig = sign(
             keypair,
             message,
             hash_fn,
-            random.Random(config.seed),
-            decoder_budget=config.budget,
+            random.Random(args.seed),
+            decoder_budget=args.budget,
         )
     except SigningFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    save_signature(config.signature, sig)
-    report = Report(config.fmt)
+    save_signature(args.signature, sig)
+    report = Report(args.fmt)
     report.record(
         ("command", "sign"),
-        ("seed", config.seed),
-        ("budget", config.budget),
+        ("seed", args.seed),
+        ("budget", args.budget),
         ("n", params.n),
         ("k", params.k),
         ("w", params.w),
     )
-    report.record(("wrote_signature", config.signature))
+    report.record(("wrote_signature", args.signature))
     report.record(("salt", sig.salt.to_hex()), ("e", sig.e.to_hex()))
     report.flush()
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    message = _read_message(config)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params, public = load_public_key(config.public_key)
-        sig = load_signature(config.signature, params)
+def cmd_verify(args: argparse.Namespace) -> int:
+    message = _read_message(args)
+    params, public = load_public_key(args.public_key)
+    sig = load_signature(args.signature, params)
     ok = verify(public, message, sig, FdhHash(params.n_k))
-    report = Report(config.fmt)
+    report = Report(args.fmt)
     report.record(
         ("command", "verify"),
-        ("seed", config.seed),
+        ("seed", args.seed),
         ("n", params.n),
         ("k", params.k),
         ("w", params.w),
@@ -303,37 +254,37 @@ def cmd_verify(config: RunConfig) -> int:
 # --- attack -------------------------------------------------------------------------
 
 
-def cmd_attack(config: RunConfig) -> int:
-    if config.n > ATTACK_SIZE_GUARD and not config.force:
+def cmd_attack(args: argparse.Namespace) -> int:
+    if args.n > ATTACK_SIZE_GUARD and not args.force:
         print(
-            f"error: n={config.n} exceeds the toy-scale guard "
+            f"error: n={args.n} exceeds the toy-scale guard "
             f"({ATTACK_SIZE_GUARD}); pass --force to run anyway",
             file=sys.stderr,
         )
         return 2
-    isd_params = IsdParams(config.p, config.l, config.budget)
-    isd_params.check(config.n, config.k, config.w)
-    rng = random.Random(config.seed)
-    h, s, planted = plant_instance(config.n, config.k, config.w, rng)
+    isd_params = IsdParams(args.p, args.l, args.budget)
+    isd_params.check(args.n, args.k, args.w)
+    rng = random.Random(args.seed)
+    h, s, planted = plant_instance(args.n, args.k, args.w, rng)
 
-    report = Report(config.fmt)
+    report = Report(args.fmt)
     report.record(
         ("command", "attack"),
-        ("mode", config.mode),
-        ("seed", config.seed),
-        ("n", config.n),
-        ("k", config.k),
-        ("w", config.w),
-        ("p", config.p),
-        ("l", config.l),
-        ("q", config.q if config.mode == "doom" else 1),
-        ("budget", config.budget),
-        ("workers", config.workers),
+        ("mode", args.mode),
+        ("seed", args.seed),
+        ("n", args.n),
+        ("k", args.k),
+        ("w", args.w),
+        ("p", args.p),
+        ("l", args.l),
+        ("q", args.q if args.mode == "doom" else 1),
+        ("budget", args.budget),
+        ("workers", args.workers),
     )
     report.record(("planted", planted.to_hex()))
 
-    if config.mode == "doom":
-        targets = default_doom_targets(config.q)
+    if args.mode == "doom":
+        targets = default_doom_targets(args.q)
 
         def hash_fn(t: bytes) -> BitVector:
             # target 0 carries the planted syndrome so the instance stays
@@ -342,13 +293,13 @@ def cmd_attack(config: RunConfig) -> int:
                 return s
             return syndrome_hash(b"attack:" + t, h.nrows)
 
-        est = doom_success(config.n, config.k, config.w, config.p, config.l, config.q)
+        est = doom_success(args.n, args.k, args.w, args.p, args.l, args.q)
         result = doom_attack(
-            h, hash_fn, config.w, isd_params, config.q, rng, workers=config.workers
+            h, hash_fn, args.w, isd_params, args.q, rng, workers=args.workers
         )
     else:
-        est = isd_success(config.n, config.k, config.w, config.p, config.l)
-        result = generalized_isd(h, s, config.w, isd_params, rng, workers=config.workers)
+        est = isd_success(args.n, args.k, args.w, args.p, args.l)
+        result = generalized_isd(h, s, args.w, isd_params, rng, workers=args.workers)
 
     report.record(
         ("predicted_iteration_success", _fmt_pow2(est.surrogate_log2)),
@@ -356,7 +307,7 @@ def cmd_attack(config: RunConfig) -> int:
     )
     if result.found:
         e_vec = (
-            result.solution.e if config.mode == "doom" else result.solution
+            result.solution.e if args.mode == "doom" else result.solution
         )
         pairs = [
             ("found", 1),
@@ -364,7 +315,7 @@ def cmd_attack(config: RunConfig) -> int:
             ("solution", e_vec.to_hex()),
             ("weight", e_vec.weight()),
         ]
-        if config.mode == "doom":
+        if args.mode == "doom":
             pairs.append(("target_index", result.target_index))
         report.record(*pairs)
         report.flush()
@@ -372,7 +323,7 @@ def cmd_attack(config: RunConfig) -> int:
     report.record(("found", 0), ("iterations", result.iterations))
     report.flush()
     print(
-        f"error: budget of {config.budget} iterations exhausted", file=sys.stderr
+        f"error: budget of {args.budget} iterations exhausted", file=sys.stderr
     )
     return 3
 
@@ -382,15 +333,17 @@ def cmd_attack(config: RunConfig) -> int:
 DEFAULT_EXPONENT_ROWS = ((0.5, 0.11), (0.5, 0.190899))
 
 
-def cmd_exponents(config: RunConfig) -> int:
-    if (config.rate is None) != (config.omega is None):
-        raise ValueError("give --rate and --omega together")
-    if config.rate is not None:
-        rows = ((config.rate, config.omega),)
-    else:
+def cmd_exponents(args: argparse.Namespace) -> int:
+    if args.rate is None:
+        if args.omega is not None:
+            raise ValueError("--omega needs --rate")
         rows = DEFAULT_EXPONENT_ROWS
-    report = Report(config.fmt)
-    report.record(("command", "exponents"), ("seed", config.seed))
+    elif args.omega is None:
+        rows = ((args.rate, gv_relative_weight(args.rate)),)
+    else:
+        rows = ((args.rate, args.omega),)
+    report = Report(args.fmt)
+    report.record(("command", "exponents"), ("seed", args.seed))
     report.header("asymptotic cost exponents, base-2 per bit")
     for rate, omega in rows:
         pt = RatePoint(rate, omega)
@@ -416,7 +369,7 @@ def cmd_exponents(config: RunConfig) -> int:
 # --- bound --------------------------------------------------------------------------
 
 
-def cmd_bound(config: RunConfig) -> int:
+def cmd_bound(args: argparse.Namespace) -> int:
     values = {
         "eps_doom": "0",
         "dist": "0",
@@ -425,25 +378,25 @@ def cmd_bound(config: RunConfig) -> int:
         "q_hash": "0",
         "q_sign": "0",
     }
-    lam = config.lam
-    report = Report(config.fmt)
-    if config.preset == "surf":
+    lam = args.lam
+    report = Report(args.fmt)
+    if args.preset == "surf":
         values.update({k: SURF_PRESET[k] for k in values})
         lam = SURF_PRESET["lam"]
     for key in values:
-        given = getattr(config, key)
+        given = getattr(args, key)
         if given is not None:
             values[key] = given
     logs = {k: parse_level_log2(v) for k, v in values.items()}
 
     report.record(
         ("command", "bound"),
-        ("seed", config.seed),
-        ("preset", config.preset or "none"),
+        ("seed", args.seed),
+        ("preset", args.preset or "none"),
         ("lambda", lam),
         *((k, v) for k, v in values.items()),
     )
-    if config.preset == "surf":
+    if args.preset == "surf":
         report.record(
             ("preset_n", SURF_PRESET["n"]),
             ("preset_k", SURF_PRESET["k"]),
@@ -473,24 +426,20 @@ def cmd_bound(config: RunConfig) -> int:
         ("total_log2", _fmt_log2(bound.total)), ("total", _fmt_pow2(bound.total))
     )
 
-    threshold = -lam / 2
     report.header("negligibility checks (threshold 2^{-lambda/2})")
-    report.record(
-        ("condition1", "pass" if bound.zhandry_term <= threshold else "fail"),
-        ("term_log2", _fmt_log2(bound.zhandry_term)),
-        ("threshold_log2", f"{threshold:.1f}"),
-    )
-    report.record(
-        ("condition2", "pass" if bound.signing_term <= threshold else "fail"),
-        ("term_log2", _fmt_log2(bound.signing_term)),
-        ("threshold_log2", f"{threshold:.1f}"),
-    )
+    for item in bound.side_conditions():
+        # "+ 0.0" prints the -0.0 threshold of lambda 0 as 0.0
+        report.record(
+            (f"condition{item.index}", "pass" if item.passed else "fail"),
+            ("term_log2", _fmt_log2(item.value_log2)),
+            ("threshold_log2", f"{item.threshold_log2 + 0.0:.1f}"),
+        )
     report.record(
         ("condition3", "accepted-as-input"),
         ("dist_log2", _fmt_log2(logs["dist"])),
     )
 
-    if config.preset == "surf":
+    if args.preset == "surf":
         pre_constant = 1.5 * logs["q_hash"] + 0.5 * logs["exp_rho_pub"]
         report.record(
             ("zhandry_reference_log2", "-235"),
@@ -518,37 +467,37 @@ def _parse_games(text: str) -> list[int]:
     return games
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    params = _scheme_params(config)
-    games = _parse_games(config.games)
-    game_config = GameConfig(params, exact_patterns=not config.fast_patterns)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    params = _scheme_params(args)
+    games = _parse_games(args.games)
+    game_config = GameConfig(params)
     adversary = OmniscientAdversary(params)
-    report = Report(config.fmt)
+    report = Report(args.fmt)
     report.record(
         ("command", "simulate"),
-        ("seed", config.seed),
-        ("n", config.n),
-        ("k", config.k),
-        ("w", config.w),
-        ("lambda", config.lam),
-        ("lambda0", config.lam0),
-        ("trials", config.trials),
+        ("seed", args.seed),
+        ("n", args.n),
+        ("k", args.k),
+        ("w", args.w),
+        ("lambda", args.lam),
+        ("lambda0", args.lam0),
+        ("trials", args.trials),
         ("games", ",".join(map(str, games))),
-        ("workers", config.workers),
+        ("workers", args.workers),
     )
     report.header("per-game win statistics")
     freq: dict[int, float] = {}
     for game_id in games:
-        rng = random.Random(config.seed * 1_000_003 + game_id)
+        rng = random.Random(args.seed * 1_000_003 + game_id)
         keep = game_id == 5
         stats = run_game(
             game_id,
             adversary,
             game_config,
-            config.trials,
+            args.trials,
             rng,
             keep_transcripts=keep,
-            workers=config.workers,
+            workers=args.workers,
         )
         for line in stats.lines():
             report.lines.append(line)
@@ -569,7 +518,7 @@ def cmd_simulate(config: RunConfig) -> int:
             report.record(("ratio_g5_g4", f"{freq[5] / freq[4]:.6f}"))
         else:
             report.record(("ratio_g5_g4", "undefined"))
-    rng = random.Random(config.seed * 1_000_003 + 97)
+    rng = random.Random(args.seed * 1_000_003 + 97)
     h = random_full_rank(params.n_k, params.n, rng)
     rho_hat, fail_rate = measure_decoder_distance(h, params.w, 500, rng)
     report.record(
@@ -586,7 +535,6 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--format", dest="fmt", choices=("text", "structured"), default="text"
     )
@@ -639,11 +587,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=parse_count, default=1)
     p.add_argument("--budget", type=parse_count, default=2000)
     p.add_argument("--force", action="store_true")
+    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
 
     p = sub.add_parser("exponents", help="print the asymptotic cost table")
     p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
+    p.add_argument(
+        "--omega", type=float, default=None,
+        help="relative weight; the GV weight of --rate when omitted",
+    )
     _add_common(p)
 
     p = sub.add_parser("bound", help="evaluate the security-loss terms")
@@ -663,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda0", dest="lam0", type=int, default=24)
     p.add_argument("--game", dest="games", default="all")
     p.add_argument("--trials", type=parse_count, default=400)
-    p.add_argument("--fast-patterns", action="store_true")
+    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
 
     return parser
@@ -683,12 +635,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    config = RunConfig(
-        **{k: v for k, v in vars(args).items() if k in known and v is not None}
-    )
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,6 @@ from .f2 import BitMatrix, BitVector, mat_vec_mul, random_matrix
 from .hashing import mod_bias, unrank_weight_pattern
 from .isd import DoomSolution
 from .scheme import (
-    CodeFamily,
     PublicKey,
     SchemeParams,
     Signature,
@@ -33,7 +32,6 @@ from .scheme import (
     keygen,
     random_code_family,
     sign,
-    uuv_code_family,
     verify,
 )
 
@@ -63,6 +61,9 @@ __all__ = [
 ]
 
 ZHANDRY_CONSTANT = 8 * math.pi / math.sqrt(3)
+
+# decoder budget of the real signer in games 0..2
+GAME_SIGN_BUDGET = 400
 
 
 class HarnessError(RuntimeError):
@@ -284,19 +285,10 @@ class OmniscientAdversary:
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Scale and plumbing knobs for the game harness.
-
-    ``family`` selects the key family: None for uniform full-rank checks,
-    a ("uuv", k_u, k_v) tuple for the two-block construction, or any
-    CodeFamily callable (callables do not cross process boundaries, so
-    they restrict runs to workers = 1).
-    """
+    """Scheme parameters of the game harness.  Keys come from the uniform
+    full-rank family and the Z oracle draws its patterns exactly."""
 
     params: SchemeParams
-    family: Any = None
-    decode_budget: int = 400
-    secretless_cap: int = 512
-    exact_patterns: bool = True
 
 
 @dataclass(frozen=True)
@@ -313,7 +305,6 @@ class GameTranscript:
     h_keys: tuple[Any, ...]
     j_seed: int | None
     j_keys: tuple[Any, ...] | None
-    exact_patterns: bool
     forgery: tuple[bytes, BitVector, BitVector] | None
     win: bool
 
@@ -376,16 +367,6 @@ class GameStats:
         return out
 
 
-def _resolve_family(params: SchemeParams, spec: Any) -> CodeFamily:
-    if spec is None:
-        return random_code_family(params.n, params.k)
-    if callable(spec):
-        return spec
-    if isinstance(spec, tuple) and len(spec) == 3 and spec[0] == "uuv":
-        return uuv_code_family(params.n, spec[1], spec[2])
-    raise ValueError(f"unknown family spec: {spec!r}")
-
-
 def _run_trial(
     game_id: int,
     adversary: Adversary,
@@ -406,16 +387,14 @@ def _run_trial(
             random_matrix(params.n_k, params.n, random.Random(h0_seed)), params.w
         )
     else:
-        family = _resolve_family(params, config.family)
+        family = random_code_family(params.n, params.k)
         keypair = keygen(params, family, random.Random(keygen_seed))
         pk = keypair.public
 
     # hash procedure: plain lazy oracle up to game 1, Z afterwards
     oracle_rng = random.Random(oracle_seed)
     if game_id >= 2:
-        z = ZOracle(
-            pk.h_pub, params.w, params.lam0, oracle_rng, exact=config.exact_patterns
-        )
+        z = ZOracle(pk.h_pub, params.w, params.lam0, oracle_rng)
         hash_fn = z.z_query
         h_oracle, h_seed, j_seed = z.h, z.h_seed, z.j_seed
     else:
@@ -449,10 +428,10 @@ def _run_trial(
         signed_messages.add(m)
         try:
             if game_id >= 3:
-                e, salt = sign_without_secret(z, m, signer_rng, config.secretless_cap)
+                e, salt = sign_without_secret(z, m, signer_rng)
                 sig = Signature(e, salt)
             else:
-                sig = sign(keypair, m, hash_fn, signer_rng, config.decode_budget)
+                sig = sign(keypair, m, hash_fn, signer_rng, GAME_SIGN_BUDGET)
         except SigningFailure:
             return None
         seen = salts_seen.setdefault(m, set())
@@ -487,7 +466,6 @@ def _run_trial(
             h_keys=h_oracle.queries(),
             j_seed=j_seed,
             j_keys=z.j.queries() if z is not None else None,
-            exact_patterns=config.exact_patterns,
             forgery=forgery,
             win=win,
         )
@@ -590,7 +568,7 @@ def zhandry_bound(q: float, eps: float) -> float:
 def _log2(x: float) -> float:
     if x < 0:
         raise ValueError("expected a nonnegative value")
-    return math.log2(x) if x > 0 else -math.inf
+    return -math.inf if x == 0 else math.log2(x)
 
 
 def _log2_sum(terms: Sequence[float]) -> float:
@@ -599,6 +577,15 @@ def _log2_sum(terms: Sequence[float]) -> float:
         return -math.inf
     top = max(finite)
     return top + math.log2(sum(2.0 ** (t - top) for t in finite))
+
+
+@dataclass(frozen=True)
+class ConditionItem:
+    index: int
+    label: str
+    value_log2: float
+    threshold_log2: float
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -634,6 +621,23 @@ class ReductionBound:
             for name, item in self.CONDITION_ITEMS.items()
         ]
 
+    def side_conditions(
+        self, threshold_log2: float | None = None
+    ) -> tuple[ConditionItem, ConditionItem]:
+        """Items 1 and 2: the oracle-swap and signing terms against the
+        threshold, default 2^(-lam/2) (half the birthday term's exponent)."""
+        thr = self.birthday_term / 2 if threshold_log2 is None else threshold_log2
+        return (
+            ConditionItem(
+                1, "oracle-swap term small", self.zhandry_term, thr,
+                self.zhandry_term <= thr,
+            ),
+            ConditionItem(
+                2, "signing leakage small", self.signing_term, thr,
+                self.signing_term <= thr,
+            ),
+        )
+
 
 def theorem1_bound_log2(
     log2_eps_doom: float,
@@ -645,7 +649,24 @@ def theorem1_bound_log2(
     lam: float,
 ) -> ReductionBound:
     """Master bound with every input already in log2 form (use -inf for
-    exact zeros); needed when the inputs underflow floats."""
+    exact zeros); needed when the inputs underflow floats.
+
+    Raises ValueError unless each probability is at most 2^0, each query
+    count is finite and lam is nonnegative; NaN fails every check.
+    """
+    if not lam >= 0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    for name, value in (
+        ("eps_doom", log2_eps_doom),
+        ("dist", log2_dist),
+        ("exp_rho_pub", log2_exp_rho_pub),
+        ("rho_sign", log2_rho_sign),
+    ):
+        if not value <= 0.0:
+            raise ValueError(f"{name} must be a probability, got 2^{value}")
+    for name, value in (("q_hash", log2_q_hash), ("q_sign", log2_q_sign)):
+        if not value < math.inf:
+            raise ValueError(f"{name} must be a finite count, got 2^{value}")
     doom = 1.0 + log2_eps_doom
     dist = log2_dist
     zhandry = (
@@ -674,16 +695,6 @@ def theorem1_bound(
     + q_sign*rho_sign + 2^-lam, reported term by term in log2 form.  For
     inputs too small for floats use :func:`theorem1_bound_log2`.
     """
-    for name, value in [
-        ("eps_doom_2t", eps_doom_2t),
-        ("dist_2t", dist_2t),
-        ("exp_rho_pub", exp_rho_pub),
-        ("rho_sign", rho_sign),
-    ]:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be a probability")
-    if q_hash < 0 or q_sign < 0:
-        raise ValueError("query counts must be nonnegative")
     return theorem1_bound_log2(
         _log2(eps_doom_2t),
         _log2(dist_2t),
@@ -693,15 +704,6 @@ def theorem1_bound(
         _log2(q_sign),
         lam,
     )
-
-
-@dataclass(frozen=True)
-class ConditionItem:
-    index: int
-    label: str
-    value_log2: float
-    threshold_log2: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -743,13 +745,16 @@ def condition_check(
     advantage <= t * 2^-lam, a finite-sample proxy for the required decay;
     an empty profile passes vacuously.
     """
-    thr = -float(lam) / 2 if threshold_log2 is None else threshold_log2
-    exp_rho_pub = float(measured["exp_rho_pub"])
-    rho_sign = float(measured["rho_sign"])
+    bound = theorem1_bound(
+        eps_doom_2t=0.0,
+        dist_2t=0.0,
+        exp_rho_pub=float(measured["exp_rho_pub"]),
+        rho_sign=float(measured["rho_sign"]),
+        q_hash=q_hash,
+        q_sign=q_sign,
+        lam=lam,
+    )
     profile = tuple(measured.get("dist_profile") or ())
-
-    value1 = _log2(zhandry_bound(q_hash, exp_rho_pub))
-    value2 = _log2(float(q_sign) * rho_sign)
     # worst log2 margin of advantage * 2^lam / t over the profile
     margin3 = -math.inf
     for t, adv in profile:
@@ -757,8 +762,7 @@ def condition_check(
             raise ValueError("profile times must be positive")
         margin3 = max(margin3, _log2(float(adv)) + float(lam) - math.log2(t))
     items = (
-        ConditionItem(1, "oracle-swap term small", value1, thr, value1 <= thr),
-        ConditionItem(2, "signing leakage small", value2, thr, value2 <= thr),
+        *bound.side_conditions(threshold_log2),
         ConditionItem(
             3,
             "key distinguisher decays (advantage <= t / 2^lam)",

@@ -60,6 +60,7 @@ __all__ = [
     "random_code_family",
     "uuv_code_family",
     "keygen",
+    "keypair_from_secret",
     "decode_to_weight",
     "sign",
     "verify",
@@ -207,8 +208,13 @@ def keygen(
         )
     scramble = random_nonsingular(r, rng)
     perm = random_permutation(params.n, rng)
-    h_pub = mat_mul(scramble, h_sec).permute_cols(perm)
     secret = SecretKey(h_sec, scramble, inverse(scramble), perm)
+    return keypair_from_secret(params, secret)
+
+
+def keypair_from_secret(params: SchemeParams, secret: SecretKey) -> SignatureKeyPair:
+    """Complete a secret key with its public matrix h_pub = s @ h_sec @ P."""
+    h_pub = mat_mul(secret.scramble, secret.h_sec).permute_cols(secret.perm)
     return SignatureKeyPair(params, secret, PublicKey(h_pub, params.w))
 
 
@@ -255,33 +261,27 @@ def sign(
     hash_fn: FdhHash | Callable[[bytes, BitVector], BitVector],
     rng: random.Random,
     decoder_budget: int = 1000,
-    resalt_on_failure: int = 0,
 ) -> Signature:
     """Sign: draw a fresh salt, hash, unscramble, decode, permute.
 
-    Decoder failure raises :class:`SigningFailure`; when
-    ``resalt_on_failure`` is positive, that many additional salts are tried
-    first (off by default so failures stay visible).  A signature that
-    fails the public key's check (a faulty key or signer) raises it too.
+    Decoder failure raises :class:`SigningFailure`, and so does a signature
+    that fails the public key's check (a faulty key or signer).
     """
     params, secret = keypair.params, keypair.secret
-    for _ in range(1 + max(0, resalt_on_failure)):
-        salt = BitVector.random(params.lam0, rng)
-        target = hash_fn(message, salt)
-        if target.n != params.n_k:
-            raise ValueError("hash output width does not match n - k")
-        unscrambled = mat_vec_mul(secret.scramble_inv, target)
-        e_sec = decode_to_weight(
-            secret.h_sec, unscrambled, params.w, decoder_budget, rng
+    salt = BitVector.random(params.lam0, rng)
+    target = hash_fn(message, salt)
+    if target.n != params.n_k:
+        raise ValueError("hash output width does not match n - k")
+    unscrambled = mat_vec_mul(secret.scramble_inv, target)
+    e_sec = decode_to_weight(secret.h_sec, unscrambled, params.w, decoder_budget, rng)
+    if e_sec is None:
+        raise SigningFailure(
+            f"decoder exhausted {decoder_budget} information sets"
         )
-        if e_sec is not None:
-            e = secret.perm.apply(e_sec)
-            if e.weight() != params.w or mat_vec_mul(keypair.public.h_pub, e) != target:
-                raise SigningFailure("signature fails the public key's check")
-            return Signature(e, salt)
-    raise SigningFailure(
-        f"decoder exhausted {decoder_budget} information sets per salt"
-    )
+    e = secret.perm.apply(e_sec)
+    if e.weight() != params.w or mat_vec_mul(keypair.public.h_pub, e) != target:
+        raise SigningFailure("signature fails the public key's check")
+    return Signature(e, salt)
 
 
 def verify(

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from cbfdh.cli import main, parse_count, parse_level_log2
+from cbfdh.exponents import gv_relative_weight
 from cbfdh.scheme import MAGIC
 
 import math
@@ -244,8 +245,21 @@ def test_exponents_single_point(capsys):
 
 
 def test_exponents_rejects_half_point(capsys):
-    code, _, err = run_cli(capsys, "exponents", "--rate", "0.5")
+    code, _, err = run_cli(capsys, "exponents", "--omega", "0.11")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_exponents_rate_alone_uses_gv_weight(capsys, fmt):
+    gv = repr(gv_relative_weight(0.5))
+    assert gv == "0.1100278644385071"
+    code, out, _ = run_cli(capsys, "exponents", "--rate", "0.5", "--format", fmt)
+    assert code == 0
+    _, explicit, _ = run_cli(
+        capsys, "exponents", "--rate", "0.5", "--omega", gv, "--format", fmt
+    )
+    assert out == explicit
+    assert "omega=0.110028" in out and "regime=many-solutions" in out
 
 
 # --- bound --------------------------------------------------------------------------
@@ -280,6 +294,21 @@ def test_bound_rejects_bad_values(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "bound", "--q-hash", "many")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--eps-doom", "1.5"],
+    ["--eps-doom", "2^5"],
+    ["--eps-doom", "nan"],
+    ["--rho-sign", "inf", "--q-sign", "0"],
+    ["--q-hash", "inf"],
+    ["--q-sign", "2^nan"],
+    ["--lambda", "-5"],
+])
+def test_bound_rejects_out_of_range_values(capsys, argv):
+    code, out, err = run_cli(capsys, "bound", *argv)
+    assert code == 2 and err.startswith("error:")
+    assert out == ""
 
 
 # --- simulate -----------------------------------------------------------------------

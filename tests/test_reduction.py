@@ -390,6 +390,10 @@ def test_theorem1_bound_surf_scale():
         "signing_term": 2,
         "birthday_term": None,
     }
+    swap, signing = bound.side_conditions()
+    assert (swap.index, swap.value_log2, swap.threshold_log2) == (1, bound.zhandry_term, -64.0)
+    assert swap.passed and signing.passed and signing.value_log2 == -math.inf
+    assert not bound.side_conditions(threshold_log2=-230.0)[0].passed
 
 
 def test_theorem1_bound_validates_inputs():
@@ -397,6 +401,25 @@ def test_theorem1_bound_validates_inputs():
         theorem1_bound(1.5, 0, 0, 0, 1, 1, 128)
     with pytest.raises(ValueError):
         theorem1_bound(0.5, 0, 0, 0, -1, 1, 128)
+    with pytest.raises(ValueError):
+        theorem1_bound(math.nan, 0, 0, 0, 1, 1, 128)
+    with pytest.raises(ValueError):
+        theorem1_bound(0, 0, 0, 0.5, 1, math.inf, 128)
+    zero = -math.inf
+    args = dict(
+        log2_eps_doom=zero, log2_dist=zero, log2_exp_rho_pub=zero,
+        log2_rho_sign=zero, log2_q_hash=zero, log2_q_sign=zero, lam=128,
+    )
+    for bad in (
+        dict(log2_eps_doom=5.0),
+        dict(log2_dist=math.nan),
+        dict(log2_rho_sign=math.inf, log2_q_sign=zero),
+        dict(log2_q_hash=math.inf),
+        dict(log2_q_sign=math.nan),
+        dict(lam=-1),
+    ):
+        with pytest.raises(ValueError):
+            theorem1_bound_log2(**{**args, **bad})
 
 
 def test_condition_check_items():

@@ -22,6 +22,7 @@ from cbfdh.scheme import (
     SigningFailure,
     decode_to_weight,
     keygen,
+    keypair_from_secret,
     load_public_key,
     load_secret_key,
     load_signature,
@@ -282,6 +283,8 @@ def test_key_files_round_trip(tmp_path):
     assert public == keypair.public
     assert params_s == params_p
     assert secret == keypair.secret
+    # the secret key alone rebuilds the published matrix
+    assert keypair_from_secret(params_s, secret).public == public
 
 
 def test_key_file_magic_and_layout(tmp_path):
