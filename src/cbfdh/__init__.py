@@ -42,13 +42,10 @@ from .isd import (
     IsdParams,
     SearchResult,
     doom_attack,
-    doom_success,
     generalized_isd,
     isd_success,
     m_solutions,
     plant_instance,
-    prange_attack,
-    prange_success,
 )
 from .reduction import (
     GameConfig,
@@ -60,9 +57,7 @@ from .reduction import (
     extract_doom_solution,
     run_game,
     sign_without_secret,
-    theorem1_bound,
     theorem1_bound_log2,
-    zhandry_bound,
 )
 from .scheme import (
     PublicKey,

@@ -33,7 +33,6 @@ from .isd import (
     IsdParams,
     default_doom_targets,
     doom_attack,
-    doom_success,
     generalized_isd,
     isd_success,
     plant_instance,
@@ -95,6 +94,14 @@ def parse_count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise ValueError(f"count {text!r} must be non-negative")
+    return value
+
+
+def parse_workers(text: str) -> int:
+    """Process count for a trial pool: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {value}")
     return value
 
 
@@ -293,7 +300,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
                 return s
             return syndrome_hash(b"attack:" + t, h.nrows)
 
-        est = doom_success(args.n, args.k, args.w, args.p, args.l, args.q)
+        est = isd_success(args.n, args.k, args.w, args.p, args.l, q=args.q)
         result = doom_attack(
             h, hash_fn, args.w, isd_params, args.q, rng, workers=args.workers
         )
@@ -472,6 +479,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     games = _parse_games(args.games)
     game_config = GameConfig(params)
     adversary = OmniscientAdversary(params)
+    # the decoder-distance measurement has its own seed; taking it first
+    # makes an S_w too large to tally fail before any game is played
+    rng = random.Random(args.seed * 1_000_003 + 97)
+    h = random_full_rank(params.n_k, params.n, rng)
+    rho_hat, fail_rate = measure_decoder_distance(h, params.w, 500, rng)
     report = Report(args.fmt)
     report.record(
         ("command", "simulate"),
@@ -507,20 +519,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             extracted = sum(
                 1 for t in wins if extract_doom_solution(t) is not None
             )
-            rate = extracted / len(wins) if wins else 0.0
+            rate = f"{extracted / len(wins):.6f}" if wins else "undefined"
             report.record(
                 ("g5_wins", len(wins)),
                 ("g5_extracted", extracted),
-                ("g5_extraction_rate", f"{rate:.6f}"),
+                ("g5_extraction_rate", rate),
             )
     if 4 in freq and 5 in freq:
         if freq[4] > 0:
             report.record(("ratio_g5_g4", f"{freq[5] / freq[4]:.6f}"))
         else:
             report.record(("ratio_g5_g4", "undefined"))
-    rng = random.Random(args.seed * 1_000_003 + 97)
-    h = random_full_rank(params.n_k, params.n, rng)
-    rho_hat, fail_rate = measure_decoder_distance(h, params.w, 500, rng)
     report.record(
         ("rho_hat", f"{rho_hat:.6f}"),
         ("decoder_failure_rate", f"{fail_rate:.6f}"),
@@ -587,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=parse_count, default=1)
     p.add_argument("--budget", type=parse_count, default=2000)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=parse_workers, default=1)
     _add_common(p)
 
     p = sub.add_parser("exponents", help="print the asymptotic cost table")
@@ -615,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda0", dest="lam0", type=int, default=24)
     p.add_argument("--game", dest="games", default="all")
     p.add_argument("--trials", type=parse_count, default=400)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=parse_workers, default=1)
     _add_common(p)
 
     return parser

@@ -170,40 +170,15 @@ class DiscreteDistribution:
         return f"DiscreteDistribution(bits={self.bits}, support={len(self.mass)})"
 
 
-def _count_shard(
-    rows: tuple[int, ...], n: int, w: int, shard: int, nshards: int
-) -> dict[int, int]:
-    """Tally syndromes of weight-w words whose lowest support index is
-    congruent to ``shard`` modulo ``nshards`` (the whole range when w = 0)."""
-    matrix = BitMatrix(len(rows), n, rows)
-    cols = matrix.columns()
-    counts: dict[int, int] = {}
-    if w == 0:
-        if shard == 0:
-            counts[0] = 1
-        return counts
-    for first in range(shard, n - w + 1, nshards):
-        base = cols[first]
-        for rest in combinations(range(first + 1, n), w - 1):
-            s = base
-            for i in rest:
-                s ^= cols[i]
-            counts[s] = counts.get(s, 0) + 1
-    return counts
-
-
 def syndrome_weight_distribution(
     code: ParityCheckCode | BitMatrix,
     w: int,
     max_patterns: int = 1 << 24,
-    workers: int = 1,
 ) -> DiscreteDistribution:
     """Exact distribution of ``H e^T`` over uniform weight-w words ``e``.
 
     Enumerates all C(n, w) supports, so the guard ``max_patterns`` refuses
-    jobs that would not finish at desk scale.  With ``workers > 1`` the
-    support range is sharded by lowest index and the integer counts merged;
-    the result is independent of the shard count.
+    jobs that would not finish at desk scale.
     """
     matrix = code.matrix if isinstance(code, ParityCheckCode) else code
     n = matrix.ncols
@@ -213,18 +188,13 @@ def syndrome_weight_distribution(
         raise ValueError(
             f"C({n}, {w}) = {math.comb(n, w)} exceeds the enumeration guard"
         )
-    nshards = max(1, min(workers, n - w + 1) if w else 1)
-    args = [(matrix.rows, n, w, shard, nshards) for shard in range(nshards)]
-    if nshards == 1:
-        tallies = [_count_shard(*args[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=nshards) as pool:
-            tallies = list(pool.map(_count_shard, *zip(*args)))
+    cols = matrix.columns()
     counts: dict[int, int] = {}
-    for t in tallies:
-        for s, c in t.items():
-            counts[s] = counts.get(s, 0) + c
+    for support in combinations(range(n), w):
+        s = 0
+        for i in support:
+            s ^= cols[i]
+        counts[s] = counts.get(s, 0) + 1
     return DiscreteDistribution.from_counts(matrix.nrows, counts)
 
 

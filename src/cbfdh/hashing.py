@@ -2,15 +2,13 @@
 
 The syndrome oracle hashes a prefix byte (0x01) plus the raw payload and
 reads the first ``out_bits`` bits, most significant bit first within each
-byte.  Weight-w words are (un)ranked lexicographically by support;
-``mod_bias`` is the exact bias of reducing a uniform chunk modulo C(n, w).
+byte.  Weight-w words are (un)ranked lexicographically by support.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from fractions import Fraction
 
 from .f2 import BitVector, _bytes_to_bits
 
@@ -20,7 +18,6 @@ __all__ = [
     "FdhHash",
     "unrank_weight_pattern",
     "rank_weight_pattern",
-    "mod_bias",
 ]
 
 SYNDROME_PREFIX = b"\x01"
@@ -79,16 +76,4 @@ def rank_weight_pattern(v: BitVector, w: int) -> int:
         prev = pos
         remaining -= 1
     return index
-
-
-def mod_bias(sample_bits: int, modulus: int) -> Fraction:
-    """Exact total-variation distance of (uniform B-bit value mod m) from
-    uniform on [0, m)."""
-    if modulus <= 0 or sample_bits < 0:
-        raise ValueError("bad arguments")
-    space = 1 << sample_bits
-    q, r = divmod(space, modulus)
-    heavy = Fraction(q + 1, space) - Fraction(1, modulus)
-    light = Fraction(1, modulus) - Fraction(q, space)
-    return (r * heavy + (modulus - r) * light) / 2
 

@@ -1,4 +1,4 @@
-"""Information-set decoding attacks and their success-rate predictors.
+"""Information-set decoding attacks and their success-rate predictor.
 
 The generalized attack reduces the parity check to
 ``U H_perm = [[I, hp], [0, hpp]]`` for a random size-(n-k-l) column
@@ -20,6 +20,7 @@ index, as a sequential run would.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,10 +46,7 @@ __all__ = [
     "DoomSolution",
     "WindowEnumerator",
     "m_solutions",
-    "prange_success",
     "isd_success",
-    "doom_success",
-    "prange_attack",
     "generalized_isd",
     "doom_attack",
     "default_doom_targets",
@@ -143,52 +141,33 @@ def m_solutions(n: int, k: int, w: int) -> SolutionCount:
     return SolutionCount(exact, math.log2(math.comb(n, w)) - (n - k))
 
 
-def _estimate(hit: Fraction, expected_log2: float) -> SuccessEstimate:
-    hit_f = float(hit)
-    hit_log2 = (
-        math.log2(hit.numerator) - math.log2(hit.denominator)
-        if hit > 0
-        else -math.inf
-    )
-    surrogate_log2 = min(0.0, expected_log2 + hit_log2)
-    surrogate = 2.0**surrogate_log2
-    if hit_f >= 1.0:
-        exact = 1.0
-    elif hit == 0:
-        exact = 0.0
-    elif expected_log2 + hit_log2 > 9:  # expected hits >> 1: saturated
-        exact = 1.0
-    else:
-        exact = -math.expm1(2.0**expected_log2 * math.log1p(-hit_f))
-    return SuccessEstimate(hit_f, hit_log2, exact, surrogate, surrogate_log2)
+def isd_success(
+    n: int, k: int, w: int, p: int = 0, l: int = 0, q: int = 1
+) -> SuccessEstimate:
+    """Per-iteration success of the generalized attack on q targets.
 
-
-def prange_success(n: int, k: int, w: int) -> SuccessEstimate:
-    """Per-iteration success of plain information-set decoding."""
-    hit = Fraction(math.comb(n - k, w), math.comb(n, w))
-    return _estimate(hit, m_solutions(n, k, w).log2)
-
-
-def isd_success(n: int, k: int, w: int, p: int, l: int) -> SuccessEstimate:
-    """Per-iteration success of the generalized attack: the weight split
-    (p on the window, w-p on the selection) must hold for some solution."""
-    IsdParams(p, l).check(n, k, w)
-    hit = Fraction(
-        math.comb(k + l, p) * math.comb(n - k - l, w - p), math.comb(n, w)
-    )
-    return _estimate(hit, m_solutions(n, k, w).log2)
-
-
-def doom_success(n: int, k: int, w: int, p: int, l: int, q: int) -> SuccessEstimate:
-    """Multi-target variant: q independent syndromes multiply the expected
-    number of decodable solutions."""
+    The weight split (p on the window, w-p on the selection) must hold for
+    some solution, and q independent syndromes multiply the expected number
+    of decodable solutions.  p = l = 0, q = 1 is plain information-set
+    decoding.
+    """
     if q < 1:
         raise ValueError("need at least one target")
     IsdParams(p, l).check(n, k, w)
     hit = Fraction(
         math.comb(k + l, p) * math.comb(n - k - l, w - p), math.comb(n, w)
     )
-    return _estimate(hit, m_solutions(n, k, w).log2 + math.log2(q))
+    expected_log2 = m_solutions(n, k, w).log2 + math.log2(q)
+    hit_f = float(hit)
+    # the check above keeps hit positive, so its log2 is finite
+    hit_log2 = math.log2(hit.numerator) - math.log2(hit.denominator)
+    surrogate_log2 = min(0.0, expected_log2 + hit_log2)
+    surrogate = 2.0**surrogate_log2
+    if hit_f >= 1.0 or expected_log2 + hit_log2 > 9:  # certain, or saturated
+        exact = 1.0
+    else:
+        exact = -math.expm1(2.0**expected_log2 * math.log1p(-hit_f))
+    return SuccessEstimate(hit_f, hit_log2, exact, surrogate, surrogate_log2)
 
 
 # --- window enumeration ---------------------------------------------------------
@@ -322,6 +301,7 @@ def _search(
                 return got, idx + 1
         return None, budget
     from concurrent.futures import ProcessPoolExecutor
+    workers = min(workers, os.cpu_count() or 1)  # a pool forks all its workers
     block = max(8 * workers, 16)
     done = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -354,18 +334,6 @@ def generalized_isd(
     if got is None:
         return SearchResult(None, used)
     return SearchResult(BitVector(n, got[1]), used)
-
-
-def prange_attack(
-    h: BitMatrix,
-    s: BitVector,
-    w: int,
-    budget: int,
-    rng: random.Random,
-    workers: int = 1,
-) -> SearchResult:
-    """Plain information-set decoding: the p = 0, l = 0 specialization."""
-    return generalized_isd(h, s, w, IsdParams(0, 0, budget), rng, workers)
 
 
 def default_doom_targets(q: int) -> list[bytes]:

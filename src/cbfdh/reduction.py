@@ -1,27 +1,29 @@
 """Desk-scale simulation of the scheme's security reduction.
 
 Lazily-sampled random oracles, the reprogrammed oracle Z whose outputs mix
-fresh uniform syndromes with syndromes of known weight-w words, signing
-without the secret key, the hybrid game sequence 0..5 as an executable
-harness, and the master-bound / side-condition calculators.
+fresh uniform syndromes with syndromes of exactly uniform weight-w words,
+signing without the secret key, the hybrid game sequence 0..5 as an
+executable harness, and the master bound with its side conditions, from one
+log2-domain entry point (:func:`theorem1_bound_log2`).
 
 Superposition queries cannot be executed here: the harness drives
 classical-query adversaries only, and quantum query counts enter solely
 through the q^(3/2) sqrt(eps) term of the bound calculator.  Each trial
 builds fresh oracles from a per-trial seed, so trials are independent and
-reproducible regardless of the worker count.
+reproducible regardless of the worker count (capped at the CPU count).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, ClassVar, Mapping, Protocol, Sequence
 
 from .f2 import BitMatrix, BitVector, mat_vec_mul, random_matrix
-from .hashing import mod_bias, unrank_weight_pattern
+from .hashing import unrank_weight_pattern
 from .isd import DoomSolution
 from .scheme import (
     PublicKey,
@@ -51,9 +53,7 @@ __all__ = [
     "wilson_interval",
     "run_game",
     "extract_doom_solution",
-    "zhandry_bound",
     "ReductionBound",
-    "theorem1_bound",
     "theorem1_bound_log2",
     "ConditionItem",
     "ConditionReport",
@@ -62,7 +62,7 @@ __all__ = [
 
 ZHANDRY_CONSTANT = 8 * math.pi / math.sqrt(3)
 
-# decoder budget of the real signer in games 0..2
+# decoder budget of the real signer in games 0..2 and of the omniscient forger
 GAME_SIGN_BUDGET = 400
 
 
@@ -109,28 +109,20 @@ class LazyOracle:
 
     @classmethod
     def coin_and_pattern(
-        cls, n: int, w: int, rng: random.Random, exact: bool = True
+        cls, n: int, w: int, rng: random.Random
     ) -> "LazyOracle":
-        """Oracle into {0,1} x S_w: a fair bit plus a weight-w word.
-
-        The word comes from lexicographic unranking of a drawn index.  With
-        ``exact`` the index is rejection-sampled below C(n, w) (uniform);
-        otherwise it is reduced mod C(n, w), which is faster but biased by
-        at most ``mod_bias``.
-        """
+        """Oracle into {0,1} x S_w: a fair bit plus a uniform weight-w word,
+        unranked lexicographically from an index rejection-sampled below
+        C(n, w)."""
         count = math.comb(n, w)
         index_bits = max(1, count.bit_length())
 
         def sampler(r: random.Random) -> tuple[int, BitVector]:
             b = r.getrandbits(1)
-            if exact:
-                while True:
-                    index = r.getrandbits(index_bits)
-                    if index < count:
-                        break
-            else:
-                index = r.getrandbits(index_bits) % count
-            return b, unrank_weight_pattern(index, n, w)
+            while True:
+                index = r.getrandbits(index_bits)
+                if index < count:
+                    return b, unrank_weight_pattern(index, n, w)
 
         return cls(sampler, rng)
 
@@ -151,17 +143,15 @@ class ZOracle:
         w: int,
         salt_bits: int,
         rng: random.Random,
-        exact: bool = True,
     ):
         self.h_pub = h_pub
         self.w = w
         self.salt_bits = salt_bits
-        self.exact = exact
         self.h_seed = rng.getrandbits(64)
         self.j_seed = rng.getrandbits(64)
         self.h = LazyOracle.uniform(h_pub.nrows, random.Random(self.h_seed))
         self.j = LazyOracle.coin_and_pattern(
-            h_pub.ncols, w, random.Random(self.j_seed), exact
+            h_pub.ncols, w, random.Random(self.j_seed)
         )
 
     def j_query(self, m: bytes, r: BitVector) -> tuple[int, BitVector]:
@@ -172,13 +162,6 @@ class ZOracle:
         if b == 0:
             return self.h.query((m, r))
         return mat_vec_mul(self.h_pub, e)
-
-    def pattern_bias(self) -> Fraction:
-        """Exact total-variation bias of the pattern draw (zero when exact)."""
-        if self.exact:
-            return Fraction(0)
-        count = math.comb(self.h_pub.ncols, self.w)
-        return mod_bias(max(1, count.bit_length()), count)
 
 
 def sign_without_secret(
@@ -241,13 +224,12 @@ class ReplayAdversary:
     params: SchemeParams
     q_hash: int = 0
     q_sign: int = 1
-    message: bytes = b"replayed message"
 
     def run(self, pk, hash_query, sign_query, rng):
-        sig = sign_query(self.message)
+        sig = sign_query(b"replayed message")
         if sig is None:
             return None
-        return self.message, sig.e, sig.salt
+        return b"replayed message", sig.e, sig.salt
 
 
 @dataclass
@@ -264,19 +246,16 @@ class OmniscientAdversary:
     params: SchemeParams
     q_hash: int = 8
     q_sign: int = 2
-    decode_budget: int = 400
-    forgery_message: bytes = b"forged message"
-    benign_message: bytes = b"benign message"
 
     def run(self, pk, hash_query, sign_query, rng):
         for _ in range(self.q_sign):
-            sign_query(self.benign_message)
+            sign_query(b"benign message")
         for _ in range(self.q_hash):
             salt = BitVector.random(self.params.lam0, rng)
-            s = hash_query(self.forgery_message, salt)
-            e = decode_to_weight(pk.h_pub, s, pk.w, self.decode_budget, rng)
+            s = hash_query(b"forged message", salt)
+            e = decode_to_weight(pk.h_pub, s, pk.w, GAME_SIGN_BUDGET, rng)
             if e is not None:
-                return self.forgery_message, e, salt
+                return b"forged message", e, salt
         return None
 
 
@@ -472,12 +451,6 @@ def _run_trial(
     return win, transcript
 
 
-def _trial_worker(
-    args: tuple[int, Adversary, GameConfig, int, bool],
-) -> tuple[bool, GameTranscript | None]:
-    return _run_trial(*args)
-
-
 def run_game(
     game_id: int,
     adversary: Adversary,
@@ -499,24 +472,21 @@ def run_game(
     if not 0 <= game_id <= 5:
         raise ValueError("game_id must be in 0..5")
     seeds = [rng.getrandbits(64) for _ in range(trials)]
-    stats = GameStats()
+    trial = partial(
+        _run_trial, game_id, adversary, config, keep_transcript=keep_transcripts
+    )
     if workers <= 1:
-        outcomes = (
-            _run_trial(game_id, adversary, config, seed, keep_transcripts)
-            for seed in seeds
-        )
-        for win, transcript in outcomes:
-            stats.record(game_id, win)
-            if transcript is not None:
-                stats.transcripts.append(transcript)
-        return stats
-    from concurrent.futures import ProcessPoolExecutor
-    jobs = [(game_id, adversary, config, seed, keep_transcripts) for seed in seeds]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for win, transcript in pool.map(_trial_worker, jobs, chunksize=16):
-            stats.record(game_id, win)
-            if transcript is not None:
-                stats.transcripts.append(transcript)
+        outcomes = map(trial, seeds)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        workers = min(workers, os.cpu_count() or 1)  # a pool forks all its workers
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(trial, seeds, chunksize=16))
+    stats = GameStats()
+    for win, transcript in outcomes:
+        stats.record(game_id, win)
+        if transcript is not None:
+            stats.transcripts.append(transcript)
     return stats
 
 
@@ -553,16 +523,6 @@ def extract_doom_solution(transcript: GameTranscript) -> DoomSolution | None:
 
 
 # --- bound calculators --------------------------------------------------------------
-
-
-def zhandry_bound(q: float, eps: float) -> float:
-    """Distinguishing cost of swapping an oracle under q quantum queries
-    when the per-output distance is eps: (8 pi / sqrt 3) q^(3/2) sqrt(eps)."""
-    if q < 0:
-        raise ValueError("query count must be nonnegative")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must be a probability")
-    return ZHANDRY_CONSTANT * float(q) ** 1.5 * math.sqrt(eps)
 
 
 def _log2(x: float) -> float:
@@ -648,8 +608,10 @@ def theorem1_bound_log2(
     log2_q_sign: float,
     lam: float,
 ) -> ReductionBound:
-    """Master bound with every input already in log2 form (use -inf for
-    exact zeros); needed when the inputs underflow floats.
+    """Master bound on forgery success from its five ingredients, each
+    given in log2 form (-inf for an exact zero) so that cryptographic sizes
+    do not underflow: 2*eps_doom + dist + (8 pi / sqrt 3) q_hash^(3/2)
+    sqrt(E[rho_pub]) + q_sign*rho_sign + 2^-lam, reported term by term.
 
     Raises ValueError unless each probability is at most 2^0, each query
     count is finite and lam is nonnegative; NaN fails every check.
@@ -680,32 +642,6 @@ def theorem1_bound_log2(
     return ReductionBound(doom, dist, zhandry, signing, birthday, total)
 
 
-def theorem1_bound(
-    eps_doom_2t: float,
-    dist_2t: float,
-    exp_rho_pub: float,
-    rho_sign: float,
-    q_hash: float,
-    q_sign: float,
-    lam: float,
-) -> ReductionBound:
-    """Master bound on forgery success from its five ingredients.
-
-    2*eps_doom + dist + (8 pi / sqrt 3) q_hash^(3/2) sqrt(E[rho_pub])
-    + q_sign*rho_sign + 2^-lam, reported term by term in log2 form.  For
-    inputs too small for floats use :func:`theorem1_bound_log2`.
-    """
-    return theorem1_bound_log2(
-        _log2(eps_doom_2t),
-        _log2(dist_2t),
-        _log2(exp_rho_pub),
-        _log2(rho_sign),
-        _log2(q_hash),
-        _log2(q_sign),
-        lam,
-    )
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Side-condition verdicts plus an echo of the measured inputs."""
@@ -716,16 +652,6 @@ class ConditionReport:
     @property
     def passed(self) -> bool:
         return all(item.passed for item in self.items)
-
-    def lines(self) -> list[str]:
-        out = []
-        for item in self.items:
-            out.append(
-                f"condition_item={item.index} passed={str(item.passed).lower()} "
-                f"value_log2={item.value_log2:.3f} "
-                f"threshold_log2={item.threshold_log2:.3f} label={item.label}"
-            )
-        return out
 
 
 def condition_check(
@@ -745,13 +671,13 @@ def condition_check(
     advantage <= t * 2^-lam, a finite-sample proxy for the required decay;
     an empty profile passes vacuously.
     """
-    bound = theorem1_bound(
-        eps_doom_2t=0.0,
-        dist_2t=0.0,
-        exp_rho_pub=float(measured["exp_rho_pub"]),
-        rho_sign=float(measured["rho_sign"]),
-        q_hash=q_hash,
-        q_sign=q_sign,
+    bound = theorem1_bound_log2(
+        log2_eps_doom=-math.inf,
+        log2_dist=-math.inf,
+        log2_exp_rho_pub=_log2(float(measured["exp_rho_pub"])),
+        log2_rho_sign=_log2(float(measured["rho_sign"])),
+        log2_q_hash=_log2(q_hash),
+        log2_q_sign=_log2(q_sign),
         lam=lam,
     )
     profile = tuple(measured.get("dist_profile") or ())

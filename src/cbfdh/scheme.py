@@ -75,6 +75,9 @@ __all__ = [
 
 MAGIC = b"CBFDH1"
 
+# draws from the code family before keygen gives up on a full-rank matrix
+FAMILY_TRIES = 32
+
 CodeFamily = Callable[[random.Random], BitMatrix]
 
 
@@ -190,21 +193,18 @@ def keygen(
     params: SchemeParams,
     family: CodeFamily,
     rng: random.Random,
-    max_family_tries: int = 32,
 ) -> SignatureKeyPair:
     """Draw (h_sec, s, perm) and publish h_pub = s @ h_sec @ P."""
     r = params.n_k
-    h_sec = None
-    for _ in range(max_family_tries):
-        candidate = family(rng)
-        if candidate.nrows != r or candidate.ncols != params.n:
+    for _ in range(FAMILY_TRIES):
+        h_sec = family(rng)
+        if h_sec.nrows != r or h_sec.ncols != params.n:
             raise ValueError("family produced a matrix of the wrong shape")
-        if rank(candidate) == r:
-            h_sec = candidate
+        if rank(h_sec) == r:
             break
-    if h_sec is None:
+    else:
         raise KeyGenerationFailure(
-            f"no full-rank matrix from the family in {max_family_tries} tries"
+            f"no full-rank matrix from the family in {FAMILY_TRIES} tries"
         )
     scramble = random_nonsingular(r, rng)
     perm = random_permutation(params.n, rng)

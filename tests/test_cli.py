@@ -1,8 +1,11 @@
+import concurrent.futures
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cbfdh.cli
 from cbfdh.cli import main, parse_count, parse_level_log2
 from cbfdh.exponents import gv_relative_weight
 from cbfdh.scheme import MAGIC
@@ -344,6 +347,71 @@ def test_simulate_workers_match(capsys):
 def test_simulate_rejects_bad_game_list(capsys):
     code, _, err = run_cli(capsys, "simulate", "--game", "9")
     assert code == 2 and "error:" in err
+
+
+def test_simulate_untallyable_weight_fails_before_any_game(capsys, monkeypatch):
+    played = []
+    monkeypatch.setattr(cbfdh.cli, "run_game", lambda *a, **kw: played.append(a))
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "40", "--k", "20", "--w", "8", "--lambda0", "24",
+    )
+    assert code == 2 and "S_w too large to tally" in err
+    assert out == "" and played == []
+
+
+def test_simulate_zero_trials_extraction_rate_undefined(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--trials", "0", "--game", "4,5")
+    assert code == 0
+    row = next(row for row in kv_lines(out) if "g5_wins" in row)
+    assert row == {
+        "g5_wins": "0", "g5_extracted": "0", "g5_extraction_rate": "undefined",
+    }
+    assert "ratio_g5_g4=undefined" in out
+
+
+@pytest.mark.parametrize("command", ["attack", "simulate"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(capsys, command, workers):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--workers", workers])
+    assert exc.value.code == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--mode", "doom", "--q", "8", *ATTACK_ARGS],
+    ["simulate", "--game", "3", "--trials", "20", "--seed", "4"],
+], ids=("attack", "simulate"))
+def test_worker_pool_is_capped_at_cpu_count(capsys, monkeypatch, argv):
+    _, seq, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", RecordingPool, raising=False
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, par, _ = run_cli(capsys, *argv, "--workers", "100000")
+    assert code == 0 and RecordingPool.sizes == [3]
+    assert par.splitlines()[1:] == seq.splitlines()[1:]
+    assert "workers=100000" in par.splitlines()[0]
 
 
 # --- replay determinism ---------------------------------------------------------------

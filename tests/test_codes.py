@@ -121,13 +121,6 @@ def test_distribution_monte_carlo_consistency():
         assert abs(freq - p) <= 3 * sigma + 1e-9
 
 
-def test_distribution_shard_independence():
-    rng = random.Random(3)
-    code = random_parity_check(12, 6, rng)
-    base = syndrome_weight_distribution(code, 3, workers=1)
-    assert syndrome_weight_distribution(code, 3, workers=3) == base
-
-
 def test_enumeration_guard():
     rng = random.Random(3)
     code = random_parity_check(12, 6, rng)

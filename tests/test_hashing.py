@@ -1,6 +1,5 @@
 import hashlib
 import math
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from cbfdh.f2 import BitVector
 from cbfdh.hashing import (
     FdhHash,
-    mod_bias,
     rank_weight_pattern,
     syndrome_hash,
     unrank_weight_pattern,
@@ -60,11 +58,3 @@ def test_unrank_bounds():
         unrank_weight_pattern(math.comb(6, 2), 6, 2)
     with pytest.raises(ValueError):
         unrank_weight_pattern(-1, 6, 2)
-
-
-def test_mod_bias_exact_small_case():
-    # B=3 bits, modulus 5: counts per outcome (2,2,2,1,1)/8
-    assert mod_bias(3, 5) == (
-        3 * (Fraction(2, 8) - Fraction(1, 5)) + 2 * (Fraction(1, 5) - Fraction(1, 8))
-    ) / 2
-    assert mod_bias(4, 16) == 0

@@ -23,13 +23,10 @@ from cbfdh.isd import (
     WindowEnumerator,
     default_doom_targets,
     doom_attack,
-    doom_success,
     generalized_isd,
     isd_success,
     m_solutions,
     plant_instance,
-    prange_attack,
-    prange_success,
 )
 
 
@@ -101,7 +98,7 @@ def test_m_solutions_monte_carlo_mean():
 
 
 def test_prange_success_frozen_example():
-    got = prange_success(4, 2, 1)
+    got = isd_success(4, 2, 1)  # p = l = 0, q = 1: plain information sets
     assert got.hit_prob == 0.5
     assert got.surrogate == 0.5
     assert abs(got.exact - 0.5) < 1e-12
@@ -116,12 +113,14 @@ def test_success_estimates_ordering_and_validation():
     with pytest.raises(ValueError):
         isd_success(20, 10, 11, 0, 0)  # w - p > n - k - l
     with pytest.raises(ValueError):
-        doom_success(20, 10, 3, 1, 2, 0)
+        isd_success(20, 10, 3, 1, 2, q=0)
 
 
 def test_doom_success_scales_with_targets():
-    base = doom_success(30, 15, 4, 1, 2, 1)
-    many = doom_success(30, 15, 4, 1, 2, 16)
+    base = isd_success(30, 15, 4, 1, 2)
+    assert isd_success(30, 15, 4, 1, 2, q=1) == base
+    many = isd_success(30, 15, 4, 1, 2, q=16)
+    assert many.hit_prob == base.hit_prob
     assert abs(many.surrogate - min(1.0, 16 * base.surrogate)) < 1e-12
 
 
@@ -172,18 +171,22 @@ def test_attack_solutions_always_verify():
 def test_prange_zero_syndrome_zero_weight():
     rng = random.Random(9)
     h = random_full_rank(6, 12, rng)
-    res = prange_attack(h, BitVector.zeros(6), 0, 10, rng)
+    res = generalized_isd(h, BitVector.zeros(6), 0, IsdParams(0, 0, 10), rng)
     assert res.found and res.solution == BitVector.zeros(12)
     assert res.iterations == 1
 
 
 def test_prange_equals_generalized_at_zero_parameters():
+    # the p = l = 0 predictor is Prange's: all w errors off the information set
+    for n, k, w in [(4, 2, 1), (14, 7, 3), (24, 12, 4), (30, 15, 15)]:
+        est = isd_success(n, k, w)
+        hit = Fraction(math.comb(n - k, w), math.comb(n, w))
+        assert est.hit_prob == float(hit)
+        assert est.hit_prob_log2 == math.log2(hit.numerator) - math.log2(hit.denominator)
+        assert est.surrogate_log2 == min(0.0, m_solutions(n, k, w).log2 + est.hit_prob_log2)
     rng = random.Random(11)
     h, s, _ = plant_instance(14, 7, 3, rng)
-    a = prange_attack(h, s, 3, 200, random.Random(123))
-    b = generalized_isd(h, s, 3, IsdParams(0, 0, 200), random.Random(123))
-    assert a == b
-    assert a.found
+    assert generalized_isd(h, s, 3, IsdParams(0, 0, 200), random.Random(123)).found
 
 
 def test_rank_deficient_matrix_raises_before_any_trial():
@@ -233,7 +236,7 @@ def test_window_escapes_singular_supports():
     h = BitMatrix(4, 8, (132, 212, 112, 167))
     s = BitVector(4, 13)
     assert brute_force_search(h, s, 4) is not None
-    plain = prange_attack(h, s, 4, 3000, random.Random(0))
+    plain = generalized_isd(h, s, 4, IsdParams(0, 0, 3000), random.Random(0))
     assert not plain.found
     windowed = generalized_isd(h, s, 4, IsdParams(2, 2, 2000), random.Random(0))
     assert windowed.found

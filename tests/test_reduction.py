@@ -13,7 +13,6 @@ from cbfdh.codes import (
     syndrome_weight_distribution,
 )
 from cbfdh.f2 import BitMatrix, BitVector, mat_vec_mul, random_full_rank
-from cbfdh.hashing import mod_bias
 from cbfdh.reduction import (
     GameConfig,
     HarnessError,
@@ -28,10 +27,8 @@ from cbfdh.reduction import (
     extract_doom_solution,
     run_game,
     sign_without_secret,
-    theorem1_bound,
     theorem1_bound_log2,
     wilson_interval,
-    zhandry_bound,
 )
 from cbfdh.scheme import (
     SchemeParams,
@@ -93,10 +90,10 @@ def test_coin_and_pattern_outputs():
 # --- the reprogrammed oracle -----------------------------------------------------
 
 
-def make_z(seed=5, n=12, k=6, w=4, salt_bits=24, exact=True):
+def make_z(seed=5, n=12, k=6, w=4, salt_bits=24):
     rng = random.Random(seed)
     h_pub = random_full_rank(n - k, n, rng)
-    return ZOracle(h_pub, w, salt_bits, rng, exact=exact)
+    return ZOracle(h_pub, w, salt_bits, rng)
 
 
 def test_z_query_follows_the_hidden_coin():
@@ -135,23 +132,13 @@ def test_z_output_distribution_is_the_exact_half_mixture():
     rho = stat_distance(d_w, uniform)
     assert stat_distance(mixture, uniform) == rho / 2
 
-    z = ZOracle(h_pub, w, 16, rng, exact=True)
+    z = ZOracle(h_pub, w, 16, rng)
     counts = [0] * (1 << (n - k))
     draws = 12_000
     for i in range(draws):
         counts[z.z_query(i.to_bytes(4, "big"), BitVector.zeros(16)).bits] += 1
     expected = [float(mixture.prob(s)) * draws for s in range(1 << (n - k))]
     assert scipy_stats.chisquare(counts, expected).pvalue > 0.01
-
-
-def test_pattern_bias_is_reported():
-    assert make_z(exact=True).pattern_bias() == 0
-    z = make_z(exact=False)
-    count = math.comb(12, 4)
-    assert z.pattern_bias() == mod_bias(max(1, count.bit_length()), count)
-    assert z.pattern_bias() > 0
-    b, e = z.j.query((b"m", BitVector.zeros(z.salt_bits)))
-    assert e.weight() == 4  # biased but still well-formed
 
 
 # --- signing without the secret key ------------------------------------------------
@@ -176,7 +163,7 @@ def test_sign_without_secret_verifies_and_costs_two_calls():
 def test_sign_without_secret_e_marginal_is_uniform():
     n, k, w = 8, 4, 2
     rng = random.Random(13)
-    z = ZOracle(random_full_rank(n - k, n, rng), w, 16, rng, exact=True)
+    z = ZOracle(random_full_rank(n - k, n, rng), w, 16, rng)
     counts = [0] * math.comb(n, w)
     from cbfdh.hashing import rank_weight_pattern
 
@@ -335,22 +322,34 @@ def test_wilson_interval_behaves():
 # --- bound calculators --------------------------------------------------------------
 
 
+ZERO = -math.inf
+
+
+def swap_term(q_hash, exp_rho_pub):
+    """Oracle-swap term of the bound from float inputs, as a float."""
+    bound = theorem1_bound_log2(
+        ZERO, ZERO, math.log2(exp_rho_pub) if exp_rho_pub else ZERO,
+        ZERO, math.log2(q_hash) if q_hash else ZERO, ZERO, 128,
+    )
+    return 2.0**bound.zhandry_term
+
+
 def test_zhandry_bound_values():
-    assert zhandry_bound(0, 0.5) == 0.0
-    assert zhandry_bound(100, 0.0) == 0.0
-    direct = ZHANDRY_CONSTANT * 8 * 1e-3
-    assert math.isclose(zhandry_bound(4, 1e-6), direct, rel_tol=1e-12)
-    assert zhandry_bound(8, 1e-6) > zhandry_bound(4, 1e-6)
-    assert zhandry_bound(4, 1e-5) > zhandry_bound(4, 1e-6)
+    assert swap_term(0, 0.5) == 0.0
+    assert swap_term(100, 0.0) == 0.0
+    direct = ZHANDRY_CONSTANT * 8 * 1e-3  # (8 pi / sqrt 3) 4^(3/2) sqrt(1e-6)
+    assert math.isclose(swap_term(4, 1e-6), direct, rel_tol=1e-12)
+    assert swap_term(8, 1e-6) > swap_term(4, 1e-6)
+    assert swap_term(4, 1e-5) > swap_term(4, 1e-6)
     with pytest.raises(ValueError):
-        zhandry_bound(-1, 0.5)
+        condition_check({"exp_rho_pub": 0.5, "rho_sign": 0.0}, -1, 1, 128)
     with pytest.raises(ValueError):
-        zhandry_bound(4, 1.5)
+        condition_check({"exp_rho_pub": 1.5, "rho_sign": 0.0}, 4, 1, 128)
 
 
 def test_theorem1_bound_term_isolation():
     eps = 1e-6
-    bound = theorem1_bound(eps, 0.0, 0.0, 0.0, 0, 0, 128)
+    bound = theorem1_bound_log2(math.log2(eps), ZERO, ZERO, ZERO, ZERO, ZERO, 128)
     assert math.isclose(bound.total, math.log2(2 * eps + 2**-128), rel_tol=1e-12)
     assert bound.doom_term == pytest.approx(1 + math.log2(eps))
     assert bound.distinguisher_term == -math.inf
@@ -360,8 +359,8 @@ def test_theorem1_bound_term_isolation():
 
 
 def test_theorem1_bound_signing_linearity():
-    a = theorem1_bound(0.0, 0.0, 0.0, 1e-9, 0, 2**20, 128)
-    b = theorem1_bound(0.0, 0.0, 0.0, 1e-9, 0, 2**21, 128)
+    a = theorem1_bound_log2(ZERO, ZERO, ZERO, math.log2(1e-9), ZERO, 20.0, 128)
+    b = theorem1_bound_log2(ZERO, ZERO, ZERO, math.log2(1e-9), ZERO, 21.0, 128)
     assert b.signing_term == pytest.approx(a.signing_term + 1.0, abs=1e-12)
 
 
@@ -397,15 +396,17 @@ def test_theorem1_bound_surf_scale():
 
 
 def test_theorem1_bound_validates_inputs():
-    with pytest.raises(ValueError):
-        theorem1_bound(1.5, 0, 0, 0, 1, 1, 128)
-    with pytest.raises(ValueError):
-        theorem1_bound(0.5, 0, 0, 0, -1, 1, 128)
-    with pytest.raises(ValueError):
-        theorem1_bound(math.nan, 0, 0, 0, 1, 1, 128)
-    with pytest.raises(ValueError):
-        theorem1_bound(0, 0, 0, 0.5, 1, math.inf, 128)
-    zero = -math.inf
+    # float inputs reach the bound through condition_check's log2 conversion
+    for measured, q_hash, q_sign in (
+        ({"exp_rho_pub": 0.0, "rho_sign": 1.5}, 1, 1),
+        ({"exp_rho_pub": 0.5, "rho_sign": 0.0}, -1, 1),
+        ({"exp_rho_pub": 0.0, "rho_sign": -0.5}, 1, 1),
+        ({"exp_rho_pub": math.nan, "rho_sign": 0.0}, 1, 1),
+        ({"exp_rho_pub": 0.0, "rho_sign": 0.5}, 1, math.inf),
+    ):
+        with pytest.raises(ValueError):
+            condition_check(measured, q_hash, q_sign, 128)
+    zero = ZERO
     args = dict(
         log2_eps_doom=zero, log2_dist=zero, log2_exp_rho_pub=zero,
         log2_rho_sign=zero, log2_q_hash=zero, log2_q_sign=zero, lam=128,
