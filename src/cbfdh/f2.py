@@ -7,7 +7,10 @@ big-endian bit order within bytes, so coordinate 0 is the most significant
 bit of byte 0 and rows pad on the right up to a whole byte.
 
 Values are immutable after construction; every operation returns a fresh
-object, which keeps sharing across worker processes safe.
+object, which keeps sharing across worker processes safe.  Two kernels
+solve on a column selection: :class:`ReducedForm` row-reduces h on any
+selection (ISD/DOOM, four-sum), :class:`SquareSolver` solves a square one
+from column syndromes (the signer).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "Permutation",
     "SingularSelectionError",
     "ReducedForm",
+    "SquareSolver",
     "mat_vec_mul",
     "mat_mul",
     "rank",
@@ -177,11 +181,6 @@ class BitMatrix:
                 raise ValueError("row payload does not fit the stated width")
 
     @classmethod
-    def from_rows(cls, ncols: int, rows: Iterable[int]) -> "BitMatrix":
-        rows = tuple(rows)
-        return cls(len(rows), ncols, rows)
-
-    @classmethod
     def from_dense(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
         rows = tuple(BitVector.from_bits(row).bits for row in entries)
         ncols = len(entries[0]) if entries else 0
@@ -194,14 +193,6 @@ class BitMatrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
         return cls(nrows, ncols, (0,) * nrows)
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.ncols, self.rows[i])
-
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= j < self.ncols:
-            raise IndexError(j)
-        return self.rows[i] >> j & 1
 
     def columns(self) -> tuple[int, ...]:
         """Column payloads: bit ``r`` of column ``j`` is entry (r, j)."""
@@ -261,9 +252,6 @@ class BitMatrix:
         )
         return cls(nrows, ncols, rows)
 
-    def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
-        return mat_mul(self, other)
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -278,10 +266,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
 
     def apply_bits(self, bits: int) -> int:
         out = 0
@@ -399,8 +383,48 @@ def random_full_rank(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
             return m
 
 
+class SquareSolver:
+    """``h_S x^T = t^T`` for a square selection S = ``cols`` of an r-row h,
+    from h's column syndromes (:meth:`BitMatrix.columns`) alone.
+
+    The selected columns enter, in ``cols`` order, an XOR basis keyed by
+    leading bit; each basis vector carries a tag of the selected columns it
+    combines (bit j for ``cols[j]``).  A column that reduces to zero makes
+    the selection singular (SingularSelectionError) at the cost of one
+    insertion.  h_S has a unique inverse, so ``solve(s ^ h e)`` is bit for
+    bit ``ReducedForm(h, cols).reduce(s, e)``.
+    """
+
+    __slots__ = ("vecs", "tags")
+
+    def __init__(self, columns: Sequence[int], cols: Sequence[int]):
+        self.vecs = vecs = [0] * len(cols)  # [b]: the vector with leading bit b
+        self.tags = tags = [0] * len(cols)
+        for j, c in enumerate(cols):
+            v, tag = columns[c], 1 << j
+            while v:
+                top = v.bit_length() - 1
+                if not vecs[top]:
+                    vecs[top], tags[top] = v, tag
+                    break
+                v ^= vecs[top]
+                tag ^= tags[top]
+            else:
+                raise SingularSelectionError(f"column selection singular at column {j}")
+
+    def solve(self, t: int) -> int:
+        """The x with ``h_S x^T = t^T``; bit j is the coefficient of ``cols[j]``."""
+        vecs, tags, x = self.vecs, self.tags, 0
+        while t:
+            top = t.bit_length() - 1
+            t ^= vecs[top]
+            x ^= tags[top]
+        return x
+
+
 class ReducedForm:
-    """``h`` row-reduced on a column selection, in place on its own columns.
+    """``h`` row-reduced on a column selection, in place on its own columns:
+    the kernel of ISD/DOOM and four-sum (the signer uses SquareSolver).
 
     U is the nonsingular r x r matrix for which ``U h`` holds the identity
     on the selection (front row j has its 1 at ``cols[j]``) and zeros there

@@ -165,6 +165,8 @@ def isd_success(
     surrogate = 2.0**surrogate_log2
     if hit_f >= 1.0 or expected_log2 + hit_log2 > 9:  # certain, or saturated
         exact = 1.0
+    elif expected_log2 >= 1024 or hit_f == 0.0:  # past float range: the hit << 1 limit
+        exact = -math.expm1(-(2.0 ** (expected_log2 + hit_log2)))
     else:
         exact = -math.expm1(2.0**expected_log2 * math.log1p(-hit_f))
     return SuccessEstimate(hit_f, hit_log2, exact, surrogate, surrogate_log2)

@@ -328,12 +328,6 @@ class GameStats:
             self.successes.get(game_id, 0), self.trials.get(game_id, 0)
         )
 
-    def merge(self, other: "GameStats") -> None:
-        for g, t in other.trials.items():
-            self.trials[g] = self.trials.get(g, 0) + t
-            self.successes[g] = self.successes.get(g, 0) + other.successes.get(g, 0)
-        self.transcripts.extend(other.transcripts)
-
     def lines(self) -> list[str]:
         out = []
         for g in sorted(self.trials):
@@ -362,9 +356,8 @@ def _run_trial(
     # initialize: real keys up to game 3, a uniform matrix afterwards
     if game_id >= 4:
         keypair = None
-        pk = PublicKey(
-            random_matrix(params.n_k, params.n, random.Random(h0_seed)), params.w
-        )
+        h0 = random_matrix(params.n_k, params.n, random.Random(h0_seed))
+        pk = PublicKey(h0, params.w, params.lam0)
     else:
         family = random_code_family(params.n, params.k)
         keypair = keygen(params, family, random.Random(keygen_seed))

@@ -9,9 +9,10 @@ decodes to weight w on ``h_sec``, and pushes the error through the
 permutation.
 
 The reference decoder is a randomized information-set search with weight
-seeding, usable for any parity-check matrix at desk scale.  Its output law
-on S_w is close to but not exactly uniform; :func:`measure_decoder_distance`
-estimates that gap empirically for the reduction tooling.
+seeding, usable for any parity-check matrix at desk scale.  Its draws are
+those of ``random.sample``, so a seeded signature replays byte for byte.
+Its output law on S_w is close to but not exactly uniform;
+:func:`measure_decoder_distance` estimates that gap for the reduction tooling.
 
 Wire formats
 ------------
@@ -37,8 +38,8 @@ from .f2 import (
     BitMatrix,
     BitVector,
     Permutation,
-    ReducedForm,
     SingularSelectionError,
+    SquareSolver,
     inverse,
     mat_mul,
     mat_vec_mul,
@@ -145,8 +146,11 @@ class SecretKey:
 
 @dataclass(frozen=True)
 class PublicKey:
+    """h_pub, the signature weight w and the salt width lam0 in bits."""
+
     h_pub: BitMatrix
     w: int
+    lam0: int
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,34 @@ def keygen(
 def keypair_from_secret(params: SchemeParams, secret: SecretKey) -> SignatureKeyPair:
     """Complete a secret key with its public matrix h_pub = s @ h_sec @ P."""
     h_pub = mat_mul(secret.scramble, secret.h_sec).permute_cols(secret.perm)
-    return SignatureKeyPair(params, secret, PublicKey(h_pub, params.w))
+    return SignatureKeyPair(params, secret, PublicKey(h_pub, params.w, params.lam0))
+
+
+def _sample(rng: random.Random, n: int, k: int) -> list[int]:
+    """``rng.sample(range(n), k)`` by the same ``getrandbits`` calls, without
+    its sequence check and per-draw ``_randbelow`` call: CPython's pool
+    branch when n is at most ``setsize``, else its set branch."""
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    if n <= setsize:
+        out, pool = [], list(range(n))
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            out.append(pool[j])
+            pool[j] = pool[m - 1]
+        return out
+    bits, selected = n.bit_length(), {}  # a dict keeps the draw order
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        selected[j] = None
+    return list(selected)
 
 
 def decode_to_weight(
@@ -228,30 +259,35 @@ def decode_to_weight(
     """Find e with ``h e^T = s`` and ``|e| = w``, or None when the budget
     runs out.  A None return means "gave up", never "no solution exists".
 
-    Each trial picks a random information set, reduces, and sweeps the
+    Each trial picks a random information set (r columns) and sweeps the
     window weight p: p random support bits are seeded on the window and the
-    trial accepts when the forced part has weight w - p.
+    trial accepts when the forced part, solved on the selected column
+    syndromes by :class:`cbfdh.f2.SquareSolver`, has weight w - p.
     """
     if rng is None:
         rng = random.Random()
     r, n = h.nrows, h.ncols
     if s.n != r:
         raise ValueError("syndrome length mismatch")
+    columns = h.columns()
     window = n - r
     for _ in range(budget):
-        cols = sorted(rng.sample(range(n), r))
+        cols = sorted(_sample(rng, n, r))
         try:
-            form = ReducedForm(h, cols)
+            solver = SquareSolver(columns, cols)
         except SingularSelectionError:
             continue
-        rest = form.window
+        rest = sorted(set(range(n)).difference(cols))
         for p in range(max(0, w - r), min(w, window) + 1):
-            seed = 0
-            for t in rng.sample(range(window), p):
+            seed, target = 0, s.bits
+            for t in _sample(rng, window, p):
                 seed |= 1 << rest[t]
-            forced = form.reduce(s.bits, seed)
+                target ^= columns[rest[t]]
+            forced = solver.solve(target)
             if forced.bit_count() == w - p:
-                return BitVector(n, seed | form.complete(forced, 0))
+                for j, c in enumerate(cols):
+                    seed |= (forced >> j & 1) << c
+                return BitVector(n, seed)
     return None
 
 
@@ -291,8 +327,10 @@ def verify(
     hash_fn: FdhHash | Callable[[bytes, BitVector], BitVector],
 ) -> bool:
     """Total verification: weight check and syndrome match, False on any
-    malformed input."""
-    if sig.e.n != public.h_pub.ncols:
+    malformed input.  The salt must be lam0 bits wide: the hash reads the
+    message and salt bytes as one string, so a shorter message under a
+    longer salt would otherwise hash the same."""
+    if sig.e.n != public.h_pub.ncols or sig.salt.n != public.lam0:
         return False
     if sig.e.weight() != public.w:
         return False
@@ -389,7 +427,7 @@ def load_public_key(path: str) -> tuple[SchemeParams, PublicKey]:
     h_pub = BitMatrix.from_text(body.decode())
     if h_pub.nrows != params.n_k or h_pub.ncols != params.n:
         raise ValueError("public matrix shape disagrees with the header")
-    return params, PublicKey(h_pub, params.w)
+    return params, PublicKey(h_pub, params.w, params.lam0)
 
 
 def save_secret_key(path: str, params: SchemeParams, secret: SecretKey) -> None:

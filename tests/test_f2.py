@@ -10,6 +10,7 @@ from cbfdh.f2 import (
     Permutation,
     ReducedForm,
     SingularSelectionError,
+    SquareSolver,
     front_permutation,
     inverse,
     mat_mul,
@@ -372,3 +373,32 @@ def test_reduced_form_rejects_bad_selections():
     for cols in ([0, 0], [0, 6], [-1, 2], [0, 1, 2, 3]):
         with pytest.raises(ValueError):
             ReducedForm(h, cols)
+
+
+def test_square_solver_matches_reduced_form():
+    rng = random.Random(9)
+    seen = {"singular": 0, "solved": 0}
+    for case in range(300):
+        r = rng.randrange(1, 21)
+        n = r + rng.randrange(0, 21)
+        h = random_matrix(r, n, rng)
+        if case % 5 == 0 and r > 1:  # a rank-deficient h: every selection is singular
+            h = BitMatrix(r, n, h.rows[:-1] + (h.rows[0] ^ h.rows[-2],))
+        cols = rng.sample(range(n), r)
+        if rng.random() < 0.5:
+            cols.sort()
+        columns = h.columns()
+        try:
+            form = ReducedForm(h, cols)
+        except SingularSelectionError:
+            seen["singular"] += 1
+            with pytest.raises(SingularSelectionError):
+                SquareSolver(columns, cols)
+            continue
+        seen["solved"] += 1
+        solver = SquareSolver(columns, cols)
+        for _ in range(4):
+            s, e = rng.getrandbits(r), rng.getrandbits(n)
+            t = s ^ mat_vec_mul(h, BitVector(n, e)).bits
+            assert solver.solve(t) == form.reduce(s, e), case
+    assert min(seen.values()) >= 50, seen

@@ -124,6 +124,17 @@ def test_doom_success_scales_with_targets():
     assert abs(many.surrogate - min(1.0, 16 * base.surrogate)) < 1e-12
 
 
+
+def test_isd_success_is_finite_at_surf_size():
+    # Prange at the SURF preset: M = 2^2835 solutions, float(hit) underflows
+    est = isd_success(13976, 6988, 2668)
+    assert est.hit_prob == 0.0
+    assert math.isfinite(est.hit_prob_log2)
+    assert abs(est.surrogate_log2 - -291.07) < 0.01
+    assert est.exact > 0
+    assert abs(est.exact - est.surrogate) <= 1e-9 * est.surrogate
+
+
 # --- window enumeration -----------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from cbfdh.scheme import (
     Signature,
     SignatureKeyPair,
     SigningFailure,
+    _sample,
     decode_to_weight,
     keygen,
     keypair_from_secret,
@@ -163,30 +164,66 @@ def permuting_decoder(h, s, w, budget, rng):
     return None
 
 
-def test_decode_matches_permuting_reference():
-    seen = Counter()
-    for case in range(400):
+def decode_cases():
+    """(case, h, s, w, budget): 400 small random shapes, a quarter of them
+    with a rank-deficient h, then 60 at the benchmark's shape (r = 20,
+    n = 40, w = 7), then 60 with windows of 22 or more, where the seeds of
+    weight p <= 5 take the sampler's set branch."""
+    for case in range(520):
         rng = random.Random(case)
-        r = rng.randrange(1, 9)
-        n = r + rng.randrange(1, 9)
+        if case < 400:
+            r = rng.randrange(1, 9)
+            n = r + rng.randrange(1, 9)
+        elif case < 460:
+            r, n = 20, 40
+        else:
+            r = rng.randrange(1, 7)
+            n = r + rng.randrange(22, 40)
         h = random_matrix(r, n, rng)
-        if case % 4 == 0 and r > 1:  # force a rank-deficient h
+        if case % 4 == 0 and r > 1 and case < 400:  # force a rank-deficient h
             h = BitMatrix(r, n, h.rows[:-1] + (h.rows[0] ^ h.rows[-2],))
-        w = rng.randrange(0, n + 1)
+        w = rng.randrange(0, n + 1) if case < 400 or case >= 460 else 7
         if rng.random() < 0.5:
             s = mat_vec_mul(h, BitVector.from_support(n, rng.sample(range(n), w)))
         else:
             s = BitVector.random(r, rng)
-        budget = rng.randrange(0, 30)
-        seed = rng.getrandbits(64)
+        budget = rng.randrange(0, 30 if case < 400 else 60)
+        yield case, h, s, w, budget, rng.getrandbits(64)
+
+
+def test_decode_matches_permuting_reference():
+    seen = Counter()
+    for case, h, s, w, budget, seed in decode_cases():
         ours, theirs = random.Random(seed), random.Random(seed)
         got = decode_to_weight(h, s, w, budget, ours)
         assert got == permuting_decoder(h, s, w, budget, theirs), case
         assert ours.getstate() == theirs.getstate(), case
+        r, n = h.nrows, h.ncols
         seen["found" if got is not None else "exhausted"] += 1
         seen["rank deficient"] += rank(h) < r
         seen["w > r"] += w > r
+        seen["found at r = 20"] += got is not None and r == 20
+        seen["found, window >= 22"] += got is not None and n - r >= 22
     assert min(seen.values()) >= 20, seen
+
+
+def test_sample_matches_random_sample():
+    rng = random.Random(2024)
+    for n in range(301):
+        for k in range(min(n, 64) + 1):
+            if k > 8 and rng.random() < 0.8:
+                continue
+            seed = rng.getrandbits(64)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert _sample(ours, n, k) == theirs.sample(range(n), k), (n, k)
+            assert ours.getstate() == theirs.getstate(), (n, k)
+    for n, k in [(0, 1), (5, 6), (300, 301)]:
+        ours, theirs = random.Random(n), random.Random(n)
+        with pytest.raises(ValueError):
+            theirs.sample(range(n), k)
+        with pytest.raises(ValueError):
+            _sample(ours, n, k)
+        assert ours.getstate() == theirs.getstate()
 
 
 # --- sign / verify -------------------------------------------------------------
@@ -225,6 +262,18 @@ def test_single_bit_tampering_always_rejected():
         assert not verify(
             keypair.public, b"tamper", Signature(sig.e.flip(i), sig.salt), hash_fn
         )
+
+
+def test_verify_rejects_a_salt_of_the_wrong_width():
+    # the hash reads message + salt bytes: b"ab" under the 24-bit salt X and
+    # b"a" under the 32-bit salt b"b" + X hash the same string
+    keypair, rng = toy_keypair(seed=6, lam0=24)
+    hash_fn = FdhHash(keypair.params.n_k)
+    sig = sign(keypair, b"ab", hash_fn, rng)
+    assert verify(keypair.public, b"ab", sig, hash_fn)
+    longer = BitVector.from_bytes(b"b" + sig.salt.to_bytes(), 32)
+    assert hash_fn(b"a", longer) == hash_fn(b"ab", sig.salt)
+    assert not verify(keypair.public, b"a", Signature(sig.e, longer), hash_fn)
 
 
 def test_verify_rejects_malformed_lengths():
