@@ -84,12 +84,14 @@ SURF_PRESET = {
 
 
 def parse_count(text: str) -> int:
-    """Non-negative integer, given as decimal or a 2^x literal."""
+    """Non-negative integer, given as decimal or a 2^x literal up to 2^64."""
     text = text.strip()
     if text.startswith("2^"):
         exp = int(text[2:])
         if exp < 0:
             raise ValueError(f"count {text!r} is not an integer")
+        if exp > 64:
+            raise ValueError(f"count {text!r} exceeds 2^64")
         return 1 << exp
     value = int(text)
     if value < 0:
@@ -596,7 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=parse_count, default=1)
     p.add_argument("--budget", type=parse_count, default=2000)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--workers", type=parse_workers, default=1)
+    p.add_argument(
+        "--workers", type=parse_workers, default=1,
+        help="trial processes; above 1, all q DOOM targets are hashed up front",
+    )
     _add_common(p)
 
     p = sub.add_parser("exponents", help="print the asymptotic cost table")

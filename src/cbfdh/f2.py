@@ -71,6 +71,18 @@ def _bytes_to_bits(data: bytes, n: int) -> int:
     return int.from_bytes(data[:nbytes].translate(_REV), "little") & ((1 << n) - 1)
 
 
+def _columns(rows: Iterable[int], width: int) -> list[int]:
+    """Transpose by bit scan: bit r of entry j is bit j of ``rows[r]``, for
+    rows of at most ``width`` bits."""
+    cols = [0] * width
+    for r, bits in enumerate(rows):
+        while bits:
+            low = bits & -bits
+            cols[low.bit_length() - 1] |= 1 << r
+            bits ^= low
+    return cols
+
+
 @dataclass(frozen=True)
 class BitVector:
     """Immutable vector over GF(2), length ``n``, payload ``bits``."""
@@ -196,13 +208,7 @@ class BitMatrix:
 
     def columns(self) -> tuple[int, ...]:
         """Column payloads: bit ``r`` of column ``j`` is entry (r, j)."""
-        cols = [0] * self.ncols
-        for r, bits in enumerate(self.rows):
-            while bits:
-                low = bits & -bits
-                cols[low.bit_length() - 1] |= 1 << r
-                bits ^= low
-        return tuple(cols)
+        return tuple(_columns(self.rows, self.ncols))
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.ncols, self.nrows, self.columns())
@@ -469,8 +475,11 @@ class ReducedForm:
 
     def window_columns(self) -> tuple[int, ...]:
         """r-bit syndromes of the window columns of ``U h``: bit i of entry t
-        is row i at the t-th non-selected column."""
-        return tuple(self.reduce(0, 1 << c) for c in self.window)
+        is row i at the t-th non-selected column.  One bit-scan transpose of
+        the rows' low n bits reads them all."""
+        mask = (1 << self.n) - 1
+        cols = _columns([row & mask for row in self.rows], self.n)
+        return tuple(cols[c] for c in self.window)
 
     def reduce(self, s: int, e: int = 0) -> int:
         """``U (s^T + h e^T)``: the reduced syndrome ``U s^T``, less what the
@@ -486,16 +495,16 @@ class ReducedForm:
     def reduce_all(self, syndromes: Iterable[int]) -> Iterator[int]:
         """``U s^T`` for each syndrome, lazily: r parities each for the first
         r, then one lookup per byte of s in XOR tables of the columns of U,
-        built when the (r + 1)-th syndrome is reached."""
-        r = len(self.rows)
+        built when the (r + 1)-th syndrome is reached.  U's columns are read
+        off the rows' high bits by one bit-scan transpose."""
+        n, r = self.n, len(self.rows)
         syndromes = iter(syndromes)
         yield from map(self.reduce, islice(syndromes, r))
         tables: list[list[int]] = []  # [k][b]: U (b << 8k)^T
         for s in syndromes:
             if not tables:
                 tables = [[0] for _ in range(0, r, 8)]
-                for i in range(r):
-                    col = self.reduce(1 << i)
+                for i, col in enumerate(_columns([row >> n for row in self.rows], r)):
                     tables[i >> 3] += [x ^ col for x in tables[i >> 3]]
             out = 0
             for table in tables:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 
-from .f2 import BitVector, _bytes_to_bits
+from .f2 import _REV, BitVector
 
 __all__ = [
     "SYNDROME_PREFIX",
@@ -26,8 +26,9 @@ SYNDROME_PREFIX = b"\x01"
 def syndrome_hash(payload: bytes, out_bits: int) -> BitVector:
     """First ``out_bits`` bits of SHAKE-256 over the syndrome-domain input."""
     data = hashlib.shake_256(SYNDROME_PREFIX + payload).digest((out_bits + 7) // 8)
-    # the payload is masked to out_bits, so it fits without a range check
-    return BitVector._unchecked(out_bits, _bytes_to_bits(data, out_bits))
+    # the digest is exactly as long as needed and the mask fits out_bits
+    bits = int.from_bytes(data.translate(_REV), "little") & ((1 << out_bits) - 1)
+    return BitVector._unchecked(out_bits, bits)
 
 
 class FdhHash:

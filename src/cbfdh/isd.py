@@ -5,11 +5,11 @@ The generalized attack reduces the parity check to
 selection, enumerates the weight-p window words solving the l-bit
 subsyndrome by a meet-in-the-middle split, and accepts when the forced part
 has weight w - p.  The multi-target (DOOM) variant joins all q syndromes
-against one window enumeration per trial: the enumerator memoises its words
-per l-bit syndrome tail, each with its front syndrome ``hp e''^T``, so a
-trial runs at most min(q, 2^l) probes and completes every candidate with
-one XOR and a popcount.  Among several hits in a trial the lowest target
-index wins, then that target's first word in enumerator order.
+against one window enumeration per trial, whose two halves are built once:
+it memoises its words per l-bit tail, each with its front syndrome
+``hp e''^T``, so a trial runs at most min(q, 2^l) probes and completes every
+candidate with one XOR and a popcount.  Among several hits in a trial the
+lowest target index wins, then that target's first word in enumerator order.
 
 Trials are driven by 64-bit child seeds drawn in trial order from the
 caller's rng, so results are reproducible and independent of the worker
@@ -175,38 +175,46 @@ def isd_success(
 # --- window enumeration ---------------------------------------------------------
 
 
+def _words(
+    cols: Sequence[int], positions: range, weight: int, front: int
+) -> list[tuple[int, int, int]]:
+    """(tail, front syndrome, mask) of each weight-``weight`` pattern on
+    ``positions``, in lexicographic order."""
+    front_mask = (1 << front) - 1
+    out = []
+    for combo in combinations(positions, weight):
+        syn = mask = 0
+        for i in combo:
+            syn ^= cols[i]
+            mask |= 1 << i
+        out.append((syn >> front, syn & front_mask, mask))
+    return out
+
+
 class WindowEnumerator:
     """All weight-p window words e'' with ``hpp e''^T = tail``, each paired
     with its front syndrome ``hp e''^T``.
 
     ``cols`` are the r-bit window column syndromes of the reduced matrix
     (:meth:`cbfdh.f2.ReducedForm.window_columns`), hp's bits below ``front``
-    and hpp's above.  Meet-in-the-middle join: left-half patterns are
-    tabulated by their l-bit tail once, right-half patterns probe the table,
-    and each tail's answer is memoised (at most min(q, 2^l) probes).
+    and hpp's above.  Meet-in-the-middle join: both halves are built once,
+    the left words keyed by their l-bit tail and the right words listed with
+    theirs, so a probe costs one XOR and one lookup per right word; each
+    tail's answer is memoised (at most min(q, 2^l) probes).
     """
 
     def __init__(self, cols: Sequence[int], front: int, p: int):
-        self.window = len(cols)
-        self.p = p
-        if p > self.window:
+        window, half = len(cols), len(cols) // 2
+        if p > window:
             raise ValueError("window weight exceeds window size")
-        self.front = front
-        self.cols = cols = tuple(cols)
-        self.half = self.window // 2
-        self.tables: dict[int, dict[int, list[tuple[int, int]]]] = {}
-        for p_left in range(
-            max(0, p - (self.window - self.half)), min(p, self.half) + 1
-        ):
+        # per left weight: the left words by tail, and the right words
+        self.joins: list[tuple[dict[int, list[tuple[int, int]]], list]] = []
+        for p_left in range(max(0, p - (window - half)), min(p, half) + 1):
             table: dict[int, list[tuple[int, int]]] = {}
-            for combo in combinations(range(self.half), p_left):
-                syn = 0
-                mask = 0
-                for i in combo:
-                    syn ^= cols[i]
-                    mask |= 1 << i
-                table.setdefault(syn >> front, []).append((syn, mask))
-            self.tables[p_left] = table
+            for tail, syn, mask in _words(cols, range(half), p_left, front):
+                table.setdefault(tail, []).append((syn, mask))
+            rights = _words(cols, range(half, window), p - p_left, front)
+            self.joins.append((table, rights))
         self._memo: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def solutions(self, tail: int) -> tuple[tuple[int, int], ...]:
@@ -218,18 +226,13 @@ class WindowEnumerator:
         return got
 
     def _probe(self, tail: int) -> list[tuple[int, int]]:
-        cols, front = self.cols, self.front
         out: list[tuple[int, int]] = []
-        for p_left, table in self.tables.items():
-            for combo in combinations(range(self.half, self.window), self.p - p_left):
-                syn = tail << front
-                mask = 0
-                for i in combo:
-                    syn ^= cols[i]
-                    mask |= 1 << i
-                # a matching left half cancels the tail bits, leaving hp e''
-                for left_syn, left in table.get(syn >> front, ()):
-                    out.append((syn ^ left_syn, left | mask))
+        for table, rights in self.joins:
+            get = table.get
+            for right_tail, right_syn, right in rights:
+                # a left half with the complementary tail completes the word
+                for left_syn, left in get(tail ^ right_tail, ()):
+                    out.append((right_syn ^ left_syn, left | right))
         return out
 
 
@@ -237,14 +240,15 @@ class WindowEnumerator:
 
 
 class _HashedTargets:
-    """Target syndromes, hashed in index order as trials first reach them."""
+    """Target syndromes, hashed in index order as trials first reach them:
+    every trial resumes one shared iterator past the hashed ones."""
 
-    def __init__(self, targets: list, hash_fn: Callable[[Any], BitVector], r: int):
-        self.targets, self.hash_fn, self.r, self.bits = targets, hash_fn, r, []
+    def __init__(self, targets: Sequence, hash_fn: Callable[[Any], BitVector], r: int):
+        self.pending, self.hash_fn, self.r, self.bits = iter(targets), hash_fn, r, []
 
     def __iter__(self) -> Iterator[int]:
         yield from self.bits
-        for t in self.targets[len(self.bits) :]:
+        for t in self.pending:
             s = self.hash_fn(t)
             if s.n != self.r:
                 raise ValueError("hash output width does not match the matrix")
@@ -338,8 +342,27 @@ def generalized_isd(
     return SearchResult(BitVector(n, got[1]), used)
 
 
-def default_doom_targets(q: int) -> list[bytes]:
-    return [i.to_bytes(8, "big") for i in range(q)]
+class _CounterTargets:
+    """Target i is ``i.to_bytes(8, "big")``, made when it is indexed."""
+
+    def __init__(self, q: int):
+        if q > 1 << 64:
+            raise ValueError(f"q = {q} exceeds 2^64")
+        self.indices = range(q)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [j.to_bytes(8, "big") for j in self.indices[i]]
+        return self.indices[i].to_bytes(8, "big")
+
+
+def default_doom_targets(q: int) -> Sequence[bytes]:
+    """The q preimages ``i.to_bytes(8, "big")``, i < q, as a lazy sequence;
+    ValueError for q above 2^64, the most that 8 bytes can count."""
+    return _CounterTargets(q)
 
 
 def doom_attack(

@@ -38,8 +38,11 @@ def test_literal_parsing():
     assert parse_level_log2("2^-838.56") == -838.56
     assert parse_level_log2("0") == -math.inf
     assert parse_level_log2("0.25") == -2.0
+    assert parse_count("2^64") == 1 << 64
     with pytest.raises(ValueError):
         parse_count("-3")
+    with pytest.raises(ValueError, match="exceeds 2\\^64"):
+        parse_count("2^65")
     with pytest.raises(ValueError):
         parse_level_log2("-0.5")
 
@@ -215,6 +218,40 @@ def test_attack_budget_exhaustion_exit_3(capsys):
     assert code == 3
     assert "found=0" in out
     assert "exhausted" in err
+
+
+# the child caps its address space, so building all q targets up front
+# fails there with a MemoryError instead of exhausting the machine
+BOUNDED_MEMORY_PRELUDE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from cbfdh.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("q, code", [
+    ("2^64", 0), ("2^70", 2), (str((1 << 64) + 1), 2),
+])
+def test_attack_doom_q_runs_in_bounded_memory(q, code):
+    proc = subprocess.run(
+        [sys.executable, "-c", BOUNDED_MEMORY_PRELUDE, "attack", "--mode", "doom",
+         "--q", q, "--n", "24", "--k", "12", "--w", "4", "--budget", "4"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--budget"], ["attack", "--mode", "doom", "--q"],
+    ["simulate", "--trials"],
+], ids=("budget", "q", "trials"))
+def test_huge_power_of_two_counts_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "2^99999999999999999999"])
+    assert exc.value.code == 2
+    assert "invalid parse_count value" in capsys.readouterr().err
 
 
 def test_attack_size_guard(capsys):

@@ -355,7 +355,8 @@ def test_reduced_form_matches_permuting_reference(l):
 
 def test_reduce_all_matches_reduce_on_both_sides_of_the_table_switch():
     rng = random.Random(8)
-    for r in (3, 9, 20):
+    # r = 1, 8 and 16 are where a byte table starts or ends
+    for r in (1, 3, 8, 9, 16, 20):
         h = random_full_rank(r, 2 * r, rng)
         while True:
             try:

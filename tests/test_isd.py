@@ -13,6 +13,7 @@ from cbfdh.f2 import (
     front_permutation,
     mat_vec_mul,
     random_full_rank,
+    random_matrix,
     systematic_form,
 )
 from cbfdh.hashing import syndrome_hash
@@ -139,28 +140,28 @@ def test_isd_success_is_finite_at_surf_size():
 
 
 def test_window_enumerator_matches_filtered_enumeration():
+    """The words of every tail come in the documented order (left weight,
+    then right pattern, then left pattern), which decides the word a DOOM
+    hit returns; odd and even windows, every p up to the window size."""
     rng = random.Random(3)
-    for _ in range(20):
-        window, front, l, p = 12, 5, 3, rng.choice([0, 1, 2, 3])
-        hp = BitMatrix(
-            front, window, tuple(rng.getrandbits(window) for _ in range(front))
-        )
-        hpp = BitMatrix(
-            l, window, tuple(rng.getrandbits(window) for _ in range(l))
-        )
-        target = rng.getrandbits(l)
-        enum = WindowEnumerator(hp.vstack(hpp).columns(), front, p)
-        got = sorted(enum.solutions(target))
-        brute = sorted(
-            (mat_vec_mul(hp, e).bits, e.bits)
-            for e in (
-                BitVector.from_support(window, supp)
-                for supp in combinations(range(window), p)
-            )
-            if mat_vec_mul(hpp, e).bits == target
-        )
-        assert got == brute
-        assert enum.solutions(target) is enum.solutions(target)  # memoised
+    front, l = 4, 3
+    for window in (7, 8):
+        half = window // 2
+        hp = random_matrix(front, window, rng)
+        hpp = random_matrix(l, window, rng)
+        for p in range(window + 1):
+            enum = WindowEnumerator(hp.vstack(hpp).columns(), front, p)
+            for tail in range(1 << l):
+                expect = tuple(
+                    (mat_vec_mul(hp, e).bits, e.bits)
+                    for p_left in range(p + 1)
+                    for right in combinations(range(half, window), p - p_left)
+                    for left in combinations(range(half), p_left)
+                    for e in [BitVector.from_support(window, left + right)]
+                    if mat_vec_mul(hpp, e).bits == tail
+                )
+                assert enum.solutions(tail) == expect
+                assert enum.solutions(tail) is enum.solutions(tail)  # memoised
 
 
 # --- attacks ----------------------------------------------------------------------
@@ -453,6 +454,15 @@ def test_doom_hashes_targets_in_order_only_as_far_as_reached():
     assert recheck == targets[res.target_index]
     assert scanned == targets[: len(scanned)]  # each target once, in index order
     assert res.target_index < len(scanned) < len(targets)
+
+
+def test_default_doom_targets_are_8_byte_counters():
+    # q up to 2^64 runs in bounded memory: test_cli checks it in a subprocess
+    targets = default_doom_targets(3)
+    assert len(targets) == 3 and targets[-1] == (2).to_bytes(8, "big")
+    assert targets[:] == [i.to_bytes(8, "big") for i in range(3)]
+    with pytest.raises(IndexError):
+        targets[3]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
