@@ -10,6 +10,10 @@ configuration, seed included, is echoed before any result.  Output is
 line-delimited key=value records in both formats; text mode adds comment
 headers.  Exit codes: 0 success, 1 verification reject, 2 input error,
 3 budget exhausted.
+
+The library is reached through its modules (``scheme.sign``,
+``isd.doom_attack``), which the package loads on first use, so each
+command runs only the library modules it calls.
 """
 
 from __future__ import annotations
@@ -20,47 +24,7 @@ import random
 import sys
 import warnings
 
-from .exponents import (
-    RatePoint,
-    doom_quantum_exponent,
-    gv_relative_weight,
-    prange_exponent_classical,
-    prange_exponent_quantum,
-)
-from .f2 import BitVector, random_full_rank
-from .hashing import FdhHash, syndrome_hash
-from .isd import (
-    IsdParams,
-    default_doom_targets,
-    doom_attack,
-    generalized_isd,
-    isd_success,
-    plant_instance,
-)
-from .reduction import (
-    GameConfig,
-    OmniscientAdversary,
-    extract_doom_solution,
-    run_game,
-    theorem1_bound_log2,
-)
-from .scheme import (
-    SchemeParams,
-    SigningFailure,
-    keygen,
-    keypair_from_secret,
-    load_public_key,
-    load_secret_key,
-    load_signature,
-    measure_decoder_distance,
-    random_code_family,
-    save_public_key,
-    save_secret_key,
-    save_signature,
-    sign,
-    uuv_code_family,
-    verify,
-)
+from . import exponents, f2, hashing, isd, reduction, scheme
 
 ATTACK_SIZE_GUARD = 64
 
@@ -160,12 +124,12 @@ class Report:
         print("\n".join(self.lines))
 
 
-def _scheme_params(args: argparse.Namespace) -> SchemeParams:
+def _scheme_params(args: argparse.Namespace) -> scheme.SchemeParams:
     # toy parameters are the normal case here, so the library's security
     # warnings would only be noise on stderr
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return SchemeParams(
+        return scheme.SchemeParams(
             n=args.n, k=args.k, w=args.w, lam=args.lam, lam0=args.lam0
         )
 
@@ -187,12 +151,12 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     if args.family == "uuv":
         k_u = args.k_u if args.k_u is not None else (args.k + 1) // 2
         k_v = args.k_v if args.k_v is not None else args.k // 2
-        family = uuv_code_family(args.n, k_u, k_v)
+        family = scheme.uuv_code_family(args.n, k_u, k_v)
     else:
-        family = random_code_family(args.n, args.k)
-    keypair = keygen(params, family, random.Random(args.seed))
-    save_secret_key(args.secret_key, params, keypair.secret)
-    save_public_key(args.public_key, params, keypair.public)
+        family = scheme.random_code_family(args.n, args.k)
+    keypair = scheme.keygen(params, family, random.Random(args.seed))
+    scheme.save_secret_key(args.secret_key, params, keypair.secret)
+    scheme.save_public_key(args.public_key, params, keypair.public)
     report = Report(args.fmt)
     report.record(
         ("command", "keygen"),
@@ -212,21 +176,21 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 
 def cmd_sign(args: argparse.Namespace) -> int:
     message = _read_message(args)
-    params, secret = load_secret_key(args.secret_key)
-    keypair = keypair_from_secret(params, secret)
-    hash_fn = FdhHash(params.n_k)
+    params, secret = scheme.load_secret_key(args.secret_key)
+    keypair = scheme.keypair_from_secret(params, secret)
+    hash_fn = hashing.FdhHash(params.n_k)
     try:
-        sig = sign(
+        sig = scheme.sign(
             keypair,
             message,
             hash_fn,
             random.Random(args.seed),
             decoder_budget=args.budget,
         )
-    except SigningFailure as exc:
+    except scheme.SigningFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    save_signature(args.signature, sig)
+    scheme.save_signature(args.signature, sig)
     report = Report(args.fmt)
     report.record(
         ("command", "sign"),
@@ -244,9 +208,9 @@ def cmd_sign(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     message = _read_message(args)
-    params, public = load_public_key(args.public_key)
-    sig = load_signature(args.signature, params)
-    ok = verify(public, message, sig, FdhHash(params.n_k))
+    params, public = scheme.load_public_key(args.public_key)
+    sig = scheme.load_signature(args.signature, params)
+    ok = scheme.verify(public, message, sig, hashing.FdhHash(params.n_k))
     report = Report(args.fmt)
     report.record(
         ("command", "verify"),
@@ -271,10 +235,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    isd_params = IsdParams(args.p, args.l, args.budget)
+    isd_params = isd.IsdParams(args.p, args.l, args.budget)
     isd_params.check(args.n, args.k, args.w)
     rng = random.Random(args.seed)
-    h, s, planted = plant_instance(args.n, args.k, args.w, rng)
+    h, s, planted = isd.plant_instance(args.n, args.k, args.w, rng)
 
     report = Report(args.fmt)
     report.record(
@@ -293,22 +257,24 @@ def cmd_attack(args: argparse.Namespace) -> int:
     report.record(("planted", planted.to_hex()))
 
     if args.mode == "doom":
-        targets = default_doom_targets(args.q)
+        targets = isd.default_doom_targets(args.q)
 
-        def hash_fn(t: bytes) -> BitVector:
+        def hash_fn(t: bytes) -> f2.BitVector:
             # target 0 carries the planted syndrome so the instance stays
             # solvable; the rest are honest hash decoys
             if t == targets[0]:
                 return s
-            return syndrome_hash(b"attack:" + t, h.nrows)
+            return hashing.syndrome_hash(b"attack:" + t, h.nrows)
 
-        est = isd_success(args.n, args.k, args.w, args.p, args.l, q=args.q)
-        result = doom_attack(
+        est = isd.isd_success(args.n, args.k, args.w, args.p, args.l, q=args.q)
+        result = isd.doom_attack(
             h, hash_fn, args.w, isd_params, args.q, rng, workers=args.workers
         )
     else:
-        est = isd_success(args.n, args.k, args.w, args.p, args.l)
-        result = generalized_isd(h, s, args.w, isd_params, rng, workers=args.workers)
+        est = isd.isd_success(args.n, args.k, args.w, args.p, args.l)
+        result = isd.generalized_isd(
+            h, s, args.w, isd_params, rng, workers=args.workers
+        )
 
     report.record(
         ("predicted_iteration_success", _fmt_pow2(est.surrogate_log2)),
@@ -348,21 +314,21 @@ def cmd_exponents(args: argparse.Namespace) -> int:
             raise ValueError("--omega needs --rate")
         rows = DEFAULT_EXPONENT_ROWS
     elif args.omega is None:
-        rows = ((args.rate, gv_relative_weight(args.rate)),)
+        rows = ((args.rate, exponents.gv_relative_weight(args.rate)),)
     else:
         rows = ((args.rate, args.omega),)
     report = Report(args.fmt)
     report.record(("command", "exponents"), ("seed", args.seed))
     report.header("asymptotic cost exponents, base-2 per bit")
     for rate, omega in rows:
-        pt = RatePoint(rate, omega)
-        unique = omega < gv_relative_weight(rate)
+        pt = exponents.RatePoint(rate, omega)
+        unique = omega < exponents.gv_relative_weight(rate)
         pairs = [
             ("rate", f"{rate:.6f}"),
             ("omega", f"{omega:.6f}"),
-            ("prange_classical", f"{prange_exponent_classical(pt):.6f}"),
-            ("prange_quantum", f"{prange_exponent_quantum(pt):.6f}"),
-            ("doom_quantum", f"{doom_quantum_exponent(pt).exponent:.6f}"),
+            ("prange_classical", f"{exponents.prange_exponent_classical(pt):.6f}"),
+            ("prange_quantum", f"{exponents.prange_exponent_quantum(pt):.6f}"),
+            ("doom_quantum", f"{exponents.doom_quantum_exponent(pt).exponent:.6f}"),
             ("regime", "unique-solution" if unique else "many-solutions"),
         ]
         report.record(*pairs)
@@ -414,7 +380,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
             ("preset_w", SURF_PRESET["w"]),
         )
 
-    bound = theorem1_bound_log2(
+    bound = reduction.theorem1_bound_log2(
         log2_eps_doom=logs["eps_doom"],
         log2_dist=logs["dist"],
         log2_exp_rho_pub=logs["exp_rho_pub"],
@@ -479,13 +445,13 @@ def _parse_games(text: str) -> list[int]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _scheme_params(args)
     games = _parse_games(args.games)
-    game_config = GameConfig(params)
-    adversary = OmniscientAdversary(params)
+    game_config = reduction.GameConfig(params)
+    adversary = reduction.OmniscientAdversary(params)
     # the decoder-distance measurement has its own seed; taking it first
     # makes an S_w too large to tally fail before any game is played
     rng = random.Random(args.seed * 1_000_003 + 97)
-    h = random_full_rank(params.n_k, params.n, rng)
-    rho_hat, fail_rate = measure_decoder_distance(h, params.w, 500, rng)
+    h = f2.random_full_rank(params.n_k, params.n, rng)
+    rho_hat, fail_rate = scheme.measure_decoder_distance(h, params.w, 500, rng)
     report = Report(args.fmt)
     report.record(
         ("command", "simulate"),
@@ -504,7 +470,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for game_id in games:
         rng = random.Random(args.seed * 1_000_003 + game_id)
         keep = game_id == 5
-        stats = run_game(
+        stats = reduction.run_game(
             game_id,
             adversary,
             game_config,
@@ -519,7 +485,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if keep:
             wins = [t for t in stats.transcripts if t.win]
             extracted = sum(
-                1 for t in wins if extract_doom_solution(t) is not None
+                1 for t in wins if reduction.extract_doom_solution(t) is not None
             )
             rate = f"{extracted / len(wins):.6f}" if wins else "undefined"
             report.record(

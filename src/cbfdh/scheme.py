@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .exponents import gv_bound
+from . import exponents
 from .f2 import (
     BitMatrix,
     BitVector,
@@ -109,7 +109,7 @@ class SchemeParams:
             raise ValueError("weight outside [0, n]")
         if self.lam0 <= 0 or self.lam <= 0:
             raise ValueError("security and salt widths must be positive")
-        gv = gv_bound(self.n, self.k)
+        gv = exponents.gv_bound(self.n, self.k)
         if self.w < gv:
             warnings.warn(
                 f"weight {self.w} below the GV distance {gv:.1f}: "

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import cbfdh.cli
+import cbfdh.reduction
 from cbfdh.cli import main, parse_count, parse_level_log2
 from cbfdh.exponents import gv_relative_weight
 from cbfdh.scheme import MAGIC
@@ -388,7 +389,7 @@ def test_simulate_rejects_bad_game_list(capsys):
 
 def test_simulate_untallyable_weight_fails_before_any_game(capsys, monkeypatch):
     played = []
-    monkeypatch.setattr(cbfdh.cli, "run_game", lambda *a, **kw: played.append(a))
+    monkeypatch.setattr(cbfdh.reduction, "run_game", lambda *a, **kw: played.append(a))
     code, out, err = run_cli(
         capsys, "simulate", "--n", "40", "--k", "20", "--w", "8", "--lambda0", "24",
     )
@@ -509,7 +510,8 @@ def test_cli_runs_with_scipy_and_numpy_blocked(argv, capsys):
 def test_import_loads_no_scipy_numpy_or_process_pool():
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cbfdh, cbfdh.cli; print(sorted(k for k in sys.modules"
+         # the star import runs every lazily loaded library module
+         "import sys, cbfdh.cli; from cbfdh import *; print(sorted(k for k in sys.modules"
          " if k.split('.')[0] in ('scipy', 'numpy')"
          " or k == 'concurrent.futures.process'))"],
         capture_output=True, text=True, timeout=120,

@@ -1,0 +1,179 @@
+"""Which library modules each CLI command runs, and the package's exports.
+
+Every library submodule loads on first use, so a command runs only the
+modules it calls.  Each case below runs in a fresh interpreter and lists
+the ``cbfdh`` submodules that were executed: those whose type is plain
+``types.ModuleType``, not the lazy stand-in.  Runnable without pytest; it
+prints one line per case and exits 1 on any mismatch:
+
+    PYTHONPATH=src python tests/test_lazy_loading.py
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+# the pinned command kinds of the cli-cold benchmark, plus the uuv family
+ISD = ["--n", "24", "--k", "12", "--w", "4", "--p", "1", "--l", "2"]
+KEYGEN = [
+    "keygen", "--n", "24", "--k", "12", "--w", "7", "--lambda", "16",
+    "--lambda0", "24", "--public-key", "pk.key", "--secret-key", "sk.key",
+]
+CASES = {
+    "import cbfdh": [],
+    "import cbfdh.cli": [],
+    "keygen": KEYGEN,
+    "keygen-uuv": [*KEYGEN, "--family", "uuv"],
+    "sign": ["sign", "--secret-key", "sk.key", "--signature", "m.sig",
+             "--message", "hello"],
+    "verify": ["verify", "--public-key", "pk.key", "--signature", "m.sig",
+               "--message", "hello"],
+    "attack-sd": ["attack", "--mode", "sd", *ISD, "--seed", "3"],
+    "attack-doom": ["attack", "--mode", "doom", "--q", "8", *ISD, "--seed", "3"],
+    "exponents": ["exponents"],
+    "bound": ["bound", "--preset", "surf"],
+    "simulate": ["simulate", "--trials", "4"],
+}
+SCHEME = ["cli", "exponents", "f2", "hashing", "scheme"]
+REDUCTION = ["cli", "f2", "hashing", "isd", "reduction", "scheme"]
+EXPECTED = {
+    "import cbfdh": [],
+    "import cbfdh.cli": ["cli"],
+    "keygen": SCHEME,
+    "keygen-uuv": ["cli", "codes", "exponents", "f2", "hashing", "scheme"],
+    "sign": SCHEME,
+    "verify": SCHEME,
+    "attack-sd": ["cli", "f2", "isd"],
+    "attack-doom": ["cli", "f2", "hashing", "isd"],
+    "exponents": ["cli", "exponents"],
+    "bound": REDUCTION,
+    "simulate": sorted([*REDUCTION, "exponents"]),
+}
+
+CHILD = """
+import contextlib, io, json, sys, types
+{statement}
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cbfdh.cli.main(argv)
+    if code != 0:
+        sys.exit(f"{{argv[0]}} exited {{code}}")
+print(json.dumps(sorted(
+    name.split(".", 1)[1] for name, module in sys.modules.items()
+    if name.startswith("cbfdh.") and type(module) is types.ModuleType
+)))
+"""
+
+# every name the package re-exported when it imported its submodules eagerly
+EXPORTS = {
+    "codes": (
+        "DiscreteDistribution", "ParityCheckCode", "UUVCode", "random_parity_check",
+        "stat_distance", "syndrome", "syndrome_weight_distribution",
+        "uuv_parity_check",
+    ),
+    "exponents": (
+        "RatePoint", "doom_quantum_exponent", "entropy", "entropy_inv", "gv_bound",
+        "gv_relative_weight", "prange_exponent_classical", "prange_exponent_quantum",
+    ),
+    "f2": ("BitMatrix", "BitVector", "Permutation"),
+    "foursum": (
+        "FourSumInstance", "build_foursum_instance", "lift_foursum_solution",
+        "snap_foursum_params", "solve_foursum",
+    ),
+    "hashing": (
+        "FdhHash", "rank_weight_pattern", "syndrome_hash", "unrank_weight_pattern",
+    ),
+    "isd": (
+        "DoomSolution", "IsdParams", "SearchResult", "doom_attack",
+        "generalized_isd", "isd_success", "m_solutions", "plant_instance",
+    ),
+    "reduction": (
+        "GameConfig", "GameStats", "LazyOracle", "OmniscientAdversary", "ZOracle",
+        "condition_check", "extract_doom_solution", "run_game",
+        "sign_without_secret", "theorem1_bound_log2",
+    ),
+    "scheme": (
+        "PublicKey", "SchemeParams", "SecretKey", "Signature", "SignatureKeyPair",
+        "SigningFailure", "keygen", "measure_decoder_distance",
+        "random_code_family", "sign", "uuv_code_family", "verify",
+    ),
+}
+
+
+def _child_env() -> dict[str, str]:
+    # the children run in a scratch directory: point them at this package
+    # by absolute path, whether it comes from PYTHONPATH or an install
+    package_dir = importlib.util.find_spec("cbfdh").submodule_search_locations[0]
+    root = os.path.dirname(package_dir)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
+
+
+def _child(statement: str, argv: list[str], workdir: str, env: dict) -> list[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD.format(statement=statement), json.dumps(argv)],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
+    )
+    if proc.returncode != 0:
+        raise AssertionError(f"{argv or statement}: {proc.stderr[-400:]}")
+    return json.loads(proc.stdout)
+
+
+def module_sets(workdir: str) -> dict[str, list[str]]:
+    """The modules each case runs, every case in its own interpreter."""
+    env = _child_env()
+    # keys and a signature for sign and verify, made in a child of their own
+    _child("import cbfdh.cli", KEYGEN, workdir, env)
+    _child("import cbfdh.cli", CASES["sign"], workdir, env)
+    return {
+        kind: _child(kind if kind.startswith("import") else "import cbfdh.cli",
+                     argv, workdir, env)
+        for kind, argv in CASES.items()
+    }
+
+
+def check_exports() -> None:
+    import cbfdh
+
+    listed = dir(cbfdh)
+    for module, names in EXPORTS.items():
+        owner = importlib.import_module(f"cbfdh.{module}")
+        assert getattr(cbfdh, module) is owner, module
+        for name in names:
+            got = getattr(__import__("cbfdh", fromlist=[name]), name)
+            assert got is getattr(owner, name), name
+            assert name in listed, name
+    assert cbfdh.__version__ == "0.1.0"
+    try:
+        cbfdh.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc)
+    else:
+        raise AssertionError("unknown attribute did not raise AttributeError")
+    from cbfdh import hashing, isd, reduction, scheme
+
+    assert (hashing.FdhHash, isd.doom_attack) == (cbfdh.FdhHash, cbfdh.doom_attack)
+    assert (reduction.run_game, scheme.sign) == (cbfdh.run_game, cbfdh.sign)
+
+
+def test_each_command_runs_only_the_modules_it_calls(tmp_path):
+    assert module_sets(str(tmp_path)) == EXPECTED
+
+
+def test_package_exports_are_the_submodule_objects():
+    check_exports()
+
+
+if __name__ == "__main__":
+    check_exports()
+    with tempfile.TemporaryDirectory() as workdir:
+        got = module_sets(workdir)
+    for kind, modules in got.items():
+        mark = "ok  " if modules == EXPECTED[kind] else "FAIL"
+        print(f"{mark} {kind}: {' '.join(modules) or '-'}")
+    sys.exit(0 if got == EXPECTED else 1)
