@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 # re-exported names, keyed by the submodule that defines them
 _EXPORTS = {
     "codes": (
-        "DiscreteDistribution", "ParityCheckCode", "UUVCode", "random_parity_check",
-        "stat_distance", "syndrome", "syndrome_weight_distribution",
+        "DiscreteDistribution", "stat_distance", "syndrome_weight_distribution",
         "uuv_parity_check",
     ),
     "exponents": (

@@ -1,4 +1,4 @@
-"""Binary linear codes, exact syndrome-weight distributions, and
+"""The (U, U+V) parity check, exact syndrome-weight distributions, and
 statistical distance on finite distributions.
 
 Exact distributions are tallied with integer counts and normalized into
@@ -9,86 +9,32 @@ against an explicit mixture) are exact rather than float-tolerant.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .f2 import BitMatrix, BitVector, mat_vec_mul, rank
+from .f2 import BitMatrix, BitVector, rank
 
 __all__ = [
-    "ParityCheckCode",
-    "UUVCode",
     "DiscreteDistribution",
-    "random_parity_check",
     "uuv_parity_check",
-    "syndrome",
     "syndrome_weight_distribution",
     "stat_distance",
     "product_distance_bound",
 ]
 
 
-class ParityCheckCode:
-    """An [n, k] code given by a full-rank (n-k) x n parity-check matrix."""
-
-    def __init__(self, matrix: BitMatrix):
-        if rank(matrix) != matrix.nrows:
-            raise ValueError("parity-check matrix must have full row rank")
-        self.matrix = matrix
-
-    @property
-    def n(self) -> int:
-        return self.matrix.ncols
-
-    @property
-    def k(self) -> int:
-        return self.matrix.ncols - self.matrix.nrows
-
-    def contains(self, word: BitVector) -> bool:
-        return mat_vec_mul(self.matrix, word).weight() == 0
-
-    def __repr__(self) -> str:
-        return f"ParityCheckCode(n={self.n}, k={self.k})"
-
-
-def random_parity_check(n: int, k: int, rng: random.Random) -> ParityCheckCode:
-    """Uniform full-rank (n-k) x n parity check, drawn by rejection."""
-    if not 0 < k < n:
-        raise ValueError("need 0 < k < n")
-    from .f2 import random_full_rank
-
-    return ParityCheckCode(random_full_rank(n - k, n, rng))
-
-
-class UUVCode(ParityCheckCode):
-    """Code of words (u, u+v) with u in U and v in V, via block parity check.
-
-    With H_U and H_V parity checks of U and V, the stacked matrix
-    ``[[H_U, 0], [H_V, H_V]]`` checks membership: the top block forces the
-    left half into U and the bottom block forces the half-sum into V.
-    """
-
-    def __init__(self, h_u: BitMatrix, h_v: BitMatrix):
-        if h_u.ncols != h_v.ncols:
-            raise ValueError("U and V must share the same length")
-        if rank(h_u) != h_u.nrows or rank(h_v) != h_v.nrows:
-            raise ValueError("component parity checks must have full rank")
-        half = h_u.ncols
-        top = h_u.hstack(BitMatrix.zeros(h_u.nrows, half))
-        bottom = h_v.hstack(h_v)
-        super().__init__(top.vstack(bottom))
-        self.h_u = h_u
-        self.h_v = h_v
-
-
-def uuv_parity_check(h_u: BitMatrix, h_v: BitMatrix) -> UUVCode:
-    return UUVCode(h_u, h_v)
-
-
-def syndrome(code: ParityCheckCode | BitMatrix, e: BitVector) -> BitVector:
-    matrix = code.matrix if isinstance(code, ParityCheckCode) else code
-    return mat_vec_mul(matrix, e)
+def uuv_parity_check(h_u: BitMatrix, h_v: BitMatrix) -> BitMatrix:
+    """Parity check ``[[H_U, 0], [H_V, H_V]]`` of the code of words (u, u+v)
+    with u in U and v in V, from full-rank parity checks H_U and H_V: the
+    top block forces the left half into U and the bottom block forces the
+    half-sum into V."""
+    if h_u.ncols != h_v.ncols:
+        raise ValueError("U and V must share the same length")
+    if rank(h_u) != h_u.nrows or rank(h_v) != h_v.nrows:
+        raise ValueError("component parity checks must have full rank")
+    top = h_u.hstack(BitMatrix.zeros(h_u.nrows, h_u.ncols))
+    return top.vstack(h_v.hstack(h_v))
 
 
 class DiscreteDistribution:
@@ -171,7 +117,7 @@ class DiscreteDistribution:
 
 
 def syndrome_weight_distribution(
-    code: ParityCheckCode | BitMatrix,
+    matrix: BitMatrix,
     w: int,
     max_patterns: int = 1 << 24,
 ) -> DiscreteDistribution:
@@ -180,7 +126,6 @@ def syndrome_weight_distribution(
     Enumerates all C(n, w) supports, so the guard ``max_patterns`` refuses
     jobs that would not finish at desk scale.
     """
-    matrix = code.matrix if isinstance(code, ParityCheckCode) else code
     n = matrix.ncols
     if not 0 <= w <= n:
         raise ValueError("weight outside [0, n]")

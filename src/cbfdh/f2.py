@@ -7,10 +7,11 @@ big-endian bit order within bytes, so coordinate 0 is the most significant
 bit of byte 0 and rows pad on the right up to a whole byte.
 
 Values are immutable after construction; every operation returns a fresh
-object, which keeps sharing across worker processes safe.  Two kernels
-solve on a column selection: :class:`ReducedForm` row-reduces h on any
-selection (ISD/DOOM, four-sum), :class:`SquareSolver` solves a square one
-from column syndromes (the signer).
+object, which keeps sharing across worker processes safe.  One kernel
+solves on a column selection, square or not: :class:`ColumnBasis`, an XOR
+basis of the selected column syndromes, under the signer, ISD/DOOM,
+four-sum and :func:`inverse`.  :func:`systematic_form` is the independent
+row-reduction reference it is checked against.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ __all__ = [
     "BitMatrix",
     "Permutation",
     "SingularSelectionError",
-    "ReducedForm",
-    "SquareSolver",
+    "ColumnBasis",
     "mat_vec_mul",
     "mat_mul",
     "rank",
@@ -35,12 +35,12 @@ __all__ = [
     "front_permutation",
     "random_permutation",
     "random_matrix",
-    "random_nonsingular",
+    "random_full_rank",
 ]
 
 
 class SingularSelectionError(ValueError):
-    """The selected columns do not reduce to an identity block."""
+    """The selected columns are linearly dependent."""
 
 
 def _pack_positions(n: int, positions: Iterable[int]) -> int:
@@ -69,18 +69,6 @@ def _bytes_to_bits(data: bytes, n: int) -> int:
     if len(data) < nbytes:
         raise ValueError(f"{len(data)} bytes cannot hold {n} bits")
     return int.from_bytes(data[:nbytes].translate(_REV), "little") & ((1 << n) - 1)
-
-
-def _columns(rows: Iterable[int], width: int) -> list[int]:
-    """Transpose by bit scan: bit r of entry j is bit j of ``rows[r]``, for
-    rows of at most ``width`` bits."""
-    cols = [0] * width
-    for r, bits in enumerate(rows):
-        while bits:
-            low = bits & -bits
-            cols[low.bit_length() - 1] |= 1 << r
-            bits ^= low
-    return cols
 
 
 @dataclass(frozen=True)
@@ -207,8 +195,15 @@ class BitMatrix:
         return cls(nrows, ncols, (0,) * nrows)
 
     def columns(self) -> tuple[int, ...]:
-        """Column payloads: bit ``r`` of column ``j`` is entry (r, j)."""
-        return tuple(_columns(self.rows, self.ncols))
+        """Column payloads: bit ``r`` of column ``j`` is entry (r, j), read
+        off by one bit scan of the rows."""
+        cols = [0] * self.ncols
+        for r, bits in enumerate(self.rows):
+            while bits:
+                low = bits & -bits
+                cols[low.bit_length() - 1] |= 1 << r
+                bits ^= low
+        return tuple(cols)
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.ncols, self.nrows, self.columns())
@@ -361,12 +356,14 @@ def rank(m: BitMatrix) -> int:
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix: U of its reduction on every column.
-    Raises ValueError (SingularSelectionError) when singular."""
+    """Inverse of a square matrix: column i solves ``m x^T = (1 << i)^T`` on
+    the basis of all its columns.  Raises ValueError
+    (SingularSelectionError) when singular."""
     if m.nrows != m.ncols:
         raise ValueError("matrix is not square")
     n = m.nrows
-    return BitMatrix(n, n, tuple(row >> n for row in ReducedForm(m, range(n)).rows))
+    basis = ColumnBasis(m.columns(), range(n), n)
+    return BitMatrix(n, n, tuple(basis.reduce(1 << i) for i in range(n))).transpose()
 
 
 def random_matrix(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
@@ -377,11 +374,6 @@ def random_matrix(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
     )
 
 
-def random_nonsingular(n: int, rng: random.Random) -> BitMatrix:
-    """Uniform nonsingular n x n matrix by rejection (density > 0.28)."""
-    return random_full_rank(n, n, rng)
-
-
 def random_full_rank(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
     while True:
         m = random_matrix(nrows, ncols, rng)
@@ -389,23 +381,29 @@ def random_full_rank(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
             return m
 
 
-class SquareSolver:
-    """``h_S x^T = t^T`` for a square selection S = ``cols`` of an r-row h,
-    from h's column syndromes (:meth:`BitMatrix.columns`) alone.
+class ColumnBasis:
+    """``h_S x^T = t^T`` on a column selection S = ``cols`` of an r-row h,
+    from h's column syndromes (:meth:`BitMatrix.columns`) alone: the one
+    information-set kernel, under the signer, ISD/DOOM, four-sum and
+    :func:`inverse`.
 
     The selected columns enter, in ``cols`` order, an XOR basis keyed by
     leading bit; each basis vector carries a tag of the selected columns it
     combines (bit j for ``cols[j]``).  A column that reduces to zero makes
     the selection singular (SingularSelectionError) at the cost of one
-    insertion.  h_S has a unique inverse, so ``solve(s ^ h e)`` is bit for
-    bit ``ReducedForm(h, cols).reduce(s, e)``.
+    insertion.  A selection of f < r columns is completed by the unit
+    vectors ``1 << b`` of the r - f bits b that lead no basis vector, tagged
+    with output bits f, f + 1, ... in ascending b, so every t reduces to
+    ``x | tail << f``: the tail is 0 exactly when t lies in the span of h_S,
+    and then x is the unique solution.  The window is the non-selected
+    columns, ascending.
     """
 
-    __slots__ = ("vecs", "tags")
+    __slots__ = ("cols", "window", "vecs", "tags")
 
-    def __init__(self, columns: Sequence[int], cols: Sequence[int]):
-        self.vecs = vecs = [0] * len(cols)  # [b]: the vector with leading bit b
-        self.tags = tags = [0] * len(cols)
+    def __init__(self, columns: Sequence[int], cols: Sequence[int], r: int):
+        self.vecs = vecs = [0] * r  # [b]: the vector with leading bit b
+        self.tags = tags = [0] * r
         for j, c in enumerate(cols):
             v, tag = columns[c], 1 << j
             while v:
@@ -417,9 +415,18 @@ class SquareSolver:
                 tag ^= tags[top]
             else:
                 raise SingularSelectionError(f"column selection singular at column {j}")
+        if len(cols) < r:
+            out = len(cols)
+            for b in range(r):
+                if not vecs[b]:
+                    vecs[b], tags[b] = 1 << b, 1 << out
+                    out += 1
+        selected = set(cols)
+        self.cols = tuple(cols)
+        self.window = tuple(c for c in range(len(columns)) if c not in selected)
 
-    def solve(self, t: int) -> int:
-        """The x with ``h_S x^T = t^T``; bit j is the coefficient of ``cols[j]``."""
+    def reduce(self, t: int) -> int:
+        """``x | tail << f``: bit j of x is the coefficient of ``cols[j]``."""
         vecs, tags, x = self.vecs, self.tags, 0
         while t:
             top = t.bit_length() - 1
@@ -427,84 +434,25 @@ class SquareSolver:
             x ^= tags[top]
         return x
 
-
-class ReducedForm:
-    """``h`` row-reduced on a column selection, in place on its own columns:
-    the kernel of ISD/DOOM and four-sum (the signer uses SquareSolver).
-
-    U is the nonsingular r x r matrix for which ``U h`` holds the identity
-    on the selection (front row j has its 1 at ``cols[j]``) and zeros there
-    in the r - len(cols) bottom rows.  Row i of ``U h`` keeps h's positions,
-    with row i of U in the bits from n up; the window is the non-selected
-    columns, ascending.  The pivot for ``cols[j]`` is the first row >= j
-    holding it, as in :func:`systematic_form`, so U and both blocks equal
-    its output.  Back substitution waits until every pivot is found, so a
-    singular selection (SingularSelectionError) costs about half a reduction.
-    """
-
-    __slots__ = ("n", "cols", "window", "rows")
-
-    def __init__(self, h: BitMatrix, cols: Sequence[int]):
-        n, r, f = h.ncols, h.nrows, len(cols)
-        selected = set(cols)
-        if f > r or len(selected) != f or f and not (min(cols) >= 0 and max(cols) < n):
-            raise ValueError(f"need at most {r} distinct positions in [0, {n})")
-        work = [row | 1 << n + i for i, row in enumerate(h.rows)]
-        for j, c in enumerate(cols):
-            bit = 1 << c
-            for i in range(j, r):
-                if work[i] & bit:
-                    break
-            else:
-                raise SingularSelectionError(f"column selection singular at pivot {j}")
-            work[i], work[j] = work[j], work[i]
-            pivot = work[j]
-            # rows j+1..i lack the bit: they were skipped, or hold old row j
-            for k in range(i + 1, r):
-                if work[k] & bit:
-                    work[k] ^= pivot
-        for j in range(f - 1, 0, -1):
-            pivot, bit = work[j], 1 << cols[j]
-            for k in range(j):
-                if work[k] & bit:
-                    work[k] ^= pivot
-        self.n = n
-        self.cols = tuple(cols)
-        self.window = tuple(c for c in range(n) if c not in selected)
-        self.rows = work
-
-    def window_columns(self) -> tuple[int, ...]:
-        """r-bit syndromes of the window columns of ``U h``: bit i of entry t
-        is row i at the t-th non-selected column.  One bit-scan transpose of
-        the rows' low n bits reads them all."""
-        mask = (1 << self.n) - 1
-        cols = _columns([row & mask for row in self.rows], self.n)
-        return tuple(cols[c] for c in self.window)
-
-    def reduce(self, s: int, e: int = 0) -> int:
-        """``U (s^T + h e^T)``: the reduced syndrome ``U s^T``, less what the
-        error bits ``e`` (on h's positions) already cover.  One parity per
-        row; nothing is transposed."""
-        mask = e | s << self.n
-        out = 0
-        for i, row in enumerate(self.rows):
-            if (row & mask).bit_count() & 1:
-                out |= 1 << i
-        return out
+    def window_columns(self, columns: Sequence[int]) -> tuple[int, ...]:
+        """The reduced window columns: entry t is the reduction of the t-th
+        non-selected column."""
+        return tuple(self.reduce(columns[c]) for c in self.window)
 
     def reduce_all(self, syndromes: Iterable[int]) -> Iterator[int]:
-        """``U s^T`` for each syndrome, lazily: r parities each for the first
-        r, then one lookup per byte of s in XOR tables of the columns of U,
-        built when the (r + 1)-th syndrome is reached.  U's columns are read
-        off the rows' high bits by one bit-scan transpose."""
-        n, r = self.n, len(self.rows)
+        """:meth:`reduce` of each syndrome, lazily: a basis walk each for the
+        first r, then one lookup per byte of s in XOR tables of the
+        reductions of the unit vectors, built when the (r + 1)-th syndrome is
+        reached."""
+        r = len(self.vecs)
         syndromes = iter(syndromes)
         yield from map(self.reduce, islice(syndromes, r))
-        tables: list[list[int]] = []  # [k][b]: U (b << 8k)^T
+        tables: list[list[int]] = []  # [k][b]: reduce(b << 8k)
         for s in syndromes:
             if not tables:
                 tables = [[0] for _ in range(0, r, 8)]
-                for i, col in enumerate(_columns([row >> n for row in self.rows], r)):
+                for i in range(r):
+                    col = self.reduce(1 << i)
                     tables[i >> 3] += [x ^ col for x in tables[i >> 3]]
             out = 0
             for table in tables:
@@ -527,14 +475,16 @@ class ReducedForm:
 def systematic_form(
     h: BitMatrix, cols: Sequence[int], l: int | None = None
 ) -> tuple[BitMatrix, BitMatrix, BitMatrix]:
-    """Row-reduce ``h`` so the selected columns become an identity block.
+    """Row-reduce ``h`` so the selected columns become an identity block:
+    the reference the information-set kernel is checked against.
 
-    With the selection moved to the front (:func:`front_permutation`),
-    returns (U, hp, hpp) with ``U @ h_perm == [[I, hp], [0, hpp]]``: hp has
-    len(cols) rows and hpp has l = r - len(cols) rows (checked when given).
-    The blocks are read off :class:`ReducedForm`, which never permutes.
-    Raises SingularSelectionError for a singular selection (resample it)
-    and ValueError when ``h`` itself is rank deficient (seen via hpp).
+    Moves the selection to the front (:func:`front_permutation`), then runs
+    Gauss-Jordan with the pivot for column j taken from the first row at or
+    below j.  Returns (U, hp, hpp) with ``U @ h_perm == [[I, hp], [0, hpp]]``:
+    hp has len(cols) rows and hpp has l = r - len(cols) rows (checked when
+    given).  Raises SingularSelectionError for a singular selection
+    (resample it) and ValueError when ``h`` itself is rank deficient (seen
+    via hpp).
     """
     r, n = h.nrows, h.ncols
     front = len(cols)
@@ -542,10 +492,19 @@ def systematic_form(
         l = r - front
     if l != r - front or l < 0:
         raise ValueError(f"need len(cols) == nrows - l, got {front} != {r} - {l}")
-    form = ReducedForm(h, cols)
-    block = BitMatrix(n - front, r, form.window_columns()).transpose()
-    hp = BitMatrix(front, n - front, block.rows[:front])
-    hpp = BitMatrix(l, n - front, block.rows[front:])
+    perm = front_permutation(cols, n)
+    work = [perm.apply_bits(row) | 1 << n + i for i, row in enumerate(h.rows)]
+    for j in range(front):
+        pivot = next((i for i in range(j, r) if work[i] >> j & 1), None)
+        if pivot is None:
+            raise SingularSelectionError(f"column selection singular at pivot {j}")
+        work[j], work[pivot] = work[pivot], work[j]
+        for i in range(r):
+            if i != j and work[i] >> j & 1:
+                work[i] ^= work[j]
+    mask = (1 << n - front) - 1
+    hp = BitMatrix(front, n - front, tuple(row >> front & mask for row in work[:front]))
+    hpp = BitMatrix(l, n - front, tuple(row >> front & mask for row in work[front:]))
     if rank(hpp) < l:
         raise ValueError("parity-check matrix is rank deficient")
-    return BitMatrix(r, r, tuple(row >> n for row in form.rows)), hp, hpp
+    return BitMatrix(r, r, tuple(row >> n for row in work)), hp, hpp

@@ -4,11 +4,12 @@ For a fixed column selection, finding a weight-p window word whose
 subsyndrome matches one of many hashed targets is cast as a 4-sum problem
 over G = F_2^{l/2} x F_2^{l/2}: the window splits into three equal thirds
 carrying weight p/3 each (sets V1, V2, V3 of window masks, mapped through
-the reduced block hpp), while V4 is a set of hash preimages mapped to the
-l-bit tail of their reduced syndrome.  A quadruple summing to zero means
-the combined window word solves the subsyndrome for that preimage; the
-predicate g accepts when the completed error vector has full weight w, and
-then the completion is a valid multi-target decoding solution.
+the tails of the reduced window columns of :class:`cbfdh.f2.ColumnBasis`),
+while V4 is a set of hash preimages mapped to the l-bit tail of their
+reduced syndrome.  A quadruple summing to zero means the combined window
+word solves the subsyndrome for that preimage; the predicate g accepts when
+the completed error vector has full weight w, and then the completion is a
+valid multi-target decoding solution.
 
 The classical solver joins V1 x V2 against V3 x V4 on the first l/2 group
 coordinates and filters the collisions, returning every solution.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Any, Callable, Sequence
 
-from .f2 import BitMatrix, BitVector, ReducedForm, rank
+from .f2 import BitMatrix, BitVector, ColumnBasis, rank
 from .isd import DoomSolution
 
 __all__ = [
@@ -52,7 +53,8 @@ def snap_foursum_params(k: int, l: int, p: int) -> tuple[int, int]:
 
 @dataclass
 class FourSumInstance:
-    """The four sets with their maps into F_2^l, plus completion data."""
+    """The four sets with their maps into F_2^l, plus completion data:
+    the selection's basis and its reduced window columns."""
 
     h: BitMatrix
     hash_fn: Callable[[Any], BitVector]
@@ -60,7 +62,8 @@ class FourSumInstance:
     p: int
     l: int
     w: int
-    form: ReducedForm
+    basis: ColumnBasis
+    window_columns: tuple[int, ...]
     v1: tuple[int, ...]
     v2: tuple[int, ...]
     v3: tuple[int, ...]
@@ -75,18 +78,27 @@ class FourSumInstance:
     def set_size(self) -> int:
         return len(self.v1)
 
+    def _reduced_window(self, mask: int) -> int:
+        """The XOR of the reduced window columns the window word selects."""
+        out = 0
+        while mask:
+            low = mask & -mask
+            out ^= self.window_columns[low.bit_length() - 1]
+            mask ^= low
+        return out
+
     def window_syndrome(self, mask: int) -> int:
         """``hpp mask^T``: the reduced syndrome of the window word, less its front."""
-        return self.form.reduce(0, self.form.complete(0, mask)) >> len(self.cols)
+        return self._reduced_window(mask) >> len(self.cols)
 
     def _reduced_target(self, preimage: Any) -> tuple[int, int]:
-        """(front part, window part) of U @ hash(preimage)."""
+        """(front part, tail) of the reduced syndrome of hash(preimage)."""
         got = self._f4_cache.get(preimage)
         if got is None:
             s = self.hash_fn(preimage)
             if s.n != self.h.nrows:
                 raise ValueError("hash output width does not match the matrix")
-            bits = self.form.reduce(s.bits)
+            bits = self.basis.reduce(s.bits)
             front = len(self.cols)
             got = (bits & ((1 << front) - 1), bits >> front)
             self._f4_cache[preimage] = got
@@ -98,11 +110,11 @@ class FourSumInstance:
 
     def complete(self, window_mask: int, preimage: Any) -> BitVector:
         """Error vector whose window part is ``window_mask`` and whose forced
-        part closes the syndrome of ``preimage``."""
+        part closes the syndrome of ``preimage`` when the word's tail matches
+        the preimage's."""
         sp, _ = self._reduced_target(preimage)
-        e2 = self.form.complete(0, window_mask)
-        e1 = (sp ^ self.form.reduce(0, e2)) & ((1 << len(self.cols)) - 1)
-        return BitVector(self.h.ncols, e2 | self.form.complete(e1, 0))
+        e1 = (sp ^ self._reduced_window(window_mask)) & ((1 << len(self.cols)) - 1)
+        return BitVector(self.h.ncols, self.basis.complete(e1, window_mask))
 
     def g(self, v1: int, v2: int, v3: int, preimage: Any) -> bool:
         """Accept when the completed error vector has full weight w."""
@@ -135,11 +147,14 @@ def build_foursum_instance(
     strings; exactly C((k+l)/3, p/3) of them are used so all four sets have
     equal size.
     """
+    n, r = h.ncols, h.nrows
+    if len(cols) > r or len(set(cols)) != len(cols) or not all(0 <= c < n for c in cols):
+        raise ValueError(f"need at most {r} distinct positions in [0, {n})")
     if l % 2:
         raise ValueError("l must be even to split the group in halves")
-    if len(cols) != h.nrows - l:
+    if len(cols) != r - l:
         raise ValueError("need n - k - l selected columns")
-    window = h.ncols - len(cols)
+    window = n - len(cols)
     if window % 3 or p % 3:
         raise ValueError("window and weight must split into thirds")
     if p > window or p > w:
@@ -147,7 +162,7 @@ def build_foursum_instance(
     third, p3 = window // 3, p // 3
     if p3 > third:
         raise ValueError("third weight exceeds third size")
-    if rank(h) < h.nrows:
+    if rank(h) < r:
         raise ValueError("parity-check matrix is rank deficient")
     size = math.comb(third, p3)
     if preimages is None:
@@ -157,6 +172,8 @@ def build_foursum_instance(
         if len(preimages) < size:
             raise ValueError(f"need at least {size} preimages")
         preimages = preimages[:size]
+    columns = h.columns()
+    basis = ColumnBasis(columns, cols, r)
     return FourSumInstance(
         h=h,
         hash_fn=hash_fn,
@@ -164,7 +181,8 @@ def build_foursum_instance(
         p=p,
         l=l,
         w=w,
-        form=ReducedForm(h, cols),
+        basis=basis,
+        window_columns=basis.window_columns(columns),
         v1=_third_masks(0, third, p3),
         v2=_third_masks(third, third, p3),
         v3=_third_masks(2 * third, third, p3),

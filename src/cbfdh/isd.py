@@ -1,14 +1,16 @@
 """Information-set decoding attacks and their success-rate predictor.
 
-The generalized attack reduces the parity check to
-``U H_perm = [[I, hp], [0, hpp]]`` for a random size-(n-k-l) column
-selection, enumerates the weight-p window words solving the l-bit
-subsyndrome by a meet-in-the-middle split, and accepts when the forced part
-has weight w - p.  The multi-target (DOOM) variant joins all q syndromes
-against one window enumeration per trial, whose two halves are built once:
-it memoises its words per l-bit tail, each with its front syndrome
-``hp e''^T``, so a trial runs at most min(q, 2^l) probes and completes every
-candidate with one XOR and a popcount.  Among several hits in a trial the
+The generalized attack solves on a random size-(n-k-l) column selection S
+(:class:`cbfdh.f2.ColumnBasis`): a syndrome reduces to a front part on S
+and an l-bit tail, which is 0 exactly when the syndrome lies in the span of
+h_S.  The reduced window columns split the same way, into blocks hp (front)
+and hpp (tail).  The attack enumerates the weight-p window words solving the
+l-bit subsyndrome by a meet-in-the-middle split, and accepts when the
+forced part has weight w - p.  The multi-target (DOOM) variant joins all q
+syndromes against one window enumeration per trial, whose two halves are
+built once: it memoises its words per l-bit tail, each with its front
+syndrome ``hp e''^T``, so a trial runs at most min(q, 2^l) probes and
+completes every candidate with one XOR and a popcount.  Among several hits in a trial the
 lowest target index wins, then that target's first word in enumerator order.
 
 Trials are driven by 64-bit child seeds drawn in trial order from the
@@ -31,7 +33,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .f2 import (
     BitMatrix,
     BitVector,
-    ReducedForm,
+    ColumnBasis,
     SingularSelectionError,
     mat_vec_mul,
     random_full_rank,
@@ -195,8 +197,8 @@ class WindowEnumerator:
     """All weight-p window words e'' with ``hpp e''^T = tail``, each paired
     with its front syndrome ``hp e''^T``.
 
-    ``cols`` are the r-bit window column syndromes of the reduced matrix
-    (:meth:`cbfdh.f2.ReducedForm.window_columns`), hp's bits below ``front``
+    ``cols`` are the r-bit reduced window columns
+    (:meth:`cbfdh.f2.ColumnBasis.window_columns`), hp's bits below ``front``
     and hpp's above.  Meet-in-the-middle join: both halves are built once,
     the left words keyed by their l-bit tail and the right words listed with
     theirs, so a probe costs one XOR and one lookup per right word; each
@@ -257,7 +259,7 @@ class _HashedTargets:
 
 
 def _isd_trial(
-    payload: tuple[BitMatrix, Iterable[int], int, int, int],
+    payload: tuple[tuple[int, ...], int, Iterable[int], int, int, int],
     child_seed: int,
 ) -> tuple[int, int] | None:
     """One information-set trial; returns (target index, error bits) or None.
@@ -266,23 +268,23 @@ def _isd_trial(
     each target's window words in enumerator order, so the first hit is the
     lowest target index and then that target's first word.
     """
-    h, targets, w, p, l = payload
-    front = h.nrows - l
+    columns, r, targets, w, p, l = payload
+    front = r - l
     rng = random.Random(child_seed)
-    cols = sorted(rng.sample(range(h.ncols), front))
+    cols = sorted(rng.sample(range(len(columns)), front))
     try:
-        form = ReducedForm(h, cols)
+        basis = ColumnBasis(columns, cols, r)
     except SingularSelectionError:
         return None
-    enum = WindowEnumerator(form.window_columns(), front, p)
+    enum = WindowEnumerator(basis.window_columns(columns), front, p)
     front_mask = (1 << front) - 1
     need = w - p
-    for ti, reduced in enumerate(form.reduce_all(targets)):
+    for ti, reduced in enumerate(basis.reduce_all(targets)):
         sp = reduced & front_mask
         for syn, e2 in enum.solutions(reduced >> front):
             e1 = sp ^ syn
             if e1.bit_count() == need:
-                return ti, form.complete(e1, e2)
+                return ti, basis.complete(e1, e2)
     return None
 
 
@@ -298,7 +300,7 @@ def _search(
     once, as a trial cannot tell it from a singular selection."""
     if rank(h) < h.nrows:
         raise ValueError("parity-check matrix is rank deficient")
-    trial = partial(_isd_trial, (h, targets, w, params.p, params.l))
+    trial = partial(_isd_trial, (h.columns(), h.nrows, targets, w, params.p, params.l))
     budget = params.max_iterations
     if workers <= 1:
         for idx in range(budget):

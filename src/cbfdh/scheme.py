@@ -37,14 +37,13 @@ from . import exponents
 from .f2 import (
     BitMatrix,
     BitVector,
+    ColumnBasis,
     Permutation,
     SingularSelectionError,
-    SquareSolver,
     inverse,
     mat_mul,
     mat_vec_mul,
     random_full_rank,
-    random_nonsingular,
     random_permutation,
     rank,
 )
@@ -188,7 +187,7 @@ def uuv_code_family(n: int, k_u: int, k_v: int) -> CodeFamily:
 
         h_u = random_full_rank(half - k_u, half, rng)
         h_v = random_full_rank(half - k_v, half, rng)
-        return uuv_parity_check(h_u, h_v).matrix
+        return uuv_parity_check(h_u, h_v)
 
     return family
 
@@ -210,7 +209,7 @@ def keygen(
         raise KeyGenerationFailure(
             f"no full-rank matrix from the family in {FAMILY_TRIES} tries"
         )
-    scramble = random_nonsingular(r, rng)
+    scramble = random_full_rank(r, r, rng)
     perm = random_permutation(params.n, rng)
     secret = SecretKey(h_sec, scramble, inverse(scramble), perm)
     return keypair_from_secret(params, secret)
@@ -262,7 +261,7 @@ def decode_to_weight(
     Each trial picks a random information set (r columns) and sweeps the
     window weight p: p random support bits are seeded on the window and the
     trial accepts when the forced part, solved on the selected column
-    syndromes by :class:`cbfdh.f2.SquareSolver`, has weight w - p.
+    syndromes by :class:`cbfdh.f2.ColumnBasis`, has weight w - p.
     """
     if rng is None:
         rng = random.Random()
@@ -274,16 +273,16 @@ def decode_to_weight(
     for _ in range(budget):
         cols = sorted(_sample(rng, n, r))
         try:
-            solver = SquareSolver(columns, cols)
+            basis = ColumnBasis(columns, cols, r)
         except SingularSelectionError:
             continue
-        rest = sorted(set(range(n)).difference(cols))
+        rest = basis.window
         for p in range(max(0, w - r), min(w, window) + 1):
             seed, target = 0, s.bits
             for t in _sample(rng, window, p):
                 seed |= 1 << rest[t]
                 target ^= columns[rest[t]]
-            forced = solver.solve(target)
+            forced = basis.reduce(target)
             if forced.bit_count() == w - p:
                 for j, c in enumerate(cols):
                     seed |= (forced >> j & 1) << c

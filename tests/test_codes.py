@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 
 from cbfdh.codes import (
     DiscreteDistribution,
-    ParityCheckCode,
-    UUVCode,
     product_distance_bound,
-    random_parity_check,
     stat_distance,
-    syndrome,
     syndrome_weight_distribution,
     uuv_parity_check,
 )
@@ -33,19 +29,22 @@ def enumerate_words(h: BitMatrix, predicate) -> list[BitVector]:
 
 
 def test_parity_check_code_requires_full_rank():
-    with pytest.raises(ValueError):
-        ParityCheckCode(BitMatrix.from_dense([[1, 1, 0], [1, 1, 0]]))
+    deficient = BitMatrix.from_dense([[1, 1, 0], [1, 1, 0]])
+    full = BitMatrix.from_dense([[1, 0, 1]])
+    for h_u, h_v in ((deficient, full), (full, deficient)):
+        with pytest.raises(ValueError, match="full rank"):
+            uuv_parity_check(h_u, h_v)
 
 
 def test_uuv_block_layout_frozen_example():
     h_u = BitMatrix.from_dense([[1, 1]])
     h_v = BitMatrix.from_dense([[1, 0]])
-    code = uuv_parity_check(h_u, h_v)
-    assert code.matrix == BitMatrix.from_dense(
+    h = uuv_parity_check(h_u, h_v)
+    assert h == BitMatrix.from_dense(
         [[1, 1, 0, 0], [1, 0, 1, 0]]
     )
-    assert code.contains(BitVector.from_bits([1, 1, 1, 0]))
-    assert not code.contains(BitVector.from_bits([1, 0, 0, 0]))
+    assert mat_vec_mul(h, BitVector.from_bits([1, 1, 1, 0])).weight() == 0
+    assert mat_vec_mul(h, BitVector.from_bits([1, 0, 0, 0])).weight() != 0
 
 
 def test_uuv_membership_matches_definition():
@@ -54,8 +53,8 @@ def test_uuv_membership_matches_definition():
         half = 6
         h_u = random_full_rank(2, half, rng)
         h_v = random_full_rank(3, half, rng)
-        code = uuv_parity_check(h_u, h_v)
-        assert rank(code.matrix) == 5
+        h = uuv_parity_check(h_u, h_v)
+        assert rank(h) == 5
         for bits in range(1 << (2 * half)):
             word = BitVector(2 * half, bits)
             a = word.slice(0, half)
@@ -64,7 +63,7 @@ def test_uuv_membership_matches_definition():
                 mat_vec_mul(h_u, a).weight() == 0
                 and mat_vec_mul(h_v, a ^ b).weight() == 0
             )
-            assert code.contains(word) == in_def
+            assert (mat_vec_mul(h, word).weight() == 0) == in_def
 
 
 def test_uuv_rejects_length_mismatch():
@@ -79,7 +78,7 @@ def test_uuv_rejects_length_mismatch():
 
 def test_weight_one_distribution_frozen_example():
     h = BitMatrix.from_dense([[1, 0, 1, 0], [0, 1, 0, 1]])
-    dist = syndrome_weight_distribution(ParityCheckCode(h), 1)
+    dist = syndrome_weight_distribution(h, 1)
     assert dist == DiscreteDistribution(
         2, {0b01: Fraction(1, 2), 0b10: Fraction(1, 2)}
     )
@@ -87,18 +86,18 @@ def test_weight_one_distribution_frozen_example():
 
 def test_weight_zero_is_point_mass():
     h = BitMatrix.from_dense([[1, 0, 1, 0], [0, 1, 0, 1]])
-    dist = syndrome_weight_distribution(ParityCheckCode(h), 0)
+    dist = syndrome_weight_distribution(h, 0)
     assert dist == DiscreteDistribution.point(2, 0)
 
 
 def test_distribution_matches_direct_enumeration():
     rng = random.Random(7)
-    code = random_parity_check(10, 5, rng)
+    h = random_full_rank(5, 10, rng)
     w = 3
-    dist = syndrome_weight_distribution(code, w)
+    dist = syndrome_weight_distribution(h, w)
     counts: dict[int, int] = {}
     for supp in combinations(range(10), w):
-        s = syndrome(code, BitVector.from_support(10, supp)).bits
+        s = mat_vec_mul(h, BitVector.from_support(10, supp)).bits
         counts[s] = counts.get(s, 0) + 1
     assert dist == DiscreteDistribution.from_counts(5, counts)
     assert sum(dist.mass.values()) == 1
@@ -106,13 +105,13 @@ def test_distribution_matches_direct_enumeration():
 
 def test_distribution_monte_carlo_consistency():
     rng = random.Random(2024)
-    code = random_parity_check(10, 5, rng)
-    exact = syndrome_weight_distribution(code, 2)
+    h = random_full_rank(5, 10, rng)
+    exact = syndrome_weight_distribution(h, 2)
     draws = 100_000
     counts: dict[int, int] = {}
     for _ in range(draws):
         supp = rng.sample(range(10), 2)
-        s = syndrome(code, BitVector.from_support(10, supp)).bits
+        s = mat_vec_mul(h, BitVector.from_support(10, supp)).bits
         counts[s] = counts.get(s, 0) + 1
     for outcome in range(1 << 5):
         p = float(exact.prob(outcome))
@@ -123,9 +122,9 @@ def test_distribution_monte_carlo_consistency():
 
 def test_enumeration_guard():
     rng = random.Random(3)
-    code = random_parity_check(12, 6, rng)
+    h = random_full_rank(6, 12, rng)
     with pytest.raises(ValueError):
-        syndrome_weight_distribution(code, 3, max_patterns=10)
+        syndrome_weight_distribution(h, 3, max_patterns=10)
 
 
 # --- discrete distributions and distances ------------------------------------

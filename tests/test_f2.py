@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 from cbfdh.f2 import (
     BitMatrix,
     BitVector,
+    ColumnBasis,
     Permutation,
-    ReducedForm,
     SingularSelectionError,
-    SquareSolver,
     front_permutation,
     inverse,
     mat_mul,
     mat_vec_mul,
     random_full_rank,
     random_matrix,
-    random_nonsingular,
     random_permutation,
     rank,
     systematic_form,
@@ -171,7 +169,7 @@ def test_rank_matches_row_space_enumeration(r, c, rg):
 def test_inverse_round_trip():
     rng = random.Random(5)
     for n in (1, 2, 5, 8):
-        m = random_nonsingular(n, rng)
+        m = random_full_rank(n, n, rng)
         assert mat_mul(m, inverse(m)) == BitMatrix.identity(n)
 
 
@@ -181,7 +179,7 @@ def test_inverse_rejects_singular():
 
 
 def test_random_nonsingular_dim_one_is_forced():
-    assert random_nonsingular(1, random.Random(0)) == BitMatrix.from_dense([[1]])
+    assert random_full_rank(1, 1, random.Random(0)) == BitMatrix.from_dense([[1]])
 
 
 # --- permutations ----------------------------------------------------------
@@ -282,32 +280,31 @@ def test_systematic_form_size_contract():
         systematic_form(h, [0], 0)
 
 
-# --- reduced form -----------------------------------------------------------
+# --- column basis -----------------------------------------------------------
 
 
-def permuting_reference(h, cols):
-    """The reduction ReducedForm replaced: move the selection to the front
-    with front_permutation, then Gauss-Jordan with the first-row-below pivot
-    rule.  Returns (perm, reduced permuted rows with U above bit n), or None
-    for a singular selection."""
-    r, n = h.nrows, h.ncols
-    perm = front_permutation(cols, n)
-    work = [perm.apply_bits(row) | 1 << (n + i) for i, row in enumerate(h.rows)]
-    for col in range(len(cols)):
-        pivot = next((i for i in range(col, r) if work[i] >> col & 1), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        for i in range(r):
-            if i != col and work[i] >> col & 1:
-                work[i] ^= work[col]
-    return perm, work
+def span_of(columns):
+    """Every XOR of a subset of ``columns``, by enumeration."""
+    span = {0}
+    for c in columns:
+        span |= {v ^ c for v in span}
+    return span
+
+
+def test_systematic_form_matches_hand_reduction():
+    # cols (2, 0): h_perm = [[1, 1, 0], [1, 0, 1]]; swap nothing, clear
+    # row 1 at column 0, then row 0 at column 1
+    h = BitMatrix.from_dense([[1, 0, 1], [0, 1, 1]])
+    u, hp, hpp = systematic_form(h, [2, 0], 0)
+    assert u == BitMatrix.from_dense([[0, 1], [1, 1]])
+    assert hp == BitMatrix.from_dense([[1], [1]])
+    assert hpp == BitMatrix(0, 1, ())
 
 
 @pytest.mark.parametrize("l", [0, 1, 2, 3])
-def test_reduced_form_matches_permuting_reference(l):
+def test_column_basis_matches_reference(l):
     rng = random.Random(40 + l)
-    seen = {"singular": 0, "rank deficient": 0, "full rank": 0}
+    seen = {"singular": 0, "rank deficient": 0, "full rank": 0, "tail 0": 0, "tail set": 0}
     for _ in range(150):
         r = rng.randrange(max(l, 1), 8)
         n = r + rng.randrange(1, 8)
@@ -316,39 +313,58 @@ def test_reduced_form_matches_permuting_reference(l):
         cols = rng.sample(range(n), front)
         if rng.random() < 0.5:
             cols.sort()
-        ref = permuting_reference(h, cols)
-        if ref is None:
+        columns = h.columns()
+        try:
+            ref = systematic_form(h, cols, l)
+        except SingularSelectionError:
             seen["singular"] += 1
             with pytest.raises(SingularSelectionError):
-                ReducedForm(h, cols)
-            with pytest.raises(SingularSelectionError):
-                systematic_form(h, cols, l)
+                ColumnBasis(columns, cols, r)
             continue
-        perm, work = ref
-        form = ReducedForm(h, cols)
-        u = BitMatrix(r, r, tuple(row >> n for row in work))
-        reduced = BitMatrix(r, n, tuple(row & ((1 << n) - 1) for row in work))
-        assert form.window == tuple(sorted(set(range(n)) - set(cols)))
-        assert form.window_columns() == reduced.columns()[front:]
+        except ValueError as exc:
+            assert "rank deficient" in str(exc)
+            seen["rank deficient"] += 1
+            ref = None
+        else:
+            seen["full rank"] += 1
+        basis = ColumnBasis(columns, cols, r)
+        perm = front_permutation(cols, n)
+        assert basis.window == tuple(sorted(set(range(n)) - set(cols)))
+        reduced_window = basis.window_columns(columns)
+        assert reduced_window == tuple(basis.reduce(columns[c]) for c in basis.window)
+        span = span_of(columns[c] for c in cols)
         for _ in range(4):
-            s = BitVector.random(r, rng)
-            e = BitVector.random(n, rng)
-            assert form.reduce(s.bits) == mat_vec_mul(u, s).bits
-            assert form.reduce(s.bits, e.bits) == mat_vec_mul(u, s ^ mat_vec_mul(h, e)).bits
+            e2 = rng.getrandbits(window)
+            if rng.random() < 0.5:  # s + h e2 in the span of h_S
+                s = mat_vec_mul(h, BitVector(n, basis.complete(rng.getrandbits(front), e2))).bits
+            else:
+                s = rng.getrandbits(r)
+            t = s ^ mat_vec_mul(h, BitVector(n, basis.complete(0, e2))).bits
+            got = basis.reduce(t)
+            x, tail = got & ((1 << front) - 1), got >> front
+            # the window word's reduced columns close the gap to the target
+            acc = basis.reduce(s)
+            for i in range(window):
+                if e2 >> i & 1:
+                    acc ^= reduced_window[i]
+            assert acc == got
+            seen["tail 0" if tail == 0 else "tail set"] += 1
+            assert (tail == 0) == (t in span)
+            if tail == 0:
+                assert mat_vec_mul(h, BitVector(n, basis.complete(x, 0))).bits == t
+            if ref is not None:
+                u, hp, hpp = ref
+                us = mat_vec_mul(u, BitVector(r, s)).bits
+                e2_vec = BitVector(window, e2)
+                assert (tail == 0) == (us >> front == mat_vec_mul(hpp, e2_vec).bits)
+                if tail == 0:
+                    e1 = us & ((1 << front) - 1) ^ mat_vec_mul(hp, e2_vec).bits
+                    assert x == e1
             front_bits, word = rng.getrandbits(front), rng.getrandbits(window)
             expect = perm.inverse().apply_bits(front_bits | word << front)
-            assert form.complete(front_bits, word) == expect
-        mask = (1 << window) - 1
-        if rank(h) == r:
-            seen["full rank"] += 1
-            hp = BitMatrix(front, window, tuple(row >> front & mask for row in reduced.rows[:front]))
-            hpp = BitMatrix(l, window, tuple(row >> front & mask for row in reduced.rows[front:]))
-            assert systematic_form(h, cols, l) == (u, hp, hpp)
-        else:
-            seen["rank deficient"] += 1
-            with pytest.raises(ValueError, match="rank deficient"):
-                systematic_form(h, cols, l)
+            assert basis.complete(front_bits, word) == expect
     assert seen["singular"] and seen["full rank"], seen
+    assert seen["tail 0"] and (seen["tail set"] or not l), seen
     if l:
         assert seen["rank deficient"], seen
 
@@ -360,23 +376,16 @@ def test_reduce_all_matches_reduce_on_both_sides_of_the_table_switch():
         h = random_full_rank(r, 2 * r, rng)
         while True:
             try:
-                form = ReducedForm(h, rng.sample(range(2 * r), r - 1))
+                basis = ColumnBasis(h.columns(), rng.sample(range(2 * r), r - 1), r)
                 break
             except SingularSelectionError:
                 continue
         for count in (0, r, r + 1, 5 * r):
             ss = [rng.getrandbits(r) for _ in range(count)]
-            assert list(form.reduce_all(ss)) == [form.reduce(x) for x in ss]
+            assert list(basis.reduce_all(ss)) == [basis.reduce(x) for x in ss]
 
 
-def test_reduced_form_rejects_bad_selections():
-    h = random_full_rank(3, 6, random.Random(1))
-    for cols in ([0, 0], [0, 6], [-1, 2], [0, 1, 2, 3]):
-        with pytest.raises(ValueError):
-            ReducedForm(h, cols)
-
-
-def test_square_solver_matches_reduced_form():
+def test_square_column_basis_matches_reference():
     rng = random.Random(9)
     seen = {"singular": 0, "solved": 0}
     for case in range(300):
@@ -390,16 +399,16 @@ def test_square_solver_matches_reduced_form():
             cols.sort()
         columns = h.columns()
         try:
-            form = ReducedForm(h, cols)
+            u, _, _ = systematic_form(h, cols, 0)
         except SingularSelectionError:
             seen["singular"] += 1
             with pytest.raises(SingularSelectionError):
-                SquareSolver(columns, cols)
+                ColumnBasis(columns, cols, r)
             continue
         seen["solved"] += 1
-        solver = SquareSolver(columns, cols)
+        basis = ColumnBasis(columns, cols, r)
         for _ in range(4):
             s, e = rng.getrandbits(r), rng.getrandbits(n)
             t = s ^ mat_vec_mul(h, BitVector(n, e)).bits
-            assert solver.solve(t) == form.reduce(s, e), case
+            assert basis.reduce(t) == mat_vec_mul(u, BitVector(r, t)).bits, case
     assert min(seen.values()) >= 50, seen

@@ -123,6 +123,14 @@ def test_build_validations():
         build_foursum_instance(h, hash_fn, cols8, 3, 2, 6, preimages=[b"a"])
 
 
+def test_build_foursum_instance_rejects_bad_selections():
+    h = random_full_rank(3, 6, random.Random(1))
+    hash_fn = lambda t: syndrome_hash(t, 3)
+    for cols in ([0, 0], [0, 6], [-1, 2], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="distinct positions"):
+            build_foursum_instance(h, hash_fn, cols, 0, 0, 1)
+
+
 def test_matches_brute_force_on_tiny_instances():
     rng = random.Random(11)
     total = 0

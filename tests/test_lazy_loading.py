@@ -68,11 +68,10 @@ print(json.dumps(sorted(
 )))
 """
 
-# every name the package re-exported when it imported its submodules eagerly
+# every name the package re-exports, keyed by the submodule that defines it
 EXPORTS = {
     "codes": (
-        "DiscreteDistribution", "ParityCheckCode", "UUVCode", "random_parity_check",
-        "stat_distance", "syndrome", "syndrome_weight_distribution",
+        "DiscreteDistribution", "stat_distance", "syndrome_weight_distribution",
         "uuv_parity_check",
     ),
     "exponents": (

@@ -134,8 +134,9 @@ def test_decode_output_always_checks():
 
 
 def permuting_decoder(h, s, w, budget, rng):
-    """The decoder as it was before ReducedForm: move the information set to
-    the front, eliminate, sweep p, and permute the error back."""
+    """The decoder as it was before the column-syndrome kernel: move the
+    information set to the front, eliminate, sweep p, and permute the error
+    back."""
     r, n = h.nrows, h.ncols
     window = n - r
     for _ in range(budget):
