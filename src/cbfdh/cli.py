@@ -6,8 +6,11 @@ instances, exponents prints the asymptotic cost table, bound evaluates the
 security-loss terms, and simulate runs the oracle-game harness.
 
 Every run is reproducible from its first output line: the resolved
-configuration, seed included, is echoed before any result.  Output is
-line-delimited key=value records in both formats; text mode adds comment
+configuration, seed included, is echoed before any result.  ``COMMANDS``
+names each command's handler, help line and echo keys; ``Report`` writes
+the echo from them, so a handler passes only the values it resolved (the
+key file's n, k, w; attack's q; bound's preset, lambda and inputs).  Output
+is line-delimited key=value records in both formats; text mode adds comment
 headers.  Exit codes: 0 success, 1 verification reject, 2 input error,
 3 budget exhausted.
 
@@ -28,6 +31,10 @@ from . import exponents, f2, hashing, isd, reduction, scheme
 
 ATTACK_SIZE_GUARD = 64
 
+# the inputs of the Theorem 1 loss bound, each given as a decimal or 2^x
+# literal; theorem1_bound_log2 takes each as log2_<name>
+BOUND_INPUTS = ("eps_doom", "dist", "exp_rho_pub", "rho_sign", "q_hash", "q_sign")
+
 SURF_PRESET = {
     "n": 13976,
     "k": 6988,
@@ -42,6 +49,9 @@ SURF_PRESET = {
     "q_hash": "2^128",
     "q_sign": "2^64",
 }
+
+# parser dests echoed under another name
+_ECHO_NAMES = {"lam": "lambda", "lam0": "lambda0"}
 
 
 # --- parsing helpers ---------------------------------------------------------------
@@ -94,18 +104,27 @@ def _fmt_log2(x: float) -> str:
 
 
 def _fmt_pow2(x: float) -> str:
-    if x == -math.inf:
-        return "0"
-    return f"2^{x + 0.0 if x else 0.0:.4f}"
+    return "0" if x == -math.inf else "2^" + _fmt_log2(x)
 
 
 class Report:
     """Accumulates output lines; text mode keeps # headers, structured drops
-    them so every line splits into key=value fields."""
+    them so every line splits into key=value fields.  The first line echoes
+    the command's ``COMMANDS`` keys, read from the arguments overlaid with
+    the values the command resolved; a key that resolves to None is left out."""
 
-    def __init__(self, fmt: str) -> None:
-        self.fmt = fmt
+    def __init__(self, args: argparse.Namespace, **resolved: object) -> None:
+        self.fmt = args.fmt
         self.lines: list[str] = []
+        values = {**vars(args), **resolved}
+        self.record(
+            ("command", args.command),
+            *(
+                (_ECHO_NAMES.get(key, key), values[key])
+                for key in COMMANDS[args.command][2]
+                if values[key] is not None
+            ),
+        )
 
     def header(self, title: str) -> None:
         if self.fmt == "text":
@@ -148,26 +167,19 @@ def _read_message(args: argparse.Namespace) -> bytes:
 
 def cmd_keygen(args: argparse.Namespace) -> int:
     params = _scheme_params(args)
+    k_u = args.k_u
     if args.family == "uuv":
-        k_u = args.k_u if args.k_u is not None else (args.k + 1) // 2
-        k_v = args.k_v if args.k_v is not None else args.k // 2
-        family = scheme.uuv_code_family(args.n, k_u, k_v)
+        # h_sec has n - k rows, (n/2 - k_u) + (n/2 - k_v) of them
+        k_u = k_u if k_u is not None else (args.k + 1) // 2
+        family = scheme.uuv_code_family(args.n, k_u, args.k - k_u)
+    elif k_u is not None:
+        raise ValueError("--ku needs --family uuv")
     else:
         family = scheme.random_code_family(args.n, args.k)
     keypair = scheme.keygen(params, family, random.Random(args.seed))
     scheme.save_secret_key(args.secret_key, params, keypair.secret)
     scheme.save_public_key(args.public_key, params, keypair.public)
-    report = Report(args.fmt)
-    report.record(
-        ("command", "keygen"),
-        ("seed", args.seed),
-        ("n", args.n),
-        ("k", args.k),
-        ("w", args.w),
-        ("lambda", args.lam),
-        ("lambda0", args.lam0),
-        ("family", args.family),
-    )
+    report = Report(args, k_u=k_u)
     report.record(("wrote_secret", args.secret_key))
     report.record(("wrote_public", args.public_key))
     report.flush()
@@ -191,15 +203,7 @@ def cmd_sign(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     scheme.save_signature(args.signature, sig)
-    report = Report(args.fmt)
-    report.record(
-        ("command", "sign"),
-        ("seed", args.seed),
-        ("budget", args.budget),
-        ("n", params.n),
-        ("k", params.k),
-        ("w", params.w),
-    )
+    report = Report(args, n=params.n, k=params.k, w=params.w)
     report.record(("wrote_signature", args.signature))
     report.record(("salt", sig.salt.to_hex()), ("e", sig.e.to_hex()))
     report.flush()
@@ -211,14 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params, public = scheme.load_public_key(args.public_key)
     sig = scheme.load_signature(args.signature, params)
     ok = scheme.verify(public, message, sig, hashing.FdhHash(params.n_k))
-    report = Report(args.fmt)
-    report.record(
-        ("command", "verify"),
-        ("seed", args.seed),
-        ("n", params.n),
-        ("k", params.k),
-        ("w", params.w),
-    )
+    report = Report(args, n=params.n, k=params.k, w=params.w)
     report.record(("result", "ACCEPT" if ok else "REJECT"))
     report.flush()
     return 0 if ok else 1
@@ -228,6 +225,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    if args.q is not None and args.mode != "doom":
+        raise ValueError("--q needs --mode doom")
+    q = 1 if args.q is None else args.q
     if args.n > ATTACK_SIZE_GUARD and not args.force:
         print(
             f"error: n={args.n} exceeds the toy-scale guard "
@@ -240,24 +240,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     h, s, planted = isd.plant_instance(args.n, args.k, args.w, rng)
 
-    report = Report(args.fmt)
-    report.record(
-        ("command", "attack"),
-        ("mode", args.mode),
-        ("seed", args.seed),
-        ("n", args.n),
-        ("k", args.k),
-        ("w", args.w),
-        ("p", args.p),
-        ("l", args.l),
-        ("q", args.q if args.mode == "doom" else 1),
-        ("budget", args.budget),
-        ("workers", args.workers),
-    )
+    report = Report(args, q=q)
     report.record(("planted", planted.to_hex()))
 
+    est = isd.isd_success(args.n, args.k, args.w, args.p, args.l, q=q)
     if args.mode == "doom":
-        targets = isd.default_doom_targets(args.q)
+        targets = isd.default_doom_targets(q)
 
         def hash_fn(t: bytes) -> f2.BitVector:
             # target 0 carries the planted syndrome so the instance stays
@@ -266,12 +254,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
                 return s
             return hashing.syndrome_hash(b"attack:" + t, h.nrows)
 
-        est = isd.isd_success(args.n, args.k, args.w, args.p, args.l, q=args.q)
         result = isd.doom_attack(
-            h, hash_fn, args.w, isd_params, args.q, rng, workers=args.workers
+            h, hash_fn, args.w, isd_params, q, rng, workers=args.workers
         )
     else:
-        est = isd.isd_success(args.n, args.k, args.w, args.p, args.l)
         result = isd.generalized_isd(
             h, s, args.w, isd_params, rng, workers=args.workers
         )
@@ -317,8 +303,7 @@ def cmd_exponents(args: argparse.Namespace) -> int:
         rows = ((args.rate, exponents.gv_relative_weight(args.rate)),)
     else:
         rows = ((args.rate, args.omega),)
-    report = Report(args.fmt)
-    report.record(("command", "exponents"), ("seed", args.seed))
+    report = Report(args)
     report.header("asymptotic cost exponents, base-2 per bit")
     for rate, omega in rows:
         pt = exponents.RatePoint(rate, omega)
@@ -345,49 +330,23 @@ def cmd_exponents(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    values = {
-        "eps_doom": "0",
-        "dist": "0",
-        "exp_rho_pub": "0",
-        "rho_sign": "0",
-        "q_hash": "0",
-        "q_sign": "0",
-    }
-    lam = args.lam
-    report = Report(args.fmt)
-    if args.preset == "surf":
-        values.update({k: SURF_PRESET[k] for k in values})
-        lam = SURF_PRESET["lam"]
-    for key in values:
+    # each input is the flag if given, else the preset's value, else 0
+    preset = SURF_PRESET if args.preset == "surf" else {}
+    values = {}
+    for key in BOUND_INPUTS:
         given = getattr(args, key)
-        if given is not None:
-            values[key] = given
+        values[key] = preset.get(key, "0") if given is None else given
+    lam = preset.get("lam", 128) if args.lam is None else args.lam
     logs = {k: parse_level_log2(v) for k, v in values.items()}
 
-    report.record(
-        ("command", "bound"),
-        ("seed", args.seed),
-        ("preset", args.preset or "none"),
-        ("lambda", lam),
-        *((k, v) for k, v in values.items()),
-    )
-    if args.preset == "surf":
+    report = Report(args, preset=args.preset or "none", lam=lam, **values)
+    if preset:
         report.record(
-            ("preset_n", SURF_PRESET["n"]),
-            ("preset_k", SURF_PRESET["k"]),
-            ("preset_k_u", SURF_PRESET["k_u"]),
-            ("preset_k_v", SURF_PRESET["k_v"]),
-            ("preset_w", SURF_PRESET["w"]),
+            *((f"preset_{k}", SURF_PRESET[k]) for k in ("n", "k", "k_u", "k_v", "w"))
         )
 
     bound = reduction.theorem1_bound_log2(
-        log2_eps_doom=logs["eps_doom"],
-        log2_dist=logs["dist"],
-        log2_exp_rho_pub=logs["exp_rho_pub"],
-        log2_rho_sign=logs["rho_sign"],
-        log2_q_hash=logs["q_hash"],
-        log2_q_sign=logs["q_sign"],
-        lam=lam,
+        **{f"log2_{k}": v for k, v in logs.items()}, lam=lam
     )
     report.header("security-loss terms")
     for name, value, item in bound.terms():
@@ -414,7 +373,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         ("dist_log2", _fmt_log2(logs["dist"])),
     )
 
-    if args.preset == "surf":
+    if preset:
         pre_constant = 1.5 * logs["q_hash"] + 0.5 * logs["exp_rho_pub"]
         report.record(
             ("zhandry_reference_log2", "-235"),
@@ -452,19 +411,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed * 1_000_003 + 97)
     h = f2.random_full_rank(params.n_k, params.n, rng)
     rho_hat, fail_rate = scheme.measure_decoder_distance(h, params.w, 500, rng)
-    report = Report(args.fmt)
-    report.record(
-        ("command", "simulate"),
-        ("seed", args.seed),
-        ("n", args.n),
-        ("k", args.k),
-        ("w", args.w),
-        ("lambda", args.lam),
-        ("lambda0", args.lam0),
-        ("trials", args.trials),
-        ("games", ",".join(map(str, games))),
-        ("workers", args.workers),
-    )
+    report = Report(args, games=",".join(map(str, games)))
     report.header("per-game win statistics")
     freq: dict[int, float] = {}
     for game_id in games:
@@ -509,12 +456,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 # --- argument plumbing ---------------------------------------------------------------
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--format", dest="fmt", choices=("text", "structured"), default="text"
-    )
+# name: (handler, help, echo keys); the echo keys are argument dests or
+# values the handler resolves, and Report echoes them in this order
+COMMANDS = {
+    "keygen": (cmd_keygen, "generate a key pair into flat files",
+               ("seed", "n", "k", "w", "lam", "lam0", "family", "k_u")),
+    "sign": (cmd_sign, "sign a message with a secret key file",
+             ("seed", "budget", "n", "k", "w")),
+    "verify": (cmd_verify, "check a signature file, print ACCEPT/REJECT",
+               ("seed", "n", "k", "w")),
+    "attack": (cmd_attack, "run a decoder on a planted instance",
+               ("mode", "seed", "n", "k", "w", "p", "l", "q", "budget", "workers")),
+    "exponents": (cmd_exponents, "print the asymptotic cost table", ("seed",)),
+    "bound": (cmd_bound, "evaluate the security-loss terms",
+              ("seed", "preset", "lam", *BOUND_INPUTS)),
+    "simulate": (cmd_simulate, "run the oracle-game harness",
+                 ("seed", "n", "k", "w", "lam", "lam0", "trials", "games", "workers")),
+}
 
 
 def _add_code_params(parser: argparse.ArgumentParser, n: int, k: int, w: int) -> None:
@@ -529,94 +487,78 @@ def build_parser() -> argparse.ArgumentParser:
         description="workbench for code-based hash-and-sign signatures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subs = {}
+    for name, (_, help_text, _) in COMMANDS.items():
+        p = subs[name] = sub.add_parser(name, help=help_text)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--format", dest="fmt", choices=("text", "structured"), default="text"
+        )
 
-    p = sub.add_parser("keygen", help="generate a key pair into flat files")
+    p = subs["keygen"]
     _add_code_params(p, 24, 12, 4)
     p.add_argument("--lambda", dest="lam", type=int, default=128)
     p.add_argument("--lambda0", dest="lam0", type=int, default=64)
     p.add_argument("--family", choices=("random", "uuv"), default="random")
-    p.add_argument("--ku", dest="k_u", type=int, default=None)
-    p.add_argument("--kv", dest="k_v", type=int, default=None)
+    p.add_argument("--ku", dest="k_u", type=int, help="uuv only; k_v is k - k_u")
     p.add_argument("--public-key", required=True)
     p.add_argument("--secret-key", required=True)
-    _add_common(p)
 
-    p = sub.add_parser("sign", help="sign a message with a secret key file")
+    p = subs["sign"]
     p.add_argument("--secret-key", required=True)
-    p.add_argument("--signature", required=True)
-    p.add_argument("--message")
-    p.add_argument("--message-file")
     p.add_argument("--budget", type=parse_count, default=1000)
-    _add_common(p)
 
-    p = sub.add_parser("verify", help="check a signature file, print ACCEPT/REJECT")
+    p = subs["verify"]
     p.add_argument("--public-key", required=True)
-    p.add_argument("--signature", required=True)
-    p.add_argument("--message")
-    p.add_argument("--message-file")
-    _add_common(p)
 
-    p = sub.add_parser("attack", help="run a decoder on a planted instance")
+    for name in ("sign", "verify"):
+        p = subs[name]
+        p.add_argument("--signature", required=True)
+        p.add_argument("--message")
+        p.add_argument("--message-file")
+
+    p = subs["attack"]
     p.add_argument("--mode", choices=("sd", "doom"), default="sd")
     _add_code_params(p, 24, 12, 4)
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--l", type=int, default=0)
-    p.add_argument("--q", type=parse_count, default=1)
+    p.add_argument("--q", type=parse_count, help="DOOM targets; doom mode only")
     p.add_argument("--budget", type=parse_count, default=2000)
     p.add_argument("--force", action="store_true")
     p.add_argument(
         "--workers", type=parse_workers, default=1,
         help="trial processes; above 1, all q DOOM targets are hashed up front",
     )
-    _add_common(p)
 
-    p = sub.add_parser("exponents", help="print the asymptotic cost table")
+    p = subs["exponents"]
     p.add_argument("--rate", type=float, default=None)
     p.add_argument(
         "--omega", type=float, default=None,
         help="relative weight; the GV weight of --rate when omitted",
     )
-    _add_common(p)
 
-    p = sub.add_parser("bound", help="evaluate the security-loss terms")
+    p = subs["bound"]
     p.add_argument("--preset", choices=("surf",), default=None)
-    p.add_argument("--lambda", dest="lam", type=int, default=128)
-    p.add_argument("--eps-doom", dest="eps_doom", default=None)
-    p.add_argument("--dist", default=None)
-    p.add_argument("--exp-rho-pub", dest="exp_rho_pub", default=None)
-    p.add_argument("--rho-sign", dest="rho_sign", default=None)
-    p.add_argument("--q-hash", dest="q_hash", default=None)
-    p.add_argument("--q-sign", dest="q_sign", default=None)
-    _add_common(p)
+    p.add_argument("--lambda", dest="lam", type=int, help="the preset's, else 128")
+    for key in BOUND_INPUTS:
+        p.add_argument("--" + key.replace("_", "-"))
 
-    p = sub.add_parser("simulate", help="run the oracle-game harness")
+    p = subs["simulate"]
     _add_code_params(p, 12, 6, 4)
     p.add_argument("--lambda", dest="lam", type=int, default=8)
     p.add_argument("--lambda0", dest="lam0", type=int, default=24)
     p.add_argument("--game", dest="games", default="all")
     p.add_argument("--trials", type=parse_count, default=400)
     p.add_argument("--workers", type=parse_workers, default=1)
-    _add_common(p)
 
     return parser
-
-
-_COMMANDS = {
-    "keygen": cmd_keygen,
-    "sign": cmd_sign,
-    "verify": cmd_verify,
-    "attack": cmd_attack,
-    "exponents": cmd_exponents,
-    "bound": cmd_bound,
-    "simulate": cmd_simulate,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -172,6 +172,24 @@ def test_same_seed_gives_byte_identical_keys(tmp_path):
     assert (tmp_path / "sk.key").read_bytes() == first_sk
 
 
+def test_keygen_uuv_echoes_k_u(tmp_path, capsys):
+    uuv = ["--family", "uuv", "--ku", "5"]
+    code, out, _ = run_cli(capsys, *keygen_args(tmp_path), *uuv)
+    assert code == 0
+    assert out.splitlines()[0].endswith(" family=uuv k_u=5")
+    code, out, _ = run_cli(capsys, *keygen_args(tmp_path))
+    assert code == 0 and "k_u" not in out.splitlines()[0]
+
+
+def test_keygen_ku_needs_uuv_family(tmp_path, capsys):
+    code, out, err = run_cli(capsys, *keygen_args(tmp_path), "--ku", "5")
+    assert code == 2 and err == "error: --ku needs --family uuv\n"
+    assert out == "" and not (tmp_path / "sk.key").exists()
+    with pytest.raises(SystemExit) as exc:
+        main([*keygen_args(tmp_path), "--family", "uuv", "--kv", "6"])
+    assert exc.value.code == 2
+
+
 def test_sign_budget_exhausted_exit_3(tmp_path, capsys):
     main(keygen_args(tmp_path))
     code, _, err = run_cli(
@@ -255,6 +273,13 @@ def test_huge_power_of_two_counts_exit_2(capsys, argv):
     assert "invalid parse_count value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [[], ["--mode", "sd"]], ids=("default", "sd"))
+def test_attack_q_needs_doom_mode(capsys, mode):
+    code, out, err = run_cli(capsys, "attack", *mode, "--q", "1000", *ATTACK_ARGS)
+    assert code == 2 and err == "error: --q needs --mode doom\n"
+    assert out == ""
+
+
 def test_attack_size_guard(capsys):
     code, _, err = run_cli(capsys, "attack", "--n", "128", "--k", "64", "--w", "8")
     assert code == 2
@@ -328,6 +353,16 @@ def test_bound_all_zero_inputs(capsys):
     assert code == 0
     assert "total_log2=-128.0000" in out
     assert "total=2^-128.0000" in out
+
+
+def test_bound_lambda_flag_overrides_preset(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--preset", "surf", "--lambda", "64")
+    assert code == 0
+    assert " preset=surf lambda=64 eps_doom=2^-128 " in out.splitlines()[0]
+    rows = kv_lines(out)
+    assert {row["threshold_log2"] for row in rows if "threshold_log2" in row} == {
+        "-32.0"
+    }
 
 
 def test_bound_rejects_bad_values(capsys):
@@ -469,6 +504,65 @@ def test_pinned_config_replays_byte_identical(argv, capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     assert "seed=" in out_a  # the seed is always echoed
+
+
+REPLAY_CASES = {
+    "keygen-random": ["keygen", "--n", "24", "--k", "12", "--w", "7",
+                      "--lambda", "16", "--lambda0", "24", "--seed", "5"],
+    "keygen-uuv": ["keygen", "--n", "24", "--k", "12", "--w", "7", "--lambda", "16",
+                   "--lambda0", "24", "--family", "uuv", "--ku", "5", "--seed", "2"],
+    "attack-sd": ["attack", *ATTACK_ARGS],
+    "attack-doom": ["attack", "--mode", "doom", "--q", "4", *ATTACK_ARGS],
+    "bound": ["bound", "--preset", "surf", "--lambda", "64", "--seed", "1"],
+    "simulate": ["simulate", "--game", "4,5", "--trials", "8", "--seed", "2"],
+}
+KEY_FILES = ("pk.key", "sk.key")
+ECHO_FLAGS = {"k_u": "ku", "games": "game"}
+
+
+def argv_from_echo(line):
+    """The command line that the echoed configuration describes."""
+    pairs = dict(part.split("=", 1) for part in line.split(" "))
+    argv = [pairs.pop("command")]
+    if pairs.get("preset") == "none":
+        del pairs["preset"]
+    if pairs.get("mode") == "sd":
+        del pairs["q"]  # sd decodes its one target; --q is doom-only
+    for key, value in pairs.items():
+        argv += ["--" + ECHO_FLAGS.get(key, key).replace("_", "-"), value]
+    return argv
+
+
+def run_in(workdir, monkeypatch, capsys, argv):
+    """Exit code, stdout and key-file bytes of one run in a fresh directory."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    code, out, _ = run_cli(capsys, *argv)
+    paths = [workdir / name for name in KEY_FILES]
+    keys = [path.read_bytes() for path in paths if path.exists()]
+    return code, out, keys
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_run_replays_from_its_echoed_configuration(tmp_path, monkeypatch, capsys, case):
+    unechoed = ["--format", "structured"]
+    if case.startswith("keygen"):
+        unechoed += ["--public-key", KEY_FILES[0], "--secret-key", KEY_FILES[1]]
+    first_argv = [*REPLAY_CASES[case], *unechoed]
+    first = run_in(tmp_path / "first", monkeypatch, capsys, first_argv)
+    replay_argv = [*argv_from_echo(first[1].splitlines()[0]), *unechoed]
+    replay = run_in(tmp_path / "replay", monkeypatch, capsys, replay_argv)
+    assert first[0] == 0
+    assert replay == first
+    assert len(first[2]) == (2 if case.startswith("keygen") else 0)
+
+
+@pytest.mark.parametrize("name", cbfdh.cli.COMMANDS)
+def test_every_command_renders_its_help(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: cbfdh {name} ")
 
 
 def test_module_entry_point_subprocess():
