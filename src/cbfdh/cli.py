@@ -25,7 +25,6 @@ import argparse
 import math
 import random
 import sys
-import warnings
 
 from . import exponents, f2, hashing, isd, reduction, scheme
 
@@ -144,13 +143,9 @@ class Report:
 
 
 def _scheme_params(args: argparse.Namespace) -> scheme.SchemeParams:
-    # toy parameters are the normal case here, so the library's security
-    # warnings would only be noise on stderr
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return scheme.SchemeParams(
-            n=args.n, k=args.k, w=args.w, lam=args.lam, lam0=args.lam0
-        )
+    return scheme.SchemeParams(
+        n=args.n, k=args.k, w=args.w, lam=args.lam, lam0=args.lam0
+    )
 
 
 def _read_message(args: argparse.Namespace) -> bytes:
@@ -295,15 +290,16 @@ DEFAULT_EXPONENT_ROWS = ((0.5, 0.11), (0.5, 0.190899))
 
 
 def cmd_exponents(args: argparse.Namespace) -> int:
+    omega = args.omega
     if args.rate is None:
-        if args.omega is not None:
+        if omega is not None:
             raise ValueError("--omega needs --rate")
         rows = DEFAULT_EXPONENT_ROWS
-    elif args.omega is None:
-        rows = ((args.rate, exponents.gv_relative_weight(args.rate)),)
     else:
-        rows = ((args.rate, args.omega),)
-    report = Report(args)
+        if omega is None:
+            omega = exponents.gv_relative_weight(args.rate)
+        rows = ((args.rate, omega),)
+    report = Report(args, omega=omega)
     report.header("asymptotic cost exponents, base-2 per bit")
     for rate, omega in rows:
         pt = exponents.RatePoint(rate, omega)
@@ -466,8 +462,10 @@ COMMANDS = {
     "verify": (cmd_verify, "check a signature file, print ACCEPT/REJECT",
                ("seed", "n", "k", "w")),
     "attack": (cmd_attack, "run a decoder on a planted instance",
-               ("mode", "seed", "n", "k", "w", "p", "l", "q", "budget", "workers")),
-    "exponents": (cmd_exponents, "print the asymptotic cost table", ("seed",)),
+               ("mode", "seed", "n", "k", "w", "p", "l", "q", "budget", "workers",
+                "force")),
+    "exponents": (cmd_exponents, "print the asymptotic cost table",
+                  ("seed", "rate", "omega")),
     "bound": (cmd_bound, "evaluate the security-loss terms",
               ("seed", "preset", "lam", *BOUND_INPUTS)),
     "simulate": (cmd_simulate, "run the oracle-game harness",
@@ -524,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--q", type=parse_count, help="DOOM targets; doom mode only")
     p.add_argument("--budget", type=parse_count, default=2000)
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--force", action="store_true", default=None)
     p.add_argument(
         "--workers", type=parse_workers, default=1,
         help="trial processes; above 1, all q DOOM targets are hashed up front",

@@ -148,10 +148,9 @@ class ZOracle:
         self.w = w
         self.salt_bits = salt_bits
         self.h_seed = rng.getrandbits(64)
-        self.j_seed = rng.getrandbits(64)
         self.h = LazyOracle.uniform(h_pub.nrows, random.Random(self.h_seed))
         self.j = LazyOracle.coin_and_pattern(
-            h_pub.ncols, w, random.Random(self.j_seed)
+            h_pub.ncols, w, random.Random(rng.getrandbits(64))
         )
 
     def j_query(self, m: bytes, r: BitVector) -> tuple[int, BitVector]:
@@ -272,18 +271,15 @@ class GameConfig:
 
 @dataclass(frozen=True)
 class GameTranscript:
-    """Everything needed to replay one trial's oracles and re-validate its
-    outcome: seeds, first-query key order, the matrix in force, and the
-    forgery."""
+    """Everything needed to replay one trial's hash oracle and re-validate
+    its outcome: the oracle's seed and first-query key order, the matrix in
+    force, and the forgery."""
 
     game_id: int
-    child_seed: int
     params: SchemeParams
     h_pub: BitMatrix
     h_seed: int
     h_keys: tuple[Any, ...]
-    j_seed: int | None
-    j_keys: tuple[Any, ...] | None
     forgery: tuple[bytes, BitVector, BitVector] | None
     win: bool
 
@@ -368,11 +364,10 @@ def _run_trial(
     if game_id >= 2:
         z = ZOracle(pk.h_pub, params.w, params.lam0, oracle_rng)
         hash_fn = z.z_query
-        h_oracle, h_seed, j_seed = z.h, z.h_seed, z.j_seed
+        h_oracle, h_seed = z.h, z.h_seed
     else:
         z = None
         h_seed = oracle_rng.getrandbits(64)
-        j_seed = None
         h_oracle = LazyOracle.uniform(params.n_k, random.Random(h_seed))
         hash_fn = lambda m, r: h_oracle.query((m, r))
 
@@ -431,13 +426,10 @@ def _run_trial(
     if keep_transcript:
         transcript = GameTranscript(
             game_id=game_id,
-            child_seed=child_seed,
             params=params,
             h_pub=pk.h_pub,
             h_seed=h_seed,
             h_keys=h_oracle.queries(),
-            j_seed=j_seed,
-            j_keys=z.j.queries() if z is not None else None,
             forgery=forgery,
             win=win,
         )

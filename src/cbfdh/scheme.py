@@ -29,11 +29,9 @@ from __future__ import annotations
 import math
 import random
 import struct
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from . import exponents
 from .f2 import (
     BitMatrix,
     BitVector,
@@ -56,7 +54,6 @@ __all__ = [
     "SignatureKeyPair",
     "Signature",
     "SigningFailure",
-    "KeyGenerationFailure",
     "random_code_family",
     "uuv_code_family",
     "keygen",
@@ -75,19 +72,12 @@ __all__ = [
 
 MAGIC = b"CBFDH1"
 
-# draws from the code family before keygen gives up on a full-rank matrix
-FAMILY_TRIES = 32
-
 CodeFamily = Callable[[random.Random], BitMatrix]
 
 
 class SigningFailure(Exception):
     """The decoder exhausted its budget for this (message, salt) pair, or
     the signature failed the signer's own check against the public key."""
-
-
-class KeyGenerationFailure(Exception):
-    """The code family kept returning unusable matrices."""
 
 
 @dataclass(frozen=True)
@@ -108,19 +98,6 @@ class SchemeParams:
             raise ValueError("weight outside [0, n]")
         if self.lam0 <= 0 or self.lam <= 0:
             raise ValueError("security and salt widths must be positive")
-        gv = exponents.gv_bound(self.n, self.k)
-        if self.w < gv:
-            warnings.warn(
-                f"weight {self.w} below the GV distance {gv:.1f}: "
-                "most syndromes have no preimage and signing will fail often",
-                stacklevel=2,
-            )
-        if self.w >= (self.n - self.k) / 2:
-            warnings.warn(
-                f"weight {self.w} is at least (n-k)/2 = {(self.n - self.k) / 2}: "
-                "decoding is easy and the scheme gives no security margin",
-                stacklevel=2,
-            )
 
     @property
     def n_k(self) -> int:
@@ -197,18 +174,15 @@ def keygen(
     family: CodeFamily,
     rng: random.Random,
 ) -> SignatureKeyPair:
-    """Draw (h_sec, s, perm) and publish h_pub = s @ h_sec @ P."""
+    """Draw (h_sec, s, perm) and publish h_pub = s @ h_sec @ P.  Both code
+    families return full-rank matrices by construction, so one draw of
+    h_sec is taken and a rank-deficient one is rejected."""
     r = params.n_k
-    for _ in range(FAMILY_TRIES):
-        h_sec = family(rng)
-        if h_sec.nrows != r or h_sec.ncols != params.n:
-            raise ValueError("family produced a matrix of the wrong shape")
-        if rank(h_sec) == r:
-            break
-    else:
-        raise KeyGenerationFailure(
-            f"no full-rank matrix from the family in {FAMILY_TRIES} tries"
-        )
+    h_sec = family(rng)
+    if h_sec.nrows != r or h_sec.ncols != params.n:
+        raise ValueError("family produced a matrix of the wrong shape")
+    if rank(h_sec) != r:
+        raise ValueError("family produced a rank-deficient matrix")
     scramble = random_full_rank(r, r, rng)
     perm = random_permutation(params.n, rng)
     secret = SecretKey(h_sec, scramble, inverse(scramble), perm)
@@ -252,8 +226,8 @@ def decode_to_weight(
     h: BitMatrix,
     s: BitVector,
     w: int,
-    budget: int = 1000,
-    rng: random.Random | None = None,
+    budget: int,
+    rng: random.Random,
 ) -> BitVector | None:
     """Find e with ``h e^T = s`` and ``|e| = w``, or None when the budget
     runs out.  A None return means "gave up", never "no solution exists".
@@ -263,8 +237,6 @@ def decode_to_weight(
     trial accepts when the forced part, solved on the selected column
     syndromes by :class:`cbfdh.f2.ColumnBasis`, has weight w - p.
     """
-    if rng is None:
-        rng = random.Random()
     r, n = h.nrows, h.ncols
     if s.n != r:
         raise ValueError("syndrome length mismatch")
@@ -284,9 +256,7 @@ def decode_to_weight(
                 target ^= columns[rest[t]]
             forced = basis.reduce(target)
             if forced.bit_count() == w - p:
-                for j, c in enumerate(cols):
-                    seed |= (forced >> j & 1) << c
-                return BitVector(n, seed)
+                return BitVector(n, seed | basis.complete(forced, 0))
     return None
 
 
@@ -389,10 +359,7 @@ def _parse_header(data: bytes) -> tuple[SchemeParams, bytes]:
     if len(data) < fixed + 1 or data[fixed : fixed + 1] != b"\n":
         raise ValueError("truncated key header")
     n, k, w, lam0 = struct.unpack("<4I", data[len(MAGIC) : fixed])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params = SchemeParams(n=n, k=k, w=w, lam0=lam0)
-    return params, data[fixed + 1 :]
+    return SchemeParams(n=n, k=k, w=w, lam0=lam0), data[fixed + 1 :]
 
 
 def _split_matrix_blocks(text: str, count: int) -> list[str]:

@@ -10,7 +10,6 @@ import itertools
 import math
 import random
 import time
-import warnings
 from fractions import Fraction
 
 from cbfdh.cli import main
@@ -107,9 +106,7 @@ def test_criterion_3_scheme_round_trip():
     t0 = time.monotonic()
     n, k = 24, 12
     w = math.ceil(gv_bound(n, k)) + 4
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params = SchemeParams(n=n, k=k, w=w, lam=16, lam0=24)
+    params = SchemeParams(n=n, k=k, w=w, lam=16, lam0=24)
     rng = random.Random(300)
     keypair = keygen(params, random_code_family(n, k), rng)
     hash_fn = FdhHash(params.n_k)
@@ -252,9 +249,7 @@ def test_criterion_6_foursum_oracle_equivalence():
 
 
 def toy_params():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SchemeParams(n=12, k=6, w=4, lam=8, lam0=24)
+    return SchemeParams(n=12, k=6, w=4, lam=8, lam0=24)
 
 
 def test_criterion_7_reduction_simulation():

@@ -515,6 +515,10 @@ REPLAY_CASES = {
     "attack-doom": ["attack", "--mode", "doom", "--q", "4", *ATTACK_ARGS],
     "bound": ["bound", "--preset", "surf", "--lambda", "64", "--seed", "1"],
     "simulate": ["simulate", "--game", "4,5", "--trials", "8", "--seed", "2"],
+    "exponents": ["exponents", "--rate", "0.4", "--omega", "0.2"],
+    "exponents-rate": ["exponents", "--rate", "0.5"],
+    "attack-force": ["attack", "--n", "66", "--k", "33", "--w", "2", "--force",
+                     "--budget", "200"],
 }
 KEY_FILES = ("pk.key", "sk.key")
 ECHO_FLAGS = {"k_u": "ku", "games": "game"}
@@ -529,7 +533,9 @@ def argv_from_echo(line):
     if pairs.get("mode") == "sd":
         del pairs["q"]  # sd decodes its one target; --q is doom-only
     for key, value in pairs.items():
-        argv += ["--" + ECHO_FLAGS.get(key, key).replace("_", "-"), value]
+        argv.append("--" + ECHO_FLAGS.get(key, key).replace("_", "-"))
+        if value != "True":  # a store_true flag echoes as key=True
+            argv.append(value)
     return argv
 
 

@@ -37,20 +37,20 @@ CASES = {
     "bound": ["bound", "--preset", "surf"],
     "simulate": ["simulate", "--trials", "4"],
 }
-SCHEME = ["cli", "exponents", "f2", "hashing", "scheme"]
+SCHEME = ["cli", "f2", "hashing", "scheme"]
 REDUCTION = ["cli", "f2", "hashing", "isd", "reduction", "scheme"]
 EXPECTED = {
     "import cbfdh": [],
     "import cbfdh.cli": ["cli"],
     "keygen": SCHEME,
-    "keygen-uuv": ["cli", "codes", "exponents", "f2", "hashing", "scheme"],
+    "keygen-uuv": ["cli", "codes", "f2", "hashing", "scheme"],
     "sign": SCHEME,
     "verify": SCHEME,
     "attack-sd": ["cli", "f2", "isd"],
     "attack-doom": ["cli", "f2", "hashing", "isd"],
     "exponents": ["cli", "exponents"],
     "bound": REDUCTION,
-    "simulate": sorted([*REDUCTION, "exponents"]),
+    "simulate": REDUCTION,
 }
 
 CHILD = """

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -40,9 +39,7 @@ from cbfdh.scheme import (
 def toy_params(**overrides):
     kwargs = dict(n=12, k=6, w=4, lam=8, lam0=24)
     kwargs.update(overrides)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SchemeParams(**kwargs)
+    return SchemeParams(**kwargs)
 
 
 # --- lazy oracles -----------------------------------------------------------------

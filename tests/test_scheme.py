@@ -39,9 +39,7 @@ from cbfdh.scheme import (
 
 
 def toy_params(n=24, k=12, w=7, lam0=48):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SchemeParams(n=n, k=k, w=w, lam0=lam0)
+    return SchemeParams(n=n, k=k, w=w, lam0=lam0)
 
 
 def toy_keypair(seed=0, **kw):
@@ -58,14 +56,12 @@ def test_params_validation():
         SchemeParams(n=10, k=0, w=2)
     with pytest.raises(ValueError):
         SchemeParams(n=10, k=5, w=11)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    # toy weights below GV or at least (n-k)/2 are the workbench's normal
+    # case; whether a weight is secure is the calculators' question
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         SchemeParams(n=24, k=12, w=1)  # far below GV
-        assert any("GV" in str(w.message) for w in caught)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        SchemeParams(n=24, k=12, w=7)  # above (n-k)/2, fine at desk scale
-        assert any("(n-k)/2" in str(w.message) for w in caught)
+        SchemeParams(n=24, k=12, w=7)  # above (n-k)/2
 
 
 def test_salt_width_from_signing_budget():
@@ -89,6 +85,23 @@ def test_keygen_deterministic_under_seed():
     a, _ = toy_keypair(seed=7)
     b, _ = toy_keypair(seed=7)
     assert a == b
+
+
+@pytest.mark.parametrize("bad, error", [
+    (random_matrix(11, 24, random.Random(0)).vstack(BitMatrix.zeros(1, 24)),
+     "rank-deficient"),
+    (random_matrix(11, 24, random.Random(0)), "wrong shape"),
+], ids=("rank-deficient", "wrong-shape"))
+def test_keygen_rejects_an_unusable_family_matrix_after_one_draw(bad, error):
+    draws = []
+
+    def family(rng):
+        draws.append(rng)
+        return bad
+
+    with pytest.raises(ValueError, match=error):
+        keygen(toy_params(), family, random.Random(0))
+    assert len(draws) == 1
 
 
 def test_uuv_family_shape():
