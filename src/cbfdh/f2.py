@@ -7,17 +7,24 @@ big-endian bit order within bytes, so coordinate 0 is the most significant
 bit of byte 0 and rows pad on the right up to a whole byte.
 
 Values are immutable after construction; every operation returns a fresh
-object, which keeps sharing across worker processes safe.  One kernel
-solves on a column selection, square or not: :class:`ColumnBasis`, an XOR
-basis of the selected column syndromes, under the signer, ISD/DOOM,
-four-sum and :func:`inverse`.  :func:`systematic_form` is the independent
-row-reduction reference it is checked against.
+object, which keeps sharing across worker processes safe.  A matrix
+computes its column syndromes and its :class:`SystematicFrame` once, on
+first use, and keeps them out of equality, hashing and pickles.
+
+One kernel solves on a column selection, square or not:
+:class:`ColumnBasis`, an XOR basis of the selected column syndromes, under
+ISD/DOOM, four-sum and :func:`inverse`.  The signer's frame is the
+ColumnBasis of h's first information set, with every column written in
+that basis, so each square selection it solves eliminates only its columns
+outside that set.  :func:`systematic_form` is the independent
+row-reduction reference the kernel is checked against.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -27,6 +34,8 @@ __all__ = [
     "Permutation",
     "SingularSelectionError",
     "ColumnBasis",
+    "SystematicFrame",
+    "FrameSelection",
     "mat_vec_mul",
     "mat_mul",
     "rank",
@@ -196,7 +205,11 @@ class BitMatrix:
 
     def columns(self) -> tuple[int, ...]:
         """Column payloads: bit ``r`` of column ``j`` is entry (r, j), read
-        off by one bit scan of the rows."""
+        off by one bit scan of the rows on the first call."""
+        return self._columns
+
+    @cached_property
+    def _columns(self) -> tuple[int, ...]:
         cols = [0] * self.ncols
         for r, bits in enumerate(self.rows):
             while bits:
@@ -204,6 +217,19 @@ class BitMatrix:
                 cols[low.bit_length() - 1] |= 1 << r
                 bits ^= low
         return tuple(cols)
+
+    @cached_property
+    def frame(self) -> SystematicFrame | None:
+        """The matrix in the coordinates of its first information set, built
+        on first use; None when the matrix is rank deficient."""
+        try:
+            return SystematicFrame(self.columns(), self.nrows)
+        except SingularSelectionError:
+            return None
+
+    def __reduce__(self):
+        # pickle and copy the fields only: a cached value is rebuilt on use
+        return BitMatrix, (self.nrows, self.ncols, self.rows)
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.ncols, self.nrows, self.columns())
@@ -384,8 +410,8 @@ def random_full_rank(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
 class ColumnBasis:
     """``h_S x^T = t^T`` on a column selection S = ``cols`` of an r-row h,
     from h's column syndromes (:meth:`BitMatrix.columns`) alone: the one
-    information-set kernel, under the signer, ISD/DOOM, four-sum and
-    :func:`inverse`.
+    information-set kernel, under ISD/DOOM, four-sum, :func:`inverse` and
+    the signer's :class:`SystematicFrame`.
 
     The selected columns enter, in ``cols`` order, an XOR basis keyed by
     leading bit; each basis vector carries a tag of the selected columns it
@@ -470,6 +496,108 @@ class ColumnBasis:
                 out |= 1 << positions[low.bit_length() - 1]
                 bits ^= low
         return out
+
+
+class SystematicFrame(ColumnBasis):
+    """An r-row h of rank r in the coordinates of its reference information
+    set I0 = ``cols``, the first r independent columns in index order, so
+    building the frame draws nothing.  It is the :class:`ColumnBasis` of
+    I0 (``reduce(t)`` is h_{I0}^{-1} t), built by one greedy pass over the
+    columns that also records each column's coordinates: ``coords[c]`` is
+    column c of h_{I0}^{-1} h, which is ``1 << i`` for c = ``cols[i]``.
+    Raises SingularSelectionError when h is rank deficient.
+
+    :meth:`select` solves on a square selection S without redoing the
+    elimination of I0 (Canteaut-Chabaud): a selected reference column
+    pivots on its own coordinate bit, so only the m columns of S outside
+    I0 enter an XOR basis, masked to the m coordinate bits of the
+    unselected reference columns.  S is singular exactly when one of them
+    reduces to 0.
+    """
+
+    __slots__ = ("coords", "units", "positions")
+
+    def __init__(self, columns: Sequence[int], r: int):
+        self.vecs = vecs = [0] * r
+        self.tags = tags = [0] * r
+        ref, coords, units = [], [], []  # units[c]: 1 << i for c = ref[i], else 0
+        for c, v in enumerate(columns):
+            x = unit = 0  # column c = v + the reference columns of x
+            while v:
+                top = v.bit_length() - 1
+                if not vecs[top]:  # c is the next reference column
+                    unit = 1 << len(ref)
+                    vecs[top], tags[top] = v, x ^ unit
+                    x = unit
+                    ref.append(c)
+                    break
+                v ^= vecs[top]
+                x ^= tags[top]
+            coords.append(x)
+            units.append(unit)
+        if len(ref) < r:
+            raise SingularSelectionError("the matrix is rank deficient")
+        self.cols, self.coords, self.units = tuple(ref), tuple(coords), tuple(units)
+        self.window = tuple(c for c, u in enumerate(units) if not u)
+        self.positions = frozenset(range(len(columns)))
+
+    def select(self, cols: Sequence[int]) -> FrameSelection | None:
+        """The solver on the r distinct columns ``cols``, or None when they
+        are linearly dependent."""
+        units, coords = self.units, self.coords
+        r, n = len(self.vecs), len(coords)
+        chosen = sum(map(units.__getitem__, cols))  # the selected bits of I0
+        free = chosen ^ (1 << r) - 1
+        shift = r + n
+        floor = 1 << shift
+        vecs = {}  # v.bit_length() -> basis vector
+        for c in cols:
+            if units[c]:
+                continue
+            a = coords[c]
+            # the key (a's free bits) above the tag: a's chosen bits, then c
+            v = (a & free) << shift | a & chosen | 1 << r + c
+            while v >= floor:
+                top = v.bit_length()
+                if top not in vecs:
+                    vecs[top] = v
+                    break
+                v ^= vecs[top]
+            else:
+                return None
+        window = tuple(sorted(self.positions.difference(cols)))
+        return FrameSelection(self, vecs, chosen, free, shift, window)
+
+
+class FrameSelection:
+    """The unique solution on a nonsingular square selection S of a
+    :class:`SystematicFrame`.  The window is the non-selected columns,
+    ascending."""
+
+    __slots__ = ("frame", "vecs", "chosen", "free", "shift", "window")
+
+    def __init__(
+        self, frame: SystematicFrame, vecs: dict[int, int], chosen: int,
+        free: int, shift: int, window: tuple[int, ...],
+    ):
+        self.frame, self.vecs, self.chosen = frame, vecs, chosen
+        self.free, self.shift, self.window = free, shift, window
+
+    def reduce(self, tau: int) -> int:
+        """x with ``h_S x_S = t`` for the coordinates tau of t: bit i of x
+        is the coefficient of the selected reference column ``cols[i]``, bit
+        r + c that of the selected column c outside I0.  Its weight is that
+        of the solution."""
+        vecs, shift = self.vecs, self.shift
+        floor = 1 << shift
+        v = (tau & self.free) << shift | tau & self.chosen
+        while v >= floor:
+            v ^= vecs[v.bit_length()]
+        return v
+
+    def complete(self, x: int) -> int:
+        """The error on h's positions of a solution x of :meth:`reduce`."""
+        return self.frame.complete(x & self.chosen, 0) | x >> len(self.frame.vecs)
 
 
 def systematic_form(

@@ -21,7 +21,7 @@ Key files start with magic ``CBFDH1``, then n, k, w, lambda0 as little-endian
 :meth:`cbfdh.f2.BitMatrix.to_text`.  The public file carries h_pub; the
 secret file carries h_sec, s, s^{-1} and the permutation as a line of
 0-based image indices.  Signature files are two lines: salt hex, then the
-error row in hex.
+error row in hex; the padding bits of each last byte must be 0.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ from typing import Callable
 from .f2 import (
     BitMatrix,
     BitVector,
-    ColumnBasis,
     Permutation,
-    SingularSelectionError,
     inverse,
     mat_mul,
     mat_vec_mul,
@@ -234,29 +232,36 @@ def decode_to_weight(
 
     Each trial picks a random information set (r columns) and sweeps the
     window weight p: p random support bits are seeded on the window and the
-    trial accepts when the forced part, solved on the selected column
-    syndromes by :class:`cbfdh.f2.ColumnBasis`, has weight w - p.
+    trial accepts when the forced part has weight w - p.  Targets live in
+    the coordinates of h's :class:`cbfdh.f2.SystematicFrame`, built once
+    per matrix, and each trial solves only on its columns outside the
+    frame's reference set.  A rank-deficient h has no frame: every
+    selection is singular, so its trials draw their columns and nothing
+    else.
     """
     r, n = h.nrows, h.ncols
     if s.n != r:
         raise ValueError("syndrome length mismatch")
-    columns = h.columns()
+    frame = h.frame
+    if frame is None:
+        for _ in range(budget):
+            _sample(rng, n, r)
+        return None
+    coords, base = frame.coords, frame.reduce(s.bits)
     window = n - r
     for _ in range(budget):
-        cols = sorted(_sample(rng, n, r))
-        try:
-            basis = ColumnBasis(columns, cols, r)
-        except SingularSelectionError:
+        selection = frame.select(_sample(rng, n, r))
+        if selection is None:
             continue
-        rest = basis.window
+        rest = selection.window
         for p in range(max(0, w - r), min(w, window) + 1):
-            seed, target = 0, s.bits
+            seed, target = 0, base
             for t in _sample(rng, window, p):
                 seed |= 1 << rest[t]
-                target ^= columns[rest[t]]
-            forced = basis.reduce(target)
+                target ^= coords[rest[t]]
+            forced = selection.reduce(target)
             if forced.bit_count() == w - p:
-                return BitVector(n, seed | basis.complete(forced, 0))
+                return BitVector(n, seed | selection.complete(forced))
     return None
 
 
@@ -433,11 +438,19 @@ def load_signature(path: str, params: SchemeParams) -> Signature:
         lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
     if len(lines) != 2:
         raise ValueError("signature file must hold salt and error lines")
-    salt_bytes = bytes.fromhex(lines[0])
-    e_bytes = bytes.fromhex(lines[1])
-    if len(salt_bytes) != (params.lam0 + 7) // 8 or len(e_bytes) != (params.n + 7) // 8:
-        raise ValueError("signature field lengths disagree with the parameters")
-    return Signature(
-        BitVector.from_bytes(e_bytes, params.n),
-        BitVector.from_bytes(salt_bytes, params.lam0),
+    salt, e = (
+        _signature_field(line, bits) for line, bits in zip(lines, (params.lam0, params.n))
     )
+    return Signature(e, salt)
+
+
+def _signature_field(line: str, bits: int) -> BitVector:
+    """A ``bits``-wide field, read strictly: the padding bits of its last
+    byte must be 0, so each signature has exactly one encoding."""
+    data = bytes.fromhex(line)
+    if len(data) != (bits + 7) // 8:
+        raise ValueError("signature field lengths disagree with the parameters")
+    field = BitVector.from_bytes(data, bits)
+    if field.to_bytes() != data:
+        raise ValueError("nonzero padding bits in a signature field")
+    return field

@@ -117,6 +117,31 @@ def test_malformed_files_exit_2(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("line", [0, 1])
+def test_signature_with_nonzero_padding_exit_2(tmp_path, capsys, line):
+    # n = lambda0 = 12: both fields end in four padding bits
+    assert main([
+        "keygen", "--n", "12", "--k", "6", "--w", "3", "--lambda", "16",
+        "--lambda0", "12", "--seed", "1", "--public-key", str(tmp_path / "pk.key"),
+        "--secret-key", str(tmp_path / "sk.key"),
+    ]) == 0
+    assert main([
+        "sign", "--secret-key", str(tmp_path / "sk.key"),
+        "--signature", str(tmp_path / "m.sig"), "--message", "hi", "--seed", "2",
+    ]) == 0
+    verify = ["verify", "--public-key", str(tmp_path / "pk.key"), "--message", "hi"]
+    code, out, _ = run_cli(capsys, *verify, "--signature", str(tmp_path / "m.sig"))
+    assert code == 0 and "result=ACCEPT" in out
+    lines = (tmp_path / "m.sig").read_text().split()
+    assert lines[line][-1] == "0"
+    lines[line] = lines[line][:-1] + "f"
+    padded = tmp_path / "padded.sig"
+    padded.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, *verify, "--signature", str(padded))
+    assert code == 2 and "error: nonzero padding bits" in err
+    assert "result=" not in out
+
+
 def _key_body_lines(path):
     data = path.read_bytes()
     fixed = len(MAGIC) + 17  # magic, four packed u32 fields, newline

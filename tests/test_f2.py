@@ -1,4 +1,6 @@
+import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from cbfdh.f2 import (
     ColumnBasis,
     Permutation,
     SingularSelectionError,
+    SystematicFrame,
     front_permutation,
     inverse,
     mat_mul,
@@ -133,6 +136,30 @@ def test_columns_and_transpose():
     h = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
     assert h.columns() == (0b01, 0b11, 0b10)
     assert h.transpose() == BitMatrix.from_dense([[1, 0], [1, 1], [0, 1]])
+
+
+def test_caches_are_invisible():
+    rng = random.Random(12)
+    for _ in range(20):
+        m = random_full_rank(6, 14, rng)
+        assert m.columns() and m.frame is not None
+        assert {"_columns", "frame"} <= set(vars(m))
+        fresh = BitMatrix(m.nrows, m.ncols, m.rows)
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+        assert BitMatrix.from_text(m.to_text()) == m
+        assert m.to_text() == fresh.to_text()
+        # the pickle carries the fields only, and the copy rebuilds its caches
+        assert pickle.dumps(m) == pickle.dumps(fresh)
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m and "frame" not in vars(copy) and "_columns" not in vars(copy)
+        assert copy.columns() == m.columns() and copy.frame.coords == m.frame.coords
+        perm = random_permutation(m.ncols, rng)
+        for derived in (m.permute_cols(perm), m.hstack(m), m.transpose()):
+            assert "frame" not in vars(derived) and "_columns" not in vars(derived)
+        assert m.permute_cols(perm).columns() == tuple(
+            m.columns()[i] for i in perm.inverse().images
+        )
+        assert m.hstack(m).columns() == m.columns() * 2
 
 
 def test_mat_vec_matches_column_xor():
@@ -412,3 +439,68 @@ def test_square_column_basis_matches_reference():
             t = s ^ mat_vec_mul(h, BitVector(n, e)).bits
             assert basis.reduce(t) == mat_vec_mul(u, BitVector(r, t)).bits, case
     assert min(seen.values()) >= 50, seen
+
+
+def frame_cases():
+    """(case, h, rng): r from 1 to 20, a third of the windows 22 columns or
+    wider (where the decoder's seeds take the sampler's set branch), and a
+    fifth of the matrices rank deficient."""
+    for case in range(600):
+        rng = random.Random(1400 + case)
+        r = 1 + case % 20
+        n = r + (rng.randrange(22, 40) if case % 3 == 0 else rng.randrange(0, 22))
+        h = random_matrix(r, n, rng)
+        if case % 5 == 0 and r > 1:  # a rank-deficient h
+            h = BitMatrix(r, n, h.rows[:-1] + (h.rows[0] ^ h.rows[-2],))
+        yield case, h, rng
+
+
+def test_frame_matches_column_basis():
+    seen = Counter()
+    for case, h, rng in frame_cases():
+        r, n = h.nrows, h.ncols
+        columns = h.columns()
+        frame = h.frame
+        if rank(h) < r:
+            seen["rank deficient"] += 1
+            assert frame is None, case
+            with pytest.raises(SingularSelectionError):
+                SystematicFrame(columns, r)
+            with pytest.raises(SingularSelectionError):
+                ColumnBasis(columns, rng.sample(range(n), r), r)
+            continue
+        # the first r independent columns in index order, and the
+        # coordinates of every column in their basis
+        prefix_rank = [rank(BitMatrix(c, r, columns[:c])) for c in range(n + 1)]
+        assert frame.cols == tuple(c for c in range(n) if prefix_rank[c + 1] > prefix_rank[c])
+        reference = ColumnBasis(columns, frame.cols, r)
+        for t in (rng.getrandbits(r) for _ in range(4)):
+            assert frame.reduce(t) == reference.reduce(t), case
+        for c, a in enumerate(frame.coords):
+            acc = 0
+            for i, ref in enumerate(frame.cols):
+                if a >> i & 1:
+                    acc ^= columns[ref]
+            assert acc == columns[c], case
+        for _ in range(8):
+            cols = rng.sample(range(n), r)
+            if rng.random() < 0.5:
+                cols.sort()
+            selection = frame.select(cols)
+            try:
+                basis = ColumnBasis(columns, cols, r)
+            except SingularSelectionError:
+                seen["singular"] += 1
+                assert selection is None, case
+                continue
+            assert selection is not None and selection.window == basis.window, case
+            for _ in range(4):
+                t = rng.getrandbits(r)
+                x = selection.reduce(frame.reduce(t))
+                want = basis.complete(basis.reduce(t), 0)
+                assert selection.complete(x) == want, case
+                assert x.bit_count() == want.bit_count(), case
+            seen["solved"] += 1
+            seen["solved, window >= 22"] += n - r >= 22
+            seen["solved, r = 20"] += r == 20
+    assert min(seen.values()) >= 40, seen

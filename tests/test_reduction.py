@@ -216,8 +216,10 @@ def test_harness_is_deterministic_and_worker_independent():
     b = run_game(3, adv, config, 30, random.Random(5), keep_transcripts=True)
     assert a.successes == b.successes and a.trials == b.trials
     assert [t.win for t in a.transcripts] == [t.win for t in b.transcripts]
-    c = run_game(3, adv, config, 30, random.Random(5), workers=2)
+    # the transcripts come back pickled, matrices and all, from the workers
+    c = run_game(3, adv, config, 30, random.Random(5), keep_transcripts=True, workers=2)
     assert c.successes == a.successes and c.trials == a.trials
+    assert c.transcripts == a.transcripts
 
 
 def test_game_hop_birthday_bound():
