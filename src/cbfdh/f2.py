@@ -11,17 +11,18 @@ object, which keeps sharing across worker processes safe.  A matrix
 computes its column syndromes and its :class:`SystematicFrame` once, on
 first use, and keeps them out of equality, hashing and pickles.
 
-One kernel solves on a column selection, square or not:
-:class:`ColumnBasis`, an XOR basis of the selected column syndromes, under
-ISD/DOOM, four-sum and :func:`inverse`.  The signer's frame is the
-ColumnBasis of h's first information set, with every column written in
-that basis, so each square selection it solves eliminates only its columns
-outside that set.  :func:`systematic_form` is the independent
-row-reduction reference the kernel is checked against.
+One kernel solves on a column selection, square or not: the
+:class:`SystematicFrame` of a matrix, its first information set with every
+column written in that basis, built once per matrix.  Each selection it
+solves eliminates only its columns outside that set, for the signer,
+ISD/DOOM, four-sum and :func:`inverse` alike.  :func:`systematic_form` is
+the independent row-reduction reference the kernel is checked against, and
+:func:`sample` draws the selections.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,9 +34,8 @@ __all__ = [
     "BitMatrix",
     "Permutation",
     "SingularSelectionError",
-    "ColumnBasis",
     "SystematicFrame",
-    "FrameSelection",
+    "Selection",
     "mat_vec_mul",
     "mat_mul",
     "rank",
@@ -43,6 +43,7 @@ __all__ = [
     "systematic_form",
     "front_permutation",
     "random_permutation",
+    "sample",
     "random_matrix",
     "random_full_rank",
 ]
@@ -382,14 +383,42 @@ def rank(m: BitMatrix) -> int:
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix: column i solves ``m x^T = (1 << i)^T`` on
-    the basis of all its columns.  Raises ValueError
-    (SingularSelectionError) when singular."""
+    """Inverse of a square matrix: its frame's reference set is every
+    column, so the frame's coordinates of ``1 << i`` are column i of the
+    inverse.  Raises ValueError (SingularSelectionError) when singular."""
     if m.nrows != m.ncols:
         raise ValueError("matrix is not square")
-    n = m.nrows
-    basis = ColumnBasis(m.columns(), range(n), n)
-    return BitMatrix(n, n, tuple(basis.reduce(1 << i) for i in range(n))).transpose()
+    frame, n = m.frame, m.nrows
+    if frame is None:
+        raise SingularSelectionError("the matrix is singular")
+    return BitMatrix(n, n, tuple(frame.reduce(1 << i) for i in range(n))).transpose()
+
+
+def sample(rng: random.Random, n: int, k: int) -> list[int]:
+    """``rng.sample(range(n), k)`` by the same ``getrandbits`` calls, without
+    its sequence check and per-draw ``_randbelow`` call: CPython's pool
+    branch when n is at most ``setsize``, else its set branch."""
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    if n <= setsize:
+        out, pool = [], list(range(n))
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            out.append(pool[j])
+            pool[j] = pool[m - 1]
+        return out
+    bits, selected = n.bit_length(), {}  # a dict keeps the draw order
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        selected[j] = None
+    return list(selected)
 
 
 def random_matrix(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
@@ -407,120 +436,34 @@ def random_full_rank(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
             return m
 
 
-class ColumnBasis:
-    """``h_S x^T = t^T`` on a column selection S = ``cols`` of an r-row h,
-    from h's column syndromes (:meth:`BitMatrix.columns`) alone: the one
-    information-set kernel, under ISD/DOOM, four-sum, :func:`inverse` and
-    the signer's :class:`SystematicFrame`.
-
-    The selected columns enter, in ``cols`` order, an XOR basis keyed by
-    leading bit; each basis vector carries a tag of the selected columns it
-    combines (bit j for ``cols[j]``).  A column that reduces to zero makes
-    the selection singular (SingularSelectionError) at the cost of one
-    insertion.  A selection of f < r columns is completed by the unit
-    vectors ``1 << b`` of the r - f bits b that lead no basis vector, tagged
-    with output bits f, f + 1, ... in ascending b, so every t reduces to
-    ``x | tail << f``: the tail is 0 exactly when t lies in the span of h_S,
-    and then x is the unique solution.  The window is the non-selected
-    columns, ascending.
-    """
-
-    __slots__ = ("cols", "window", "vecs", "tags")
-
-    def __init__(self, columns: Sequence[int], cols: Sequence[int], r: int):
-        self.vecs = vecs = [0] * r  # [b]: the vector with leading bit b
-        self.tags = tags = [0] * r
-        for j, c in enumerate(cols):
-            v, tag = columns[c], 1 << j
-            while v:
-                top = v.bit_length() - 1
-                if not vecs[top]:
-                    vecs[top], tags[top] = v, tag
-                    break
-                v ^= vecs[top]
-                tag ^= tags[top]
-            else:
-                raise SingularSelectionError(f"column selection singular at column {j}")
-        if len(cols) < r:
-            out = len(cols)
-            for b in range(r):
-                if not vecs[b]:
-                    vecs[b], tags[b] = 1 << b, 1 << out
-                    out += 1
-        selected = set(cols)
-        self.cols = tuple(cols)
-        self.window = tuple(c for c in range(len(columns)) if c not in selected)
-
-    def reduce(self, t: int) -> int:
-        """``x | tail << f``: bit j of x is the coefficient of ``cols[j]``."""
-        vecs, tags, x = self.vecs, self.tags, 0
-        while t:
-            top = t.bit_length() - 1
-            t ^= vecs[top]
-            x ^= tags[top]
-        return x
-
-    def window_columns(self, columns: Sequence[int]) -> tuple[int, ...]:
-        """The reduced window columns: entry t is the reduction of the t-th
-        non-selected column."""
-        return tuple(self.reduce(columns[c]) for c in self.window)
-
-    def reduce_all(self, syndromes: Iterable[int]) -> Iterator[int]:
-        """:meth:`reduce` of each syndrome, lazily: a basis walk each for the
-        first r, then one lookup per byte of s in XOR tables of the
-        reductions of the unit vectors, built when the (r + 1)-th syndrome is
-        reached."""
-        r = len(self.vecs)
-        syndromes = iter(syndromes)
-        yield from map(self.reduce, islice(syndromes, r))
-        tables: list[list[int]] = []  # [k][b]: reduce(b << 8k)
-        for s in syndromes:
-            if not tables:
-                tables = [[0] for _ in range(0, r, 8)]
-                for i in range(r):
-                    col = self.reduce(1 << i)
-                    tables[i >> 3] += [x ^ col for x in tables[i >> 3]]
-            out = 0
-            for table in tables:
-                out ^= table[s & 255]
-                s >>= 8
-            yield out
-
-    def complete(self, front_bits: int, window_word: int) -> int:
-        """The error on h's positions: front bit j goes to ``cols[j]``,
-        window bit t to the t-th non-selected column."""
-        out = 0
-        for positions, bits in ((self.cols, front_bits), (self.window, window_word)):
-            while bits:
-                low = bits & -bits
-                out |= 1 << positions[low.bit_length() - 1]
-                bits ^= low
-        return out
-
-
-class SystematicFrame(ColumnBasis):
+class SystematicFrame:
     """An r-row h of rank r in the coordinates of its reference information
     set I0 = ``cols``, the first r independent columns in index order, so
-    building the frame draws nothing.  It is the :class:`ColumnBasis` of
-    I0 (``reduce(t)`` is h_{I0}^{-1} t), built by one greedy pass over the
-    columns that also records each column's coordinates: ``coords[c]`` is
-    column c of h_{I0}^{-1} h, which is ``1 << i`` for c = ``cols[i]``.
+    building the frame draws nothing: the one information-set kernel, under
+    the signer, ISD/DOOM, four-sum and :func:`inverse`.
+
+    One greedy pass over h's column syndromes (:meth:`BitMatrix.columns`)
+    builds an XOR basis of I0 keyed by leading bit, each vector tagged with
+    the reference columns it combines, so ``reduce(t)`` is h_{I0}^{-1} t.
+    The pass also records ``coords[c]``, column c of h_{I0}^{-1} h, which is
+    ``units[c] = 1 << i`` for c = ``cols[i]`` (``units`` is 0 off I0).
     Raises SingularSelectionError when h is rank deficient.
 
-    :meth:`select` solves on a square selection S without redoing the
-    elimination of I0 (Canteaut-Chabaud): a selected reference column
-    pivots on its own coordinate bit, so only the m columns of S outside
-    I0 enter an XOR basis, masked to the m coordinate bits of the
-    unselected reference columns.  S is singular exactly when one of them
-    reduces to 0.
+    :meth:`select` solves on a selection S of f <= r columns without redoing
+    the elimination of I0 (Canteaut-Chabaud): a selected reference column
+    pivots on its own coordinate bit, so only the m columns of S outside I0
+    enter an XOR basis, on the coordinate bits of the unselected reference
+    columns (the free bits).  S is singular exactly when one of them reduces
+    to 0.  The l = r - f free bits that no column pivots on complete the
+    basis as the tail.
     """
 
-    __slots__ = ("coords", "units", "positions")
+    __slots__ = ("cols", "coords", "units", "vecs", "tags", "positions")
 
     def __init__(self, columns: Sequence[int], r: int):
-        self.vecs = vecs = [0] * r
+        self.vecs = vecs = [0] * r  # [b]: the vector with leading bit b
         self.tags = tags = [0] * r
-        ref, coords, units = [], [], []  # units[c]: 1 << i for c = ref[i], else 0
+        ref, coords, units = [], [], []
         for c, v in enumerate(columns):
             x = unit = 0  # column c = v + the reference columns of x
             while v:
@@ -538,56 +481,74 @@ class SystematicFrame(ColumnBasis):
         if len(ref) < r:
             raise SingularSelectionError("the matrix is rank deficient")
         self.cols, self.coords, self.units = tuple(ref), tuple(coords), tuple(units)
-        self.window = tuple(c for c, u in enumerate(units) if not u)
         self.positions = frozenset(range(len(columns)))
 
-    def select(self, cols: Sequence[int]) -> FrameSelection | None:
-        """The solver on the r distinct columns ``cols``, or None when they
-        are linearly dependent."""
+    def reduce(self, t: int) -> int:
+        """The coordinates of t: bit i is the coefficient of ``cols[i]``."""
+        vecs, tags, x = self.vecs, self.tags, 0
+        while t:
+            top = t.bit_length() - 1
+            t ^= vecs[top]
+            x ^= tags[top]
+        return x
+
+    def select(self, cols: Sequence[int]) -> Selection | None:
+        """The solver on the f <= r distinct columns ``cols``, or None when
+        they are linearly dependent."""
         units, coords = self.units, self.coords
-        r, n = len(self.vecs), len(coords)
+        r = len(self.cols)
         chosen = sum(map(units.__getitem__, cols))  # the selected bits of I0
         free = chosen ^ (1 << r) - 1
-        shift = r + n
+        shift = 2 * r
         floor = 1 << shift
         vecs = {}  # v.bit_length() -> basis vector
         for c in cols:
             if units[c]:
                 continue
             a = coords[c]
-            # the key (a's free bits) above the tag: a's chosen bits, then c
-            v = (a & free) << shift | a & chosen | 1 << r + c
+            # the key (a's free bits) above a 2r-bit tag: x, which holds a's
+            # chosen bits and then the free bit the column pivots on, with
+            # the tail above it
+            v = (a & free) << shift | a & chosen
             while v >= floor:
                 top = v.bit_length()
                 if top not in vecs:
-                    vecs[top] = v
+                    vecs[top] = v | 1 << top - 1 - shift
                     break
                 v ^= vecs[top]
             else:
                 return None
+        if len(cols) < r:  # the free bits no column pivots on: tail bits r, r + 1, ...
+            tail = r
+            for b in range(r):
+                if free >> b & 1 and shift + b + 1 not in vecs:
+                    vecs[shift + b + 1] = 1 << shift + b | 1 << tail
+                    tail += 1
         window = tuple(sorted(self.positions.difference(cols)))
-        return FrameSelection(self, vecs, chosen, free, shift, window)
+        return Selection(self, vecs, chosen, free, shift, tuple(cols), window)
 
 
-class FrameSelection:
-    """The unique solution on a nonsingular square selection S of a
-    :class:`SystematicFrame`.  The window is the non-selected columns,
-    ascending."""
+class Selection:
+    """``h_S x^T = t^T`` on a column selection S = ``cols`` of a
+    :class:`SystematicFrame`.  Bit i of x is the coefficient of the column
+    of S that reduces to ``1 << i``: the reference column ``frame.cols[i]``
+    when S holds it, else the column outside I0 that pivots on free bit i.
+    The window is the non-selected columns, ascending."""
 
-    __slots__ = ("frame", "vecs", "chosen", "free", "shift", "window")
+    __slots__ = ("frame", "vecs", "chosen", "free", "shift", "cols", "window", "_front")
 
     def __init__(
         self, frame: SystematicFrame, vecs: dict[int, int], chosen: int,
-        free: int, shift: int, window: tuple[int, ...],
+        free: int, shift: int, cols: tuple[int, ...], window: tuple[int, ...],
     ):
-        self.frame, self.vecs, self.chosen = frame, vecs, chosen
-        self.free, self.shift, self.window = free, shift, window
+        self.frame, self.vecs, self.chosen, self.free = frame, vecs, chosen, free
+        self.shift, self.cols, self.window, self._front = shift, cols, window, None
 
     def reduce(self, tau: int) -> int:
-        """x with ``h_S x_S = t`` for the coordinates tau of t: bit i of x
-        is the coefficient of the selected reference column ``cols[i]``, bit
-        r + c that of the selected column c outside I0.  Its weight is that
-        of the solution."""
+        """``x | tail << r`` for the coordinates tau of t
+        (:meth:`SystematicFrame.reduce`): the l-bit tail is 0 exactly when t
+        lies in the span of h_S, and then x is the unique solution, of the
+        weight of the error on S."""
         vecs, shift = self.vecs, self.shift
         floor = 1 << shift
         v = (tau & self.free) << shift | tau & self.chosen
@@ -595,9 +556,53 @@ class FrameSelection:
             v ^= vecs[v.bit_length()]
         return v
 
-    def complete(self, x: int) -> int:
-        """The error on h's positions of a solution x of :meth:`reduce`."""
-        return self.frame.complete(x & self.chosen, 0) | x >> len(self.frame.vecs)
+    def window_columns(self) -> tuple[int, ...]:
+        """The reduced window columns: entry t is the reduction of the t-th
+        non-selected column."""
+        reduce, coords = self.reduce, self.frame.coords
+        return tuple(reduce(coords[c]) for c in self.window)
+
+    def reduce_all(self, syndromes: Iterable[int]) -> Iterator[int]:
+        """``reduce(frame.reduce(s))`` of each syndrome s, lazily: basis walks
+        for the first r, then one lookup per byte of s in XOR tables of the
+        reductions of the unit vectors, built when the (r + 1)-th syndrome is
+        reached."""
+        frame, reduce = self.frame, self.reduce
+        r = len(frame.cols)
+        syndromes = iter(syndromes)
+        yield from map(reduce, map(frame.reduce, islice(syndromes, r)))
+        tables: list[list[int]] = []  # [k][b]: the reduction of b << 8k
+        for s in syndromes:
+            if not tables:
+                tables = [[0] for _ in range(0, r, 8)]
+                for i in range(r):
+                    col = reduce(frame.reduce(1 << i))
+                    tables[i >> 3] += [x ^ col for x in tables[i >> 3]]
+            out = 0
+            for table in tables:
+                out ^= table[s & 255]
+                s >>= 8
+            yield out
+
+    def complete(self, front_bits: int, window_word: int) -> int:
+        """The error on h's positions: bit i of x goes to the selected column
+        that reduces to ``1 << i``, window bit t to the t-th non-selected
+        column."""
+        if self._front is None:  # built on the first call: the signer makes one
+            self._front = list(self.frame.cols)
+            # vecs holds the pivots of the columns outside I0 in their order,
+            # then the tail's vectors
+            units, tops = self.frame.units, iter(self.vecs)
+            for c in self.cols:
+                if not units[c]:
+                    self._front[next(tops) - 1 - self.shift] = c
+        out = 0
+        for positions, bits in ((self._front, front_bits), (self.window, window_word)):
+            while bits:
+                low = bits & -bits
+                out |= 1 << positions[low.bit_length() - 1]
+                bits ^= low
+        return out
 
 
 def systematic_form(

@@ -4,9 +4,10 @@ For a fixed column selection, finding a weight-p window word whose
 subsyndrome matches one of many hashed targets is cast as a 4-sum problem
 over G = F_2^{l/2} x F_2^{l/2}: the window splits into three equal thirds
 carrying weight p/3 each (sets V1, V2, V3 of window masks, mapped through
-the tails of the reduced window columns of :class:`cbfdh.f2.ColumnBasis`),
-while V4 is a set of hash preimages mapped to the l-bit tail of their
-reduced syndrome.  A quadruple summing to zero means the combined window
+the tails of the reduced window columns of a selection of h's
+:class:`cbfdh.f2.SystematicFrame`, the one information-set kernel), while
+V4 is a set of hash preimages mapped to the l-bit tail of their reduced
+syndrome.  A quadruple summing to zero means the combined window
 word solves the subsyndrome for that preimage; the predicate g accepts when
 the completed error vector has full weight w, and then the completion is a
 valid multi-target decoding solution.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Any, Callable, Sequence
 
-from .f2 import BitMatrix, BitVector, ColumnBasis, rank
+from .f2 import BitMatrix, BitVector, Selection, SingularSelectionError
 from .isd import DoomSolution
 
 __all__ = [
@@ -54,7 +55,8 @@ def snap_foursum_params(k: int, l: int, p: int) -> tuple[int, int]:
 @dataclass
 class FourSumInstance:
     """The four sets with their maps into F_2^l, plus completion data:
-    the selection's basis and its reduced window columns."""
+    the selection and its reduced window columns (front in the low r bits,
+    tail above)."""
 
     h: BitMatrix
     hash_fn: Callable[[Any], BitVector]
@@ -62,7 +64,7 @@ class FourSumInstance:
     p: int
     l: int
     w: int
-    basis: ColumnBasis
+    selection: Selection
     window_columns: tuple[int, ...]
     v1: tuple[int, ...]
     v2: tuple[int, ...]
@@ -89,7 +91,7 @@ class FourSumInstance:
 
     def window_syndrome(self, mask: int) -> int:
         """``hpp mask^T``: the reduced syndrome of the window word, less its front."""
-        return self._reduced_window(mask) >> len(self.cols)
+        return self._reduced_window(mask) >> self.h.nrows
 
     def _reduced_target(self, preimage: Any) -> tuple[int, int]:
         """(front part, tail) of the reduced syndrome of hash(preimage)."""
@@ -98,9 +100,9 @@ class FourSumInstance:
             s = self.hash_fn(preimage)
             if s.n != self.h.nrows:
                 raise ValueError("hash output width does not match the matrix")
-            bits = self.basis.reduce(s.bits)
-            front = len(self.cols)
-            got = (bits & ((1 << front) - 1), bits >> front)
+            bits = self.selection.reduce(self.selection.frame.reduce(s.bits))
+            r = self.h.nrows
+            got = (bits & ((1 << r) - 1), bits >> r)
             self._f4_cache[preimage] = got
         return got
 
@@ -113,8 +115,8 @@ class FourSumInstance:
         part closes the syndrome of ``preimage`` when the word's tail matches
         the preimage's."""
         sp, _ = self._reduced_target(preimage)
-        e1 = (sp ^ self._reduced_window(window_mask)) & ((1 << len(self.cols)) - 1)
-        return BitVector(self.h.ncols, self.basis.complete(e1, window_mask))
+        e1 = (sp ^ self._reduced_window(window_mask)) & ((1 << self.h.nrows) - 1)
+        return BitVector(self.h.ncols, self.selection.complete(e1, window_mask))
 
     def g(self, v1: int, v2: int, v3: int, preimage: Any) -> bool:
         """Accept when the completed error vector has full weight w."""
@@ -162,7 +164,7 @@ def build_foursum_instance(
     third, p3 = window // 3, p // 3
     if p3 > third:
         raise ValueError("third weight exceeds third size")
-    if rank(h) < r:
+    if h.frame is None:
         raise ValueError("parity-check matrix is rank deficient")
     size = math.comb(third, p3)
     if preimages is None:
@@ -172,8 +174,9 @@ def build_foursum_instance(
         if len(preimages) < size:
             raise ValueError(f"need at least {size} preimages")
         preimages = preimages[:size]
-    columns = h.columns()
-    basis = ColumnBasis(columns, cols, r)
+    selection = h.frame.select(cols)
+    if selection is None:
+        raise SingularSelectionError("column selection singular")
     return FourSumInstance(
         h=h,
         hash_fn=hash_fn,
@@ -181,8 +184,8 @@ def build_foursum_instance(
         p=p,
         l=l,
         w=w,
-        basis=basis,
-        window_columns=basis.window_columns(columns),
+        selection=selection,
+        window_columns=selection.window_columns(),
         v1=_third_masks(0, third, p3),
         v2=_third_masks(third, third, p3),
         v3=_third_masks(2 * third, third, p3),

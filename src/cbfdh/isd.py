@@ -1,10 +1,11 @@
 """Information-set decoding attacks and their success-rate predictor.
 
 The generalized attack solves on a random size-(n-k-l) column selection S
-(:class:`cbfdh.f2.ColumnBasis`): a syndrome reduces to a front part on S
-and an l-bit tail, which is 0 exactly when the syndrome lies in the span of
-h_S.  The reduced window columns split the same way, into blocks hp (front)
-and hpp (tail).  The attack enumerates the weight-p window words solving the
+of h's :class:`cbfdh.f2.SystematicFrame`, the one information-set kernel: a
+syndrome reduces to a front part on S, in its low r bits, and an l-bit tail
+above them, which is 0 exactly when the syndrome lies in the span of h_S.
+The reduced window columns split the same way, into blocks hp (front) and
+hpp (tail).  The attack enumerates the weight-p window words solving the
 l-bit subsyndrome by a meet-in-the-middle split, and accepts when the
 forced part has weight w - p.  The multi-target (DOOM) variant joins all q
 syndromes against one window enumeration per trial, whose two halves are
@@ -33,11 +34,10 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .f2 import (
     BitMatrix,
     BitVector,
-    ColumnBasis,
-    SingularSelectionError,
+    SystematicFrame,
     mat_vec_mul,
     random_full_rank,
-    rank,
+    sample,
 )
 
 __all__ = [
@@ -197,8 +197,8 @@ class WindowEnumerator:
     """All weight-p window words e'' with ``hpp e''^T = tail``, each paired
     with its front syndrome ``hp e''^T``.
 
-    ``cols`` are the r-bit reduced window columns
-    (:meth:`cbfdh.f2.ColumnBasis.window_columns`), hp's bits below ``front``
+    ``cols`` are the reduced window columns
+    (:meth:`cbfdh.f2.Selection.window_columns`), hp's bits below ``front``
     and hpp's above.  Meet-in-the-middle join: both halves are built once,
     the left words keyed by their l-bit tail and the right words listed with
     theirs, so a probe costs one XOR and one lookup per right word; each
@@ -259,7 +259,7 @@ class _HashedTargets:
 
 
 def _isd_trial(
-    payload: tuple[tuple[int, ...], int, Iterable[int], int, int, int],
+    payload: tuple[SystematicFrame, Iterable[int], int, int, int],
     child_seed: int,
 ) -> tuple[int, int] | None:
     """One information-set trial; returns (target index, error bits) or None.
@@ -268,23 +268,21 @@ def _isd_trial(
     each target's window words in enumerator order, so the first hit is the
     lowest target index and then that target's first word.
     """
-    columns, r, targets, w, p, l = payload
-    front = r - l
+    frame, targets, w, p, l = payload
+    r = len(frame.cols)
     rng = random.Random(child_seed)
-    cols = sorted(rng.sample(range(len(columns)), front))
-    try:
-        basis = ColumnBasis(columns, cols, r)
-    except SingularSelectionError:
+    selection = frame.select(sorted(sample(rng, len(frame.coords), r - l)))
+    if selection is None:
         return None
-    enum = WindowEnumerator(basis.window_columns(columns), front, p)
-    front_mask = (1 << front) - 1
+    enum = WindowEnumerator(selection.window_columns(), r, p)
+    front_mask = (1 << r) - 1
     need = w - p
-    for ti, reduced in enumerate(basis.reduce_all(targets)):
+    for ti, reduced in enumerate(selection.reduce_all(targets)):
         sp = reduced & front_mask
-        for syn, e2 in enum.solutions(reduced >> front):
+        for syn, e2 in enum.solutions(reduced >> r):
             e1 = sp ^ syn
             if e1.bit_count() == need:
-                return ti, basis.complete(e1, e2)
+                return ti, selection.complete(e1, e2)
     return None
 
 
@@ -296,11 +294,12 @@ def _search(
     rng: random.Random,
     workers: int,
 ) -> tuple[tuple[int, int] | None, int]:
-    """Run trials until one hits or the budget is spent; h's rank is checked
-    once, as a trial cannot tell it from a singular selection."""
-    if rank(h) < h.nrows:
+    """Run trials until one hits or the budget is spent; h's frame is built
+    once, and a rank-deficient h, which has none, is refused, as a trial
+    cannot tell it from a singular selection."""
+    if h.frame is None:
         raise ValueError("parity-check matrix is rank deficient")
-    trial = partial(_isd_trial, (h.columns(), h.nrows, targets, w, params.p, params.l))
+    trial = partial(_isd_trial, (h.frame, targets, w, params.p, params.l))
     budget = params.max_iterations
     if workers <= 1:
         for idx in range(budget):
@@ -411,5 +410,5 @@ def plant_instance(
 ) -> tuple[BitMatrix, BitVector, BitVector]:
     """Random full-rank instance with a known weight-w solution planted."""
     h = random_full_rank(n - k, n, rng)
-    e = BitVector.from_support(n, rng.sample(range(n), w))
+    e = BitVector.from_support(n, sample(rng, n, w))
     return h, mat_vec_mul(h, e), e

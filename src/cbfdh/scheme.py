@@ -41,7 +41,7 @@ from .f2 import (
     mat_vec_mul,
     random_full_rank,
     random_permutation,
-    rank,
+    sample,
 )
 from .hashing import FdhHash
 
@@ -174,12 +174,13 @@ def keygen(
 ) -> SignatureKeyPair:
     """Draw (h_sec, s, perm) and publish h_pub = s @ h_sec @ P.  Both code
     families return full-rank matrices by construction, so one draw of
-    h_sec is taken and a rank-deficient one is rejected."""
+    h_sec is taken and a rank-deficient one, which has no frame, is
+    rejected; the signer reuses the frame built here."""
     r = params.n_k
     h_sec = family(rng)
     if h_sec.nrows != r or h_sec.ncols != params.n:
         raise ValueError("family produced a matrix of the wrong shape")
-    if rank(h_sec) != r:
+    if h_sec.frame is None:
         raise ValueError("family produced a rank-deficient matrix")
     scramble = random_full_rank(r, r, rng)
     perm = random_permutation(params.n, rng)
@@ -191,33 +192,6 @@ def keypair_from_secret(params: SchemeParams, secret: SecretKey) -> SignatureKey
     """Complete a secret key with its public matrix h_pub = s @ h_sec @ P."""
     h_pub = mat_mul(secret.scramble, secret.h_sec).permute_cols(secret.perm)
     return SignatureKeyPair(params, secret, PublicKey(h_pub, params.w, params.lam0))
-
-
-def _sample(rng: random.Random, n: int, k: int) -> list[int]:
-    """``rng.sample(range(n), k)`` by the same ``getrandbits`` calls, without
-    its sequence check and per-draw ``_randbelow`` call: CPython's pool
-    branch when n is at most ``setsize``, else its set branch."""
-    if not 0 <= k <= n:
-        raise ValueError("Sample larger than population or is negative")
-    getrandbits = rng.getrandbits
-    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
-    if n <= setsize:
-        out, pool = [], list(range(n))
-        for m in range(n, n - k, -1):
-            bits = m.bit_length()
-            j = getrandbits(bits)
-            while j >= m:
-                j = getrandbits(bits)
-            out.append(pool[j])
-            pool[j] = pool[m - 1]
-        return out
-    bits, selected = n.bit_length(), {}  # a dict keeps the draw order
-    for _ in range(k):
-        j = getrandbits(bits)
-        while j >= n or j in selected:
-            j = getrandbits(bits)
-        selected[j] = None
-    return list(selected)
 
 
 def decode_to_weight(
@@ -245,23 +219,23 @@ def decode_to_weight(
     frame = h.frame
     if frame is None:
         for _ in range(budget):
-            _sample(rng, n, r)
+            sample(rng, n, r)
         return None
     coords, base = frame.coords, frame.reduce(s.bits)
     window = n - r
     for _ in range(budget):
-        selection = frame.select(_sample(rng, n, r))
+        selection = frame.select(sample(rng, n, r))
         if selection is None:
             continue
         rest = selection.window
         for p in range(max(0, w - r), min(w, window) + 1):
             seed, target = 0, base
-            for t in _sample(rng, window, p):
-                seed |= 1 << rest[t]
+            for t in sample(rng, window, p):
+                seed |= 1 << t
                 target ^= coords[rest[t]]
             forced = selection.reduce(target)
             if forced.bit_count() == w - p:
-                return BitVector(n, seed | selection.complete(forced))
+                return BitVector(n, selection.complete(forced, seed))
     return None
 
 

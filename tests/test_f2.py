@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cbfdh.f2 import (
     BitMatrix,
     BitVector,
-    ColumnBasis,
     Permutation,
     SingularSelectionError,
     SystematicFrame,
@@ -342,35 +341,43 @@ def test_column_basis_matches_reference(l):
             cols.sort()
         columns = h.columns()
         try:
-            ref = systematic_form(h, cols, l)
+            u, hp, hpp = systematic_form(h, cols, l)
         except SingularSelectionError:
             seen["singular"] += 1
-            with pytest.raises(SingularSelectionError):
-                ColumnBasis(columns, cols, r)
+            assert h.frame is None or h.frame.select(cols) is None
             continue
         except ValueError as exc:
+            # a rank-deficient h has no frame to select from
             assert "rank deficient" in str(exc)
             seen["rank deficient"] += 1
-            ref = None
-        else:
-            seen["full rank"] += 1
-        basis = ColumnBasis(columns, cols, r)
+            assert h.frame is None
+            continue
+        seen["full rank"] += 1
+        selection = h.frame.select(cols)
+        reduce = lambda t: selection.reduce(h.frame.reduce(t))  # of a syndrome t
         perm = front_permutation(cols, n)
-        assert basis.window == tuple(sorted(set(range(n)) - set(cols)))
-        reduced_window = basis.window_columns(columns)
-        assert reduced_window == tuple(basis.reduce(columns[c]) for c in basis.window)
+        assert selection.window == tuple(sorted(set(range(n)) - set(cols)))
+        reduced_window = selection.window_columns()
+        assert reduced_window == tuple(reduce(columns[c]) for c in selection.window)
+        # each selected column reduces to its own bit of x, below r
+        units = [reduce(columns[c]) for c in cols]
+        for c, unit in zip(cols, units):
+            assert unit < 1 << r and unit.bit_count() == 1
+            assert selection.complete(unit, 0) == 1 << c
         span = span_of(columns[c] for c in cols)
         for _ in range(4):
             e2 = rng.getrandbits(window)
             if rng.random() < 0.5:  # s + h e2 in the span of h_S
-                s = mat_vec_mul(h, BitVector(n, basis.complete(rng.getrandbits(front), e2))).bits
+                e1 = perm.inverse().apply_bits(rng.getrandbits(front))
+                s = mat_vec_mul(h, BitVector(n, e1 | selection.complete(0, e2))).bits
             else:
                 s = rng.getrandbits(r)
-            t = s ^ mat_vec_mul(h, BitVector(n, basis.complete(0, e2))).bits
-            got = basis.reduce(t)
-            x, tail = got & ((1 << front) - 1), got >> front
+            t = s ^ mat_vec_mul(h, BitVector(n, selection.complete(0, e2))).bits
+            got = reduce(t)
+            x, tail = got & ((1 << r) - 1), got >> r
+            assert tail < 1 << l
             # the window word's reduced columns close the gap to the target
-            acc = basis.reduce(s)
+            acc = reduce(s)
             for i in range(window):
                 if e2 >> i & 1:
                     acc ^= reduced_window[i]
@@ -378,18 +385,20 @@ def test_column_basis_matches_reference(l):
             seen["tail 0" if tail == 0 else "tail set"] += 1
             assert (tail == 0) == (t in span)
             if tail == 0:
-                assert mat_vec_mul(h, BitVector(n, basis.complete(x, 0))).bits == t
-            if ref is not None:
-                u, hp, hpp = ref
-                us = mat_vec_mul(u, BitVector(r, s)).bits
-                e2_vec = BitVector(window, e2)
-                assert (tail == 0) == (us >> front == mat_vec_mul(hpp, e2_vec).bits)
-                if tail == 0:
-                    e1 = us & ((1 << front) - 1) ^ mat_vec_mul(hp, e2_vec).bits
-                    assert x == e1
+                assert mat_vec_mul(h, BitVector(n, selection.complete(x, 0))).bits == t
+            us = mat_vec_mul(u, BitVector(r, s)).bits
+            e2_vec = BitVector(window, e2)
+            assert (tail == 0) == (us >> front == mat_vec_mul(hpp, e2_vec).bits)
+            if tail == 0:
+                e1 = us & ((1 << front) - 1) ^ mat_vec_mul(hp, e2_vec).bits
+                assert selection.complete(x, 0) == perm.inverse().apply_bits(e1)
             front_bits, word = rng.getrandbits(front), rng.getrandbits(window)
+            x = 0
+            for j, unit in enumerate(units):
+                if front_bits >> j & 1:
+                    x ^= unit
             expect = perm.inverse().apply_bits(front_bits | word << front)
-            assert basis.complete(front_bits, word) == expect
+            assert selection.complete(x, word) == expect
     assert seen["singular"] and seen["full rank"], seen
     assert seen["tail 0"] and (seen["tail set"] or not l), seen
     if l:
@@ -402,14 +411,22 @@ def test_reduce_all_matches_reduce_on_both_sides_of_the_table_switch():
     for r in (1, 3, 8, 9, 16, 20):
         h = random_full_rank(r, 2 * r, rng)
         while True:
-            try:
-                basis = ColumnBasis(h.columns(), rng.sample(range(2 * r), r - 1), r)
+            cols = rng.sample(range(2 * r), r - 1)
+            selection = h.frame.select(cols)
+            if selection is not None:
                 break
-            except SingularSelectionError:
-                continue
+        u, _, _ = systematic_form(h, cols, 1)
+        perm = front_permutation(cols, 2 * r)
         for count in (0, r, r + 1, 5 * r):
             ss = [rng.getrandbits(r) for _ in range(count)]
-            assert list(basis.reduce_all(ss)) == [basis.reduce(x) for x in ss]
+            got = list(selection.reduce_all(ss))
+            assert got == [selection.reduce(h.frame.reduce(x)) for x in ss]
+            for s, reduced in zip(ss, got):
+                us = mat_vec_mul(u, BitVector(r, s)).bits
+                assert (reduced >> r) == us >> r - 1  # the one tail bit
+                if not reduced >> r:
+                    x = perm.inverse().apply_bits(us)
+                    assert selection.complete(reduced, 0) == x
 
 
 def test_square_column_basis_matches_reference():
@@ -424,20 +441,22 @@ def test_square_column_basis_matches_reference():
         cols = rng.sample(range(n), r)
         if rng.random() < 0.5:
             cols.sort()
-        columns = h.columns()
         try:
             u, _, _ = systematic_form(h, cols, 0)
         except SingularSelectionError:
             seen["singular"] += 1
-            with pytest.raises(SingularSelectionError):
-                ColumnBasis(columns, cols, r)
+            assert h.frame is None or h.frame.select(cols) is None, case
             continue
         seen["solved"] += 1
-        basis = ColumnBasis(columns, cols, r)
+        selection = h.frame.select(cols)
+        back = front_permutation(cols, n).inverse()
         for _ in range(4):
             s, e = rng.getrandbits(r), rng.getrandbits(n)
             t = s ^ mat_vec_mul(h, BitVector(n, e)).bits
-            assert basis.reduce(t) == mat_vec_mul(u, BitVector(r, t)).bits, case
+            x = selection.reduce(h.frame.reduce(t))
+            want = mat_vec_mul(u, BitVector(r, t)).bits
+            assert x < 1 << r and x.bit_count() == want.bit_count(), case
+            assert selection.complete(x, 0) == back.apply_bits(want), case
     assert min(seen.values()) >= 50, seen
 
 
@@ -455,6 +474,34 @@ def frame_cases():
         yield case, h, rng
 
 
+def check_selection(h, cols, rng, case):
+    """h.frame.select(cols) against systematic_form on f = len(cols)
+    columns: None exactly when singular, else the tail of a target is 0
+    exactly when the reference's is, and then x is its solution."""
+    r, n = h.nrows, h.ncols
+    front = len(cols)
+    selection = h.frame.select(cols)
+    try:
+        u, _, _ = systematic_form(h, cols, r - front)
+    except SingularSelectionError:
+        assert selection is None, case
+        return "singular"
+    assert selection is not None and selection.window == tuple(
+        c for c in range(n) if c not in cols
+    ), case
+    back = front_permutation(cols, n).inverse()
+    for _ in range(4):
+        t = rng.getrandbits(r)
+        got = selection.reduce(h.frame.reduce(t))
+        want = mat_vec_mul(u, BitVector(r, t)).bits
+        assert (got >> r == 0) == (want >> front == 0), case
+        x, e1 = got & ((1 << r) - 1), want & ((1 << front) - 1)
+        if want >> front == 0:
+            assert selection.complete(x, 0) == back.apply_bits(e1), case
+            assert x.bit_count() == e1.bit_count(), case
+    return "solved"
+
+
 def test_frame_matches_column_basis():
     seen = Counter()
     for case, h, rng in frame_cases():
@@ -467,15 +514,15 @@ def test_frame_matches_column_basis():
             with pytest.raises(SingularSelectionError):
                 SystematicFrame(columns, r)
             with pytest.raises(SingularSelectionError):
-                ColumnBasis(columns, rng.sample(range(n), r), r)
+                systematic_form(h, rng.sample(range(n), r), 0)
             continue
         # the first r independent columns in index order, and the
         # coordinates of every column in their basis
         prefix_rank = [rank(BitMatrix(c, r, columns[:c])) for c in range(n + 1)]
         assert frame.cols == tuple(c for c in range(n) if prefix_rank[c + 1] > prefix_rank[c])
-        reference = ColumnBasis(columns, frame.cols, r)
+        u, _, _ = systematic_form(h, frame.cols, 0)
         for t in (rng.getrandbits(r) for _ in range(4)):
-            assert frame.reduce(t) == reference.reduce(t), case
+            assert frame.reduce(t) == mat_vec_mul(u, BitVector(r, t)).bits, case
         for c, a in enumerate(frame.coords):
             acc = 0
             for i, ref in enumerate(frame.cols):
@@ -486,21 +533,18 @@ def test_frame_matches_column_basis():
             cols = rng.sample(range(n), r)
             if rng.random() < 0.5:
                 cols.sort()
-            selection = frame.select(cols)
-            try:
-                basis = ColumnBasis(columns, cols, r)
-            except SingularSelectionError:
+            if check_selection(h, cols, rng, case) == "singular":
                 seen["singular"] += 1
-                assert selection is None, case
                 continue
-            assert selection is not None and selection.window == basis.window, case
-            for _ in range(4):
-                t = rng.getrandbits(r)
-                x = selection.reduce(frame.reduce(t))
-                want = basis.complete(basis.reduce(t), 0)
-                assert selection.complete(x) == want, case
-                assert x.bit_count() == want.bit_count(), case
             seen["solved"] += 1
             seen["solved, window >= 22"] += n - r >= 22
             seen["solved, r = 20"] += r == 20
+        # all of I0 (no outside columns) or part of it, and none of it
+        inside = rng.sample(frame.cols, rng.randrange(1, r + 1))
+        assert check_selection(h, inside, rng, case) == "solved", case
+        seen["all of I0" if len(inside) == r else "part of I0"] += 1
+        outside = [c for c in range(n) if c not in frame.cols]
+        if outside:
+            cols = rng.sample(outside, rng.randrange(1, min(r, len(outside)) + 1))
+            seen["none of I0, " + check_selection(h, cols, rng, case)] += 1
     assert min(seen.values()) >= 40, seen

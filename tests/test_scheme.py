@@ -13,6 +13,7 @@ from cbfdh.f2 import (
     mat_vec_mul,
     random_matrix,
     rank,
+    sample,
 )
 from cbfdh.hashing import FdhHash
 from cbfdh.scheme import (
@@ -20,7 +21,6 @@ from cbfdh.scheme import (
     Signature,
     SignatureKeyPair,
     SigningFailure,
-    _sample,
     decode_to_weight,
     keygen,
     keypair_from_secret,
@@ -229,14 +229,14 @@ def test_sample_matches_random_sample():
                 continue
             seed = rng.getrandbits(64)
             ours, theirs = random.Random(seed), random.Random(seed)
-            assert _sample(ours, n, k) == theirs.sample(range(n), k), (n, k)
+            assert sample(ours, n, k) == theirs.sample(range(n), k), (n, k)
             assert ours.getstate() == theirs.getstate(), (n, k)
     for n, k in [(0, 1), (5, 6), (300, 301)]:
         ours, theirs = random.Random(n), random.Random(n)
         with pytest.raises(ValueError):
             theirs.sample(range(n), k)
         with pytest.raises(ValueError):
-            _sample(ours, n, k)
+            sample(ours, n, k)
         assert ours.getstate() == theirs.getstate()
 
 
