@@ -9,51 +9,17 @@ reproducible batch runs.
 
 Each library submodule loads on first use: importing the package binds
 ``cbfdh.f2`` and its siblings as lazy modules (also in ``sys.modules``),
-and the first attribute read runs the module.  The names re-exported here
-(``cbfdh.BitVector``, ``from cbfdh import doom_attack``) load their module
-the same way, so a CLI command runs only the modules it calls.
+and the first attribute read runs the module, so a CLI command runs only
+the modules it calls.
 """
 
 import importlib.util
 import sys
 
 __version__ = "0.1.0"
-
-# re-exported names, keyed by the submodule that defines them
-_EXPORTS = {
-    "codes": (
-        "DiscreteDistribution", "stat_distance", "syndrome_weight_distribution",
-        "uuv_parity_check",
-    ),
-    "exponents": (
-        "RatePoint", "doom_quantum_exponent", "entropy", "entropy_inv", "gv_bound",
-        "gv_relative_weight", "prange_exponent_classical",
-        "prange_exponent_quantum",
-    ),
-    "f2": ("BitMatrix", "BitVector", "Permutation"),
-    "foursum": (
-        "FourSumInstance", "build_foursum_instance", "lift_foursum_solution",
-        "snap_foursum_params", "solve_foursum",
-    ),
-    "hashing": (
-        "FdhHash", "rank_weight_pattern", "syndrome_hash", "unrank_weight_pattern",
-    ),
-    "isd": (
-        "DoomSolution", "IsdParams", "SearchResult", "doom_attack",
-        "generalized_isd", "isd_success", "m_solutions", "plant_instance",
-    ),
-    "reduction": (
-        "GameConfig", "GameStats", "LazyOracle", "OmniscientAdversary", "ZOracle",
-        "condition_check", "extract_doom_solution", "run_game",
-        "sign_without_secret", "theorem1_bound_log2",
-    ),
-    "scheme": (
-        "PublicKey", "SchemeParams", "SecretKey", "Signature", "SignatureKeyPair",
-        "SigningFailure", "keygen", "measure_decoder_distance",
-        "random_code_family", "sign", "uuv_code_family", "verify",
-    ),
-}
-_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = [
+    "codes", "exponents", "f2", "foursum", "hashing", "isd", "reduction", "scheme",
+]
 
 
 def _lazy(name: str) -> None:
@@ -67,17 +33,6 @@ def _lazy(name: str) -> None:
     globals()[name] = module
 
 
-for _name in _EXPORTS:
+for _name in __all__:
     _lazy(_name)
 del _name
-__all__ = [*_EXPORTS, *_OWNER]
-
-
-def __getattr__(name: str):
-    if name not in _OWNER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[_OWNER[name]], name)
-
-
-def __dir__() -> list[str]:
-    return sorted([*globals(), *_OWNER])

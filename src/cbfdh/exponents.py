@@ -7,13 +7,18 @@ quantum exponent models a quantum-walk search whose window enumeration is
 pinned to the group size of a four-set sum subroutine: with
 beta = log2(window set size)/n, the balance constraint is beta = (5/8) *
 lambda_rel, the walk costs (6/5) * beta, and a Grover factor halves the
-(capped) per-iteration success exponent.
+(capped) per-iteration success exponent.  doom_quantum_exponent minimises
+that cost over lambda_rel: a grid search, then a golden-section polish
+around the best grid point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+GRID_STEP = 1e-3  # lambda grid step of doom_quantum_exponent, before its polish
+ENTROPY_TOL = 1e-12  # absolute tolerance of entropy_inv's bisection
 
 __all__ = [
     "RatePoint",
@@ -62,12 +67,14 @@ def entropy(x: float) -> float:
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
-def entropy_inv(y: float, tol: float = 1e-12) -> float:
-    """Inverse of h on [0, 1/2] by bisection to absolute tolerance."""
+def entropy_inv(y: float) -> float:
+    """Inverse of h on [0, 1/2] by bisection to ENTROPY_TOL; h^{-1}(0) = 0."""
     if not 0 <= y <= 1:
         raise ValueError(f"entropy value {y} outside [0, 1]")
+    if y == 0:
+        return 0.0
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > ENTROPY_TOL:
         mid = (lo + hi) / 2
         if entropy(mid) < y:
             lo = mid
@@ -135,105 +142,57 @@ def doom_quantum_objective(pt: RatePoint, lambda_rel: float) -> tuple[float, flo
     return value, pi
 
 
-def _fminbound(func, lo: float, hi: float, xatol: float) -> float:
-    """Brent's bounded minimisation of ``func`` on [lo, hi].
+def _golden_section(func, lo: float, hi: float, xatol: float) -> float:
+    """Golden-section search for a minimum of ``func`` on [lo, hi].
 
-    A step-for-step port of scipy's ``minimize_scalar(method="bounded")``
-    (same constants, steps, float operation order and 500-evaluation cap),
-    so it returns the same argmin to the last bit.  Its step sign is
-    np.sign(d) + (d == 0), i.e. +1 at zero.
+    Shrinks the bracket by 1/phi per evaluation until it is at most
+    ``xatol`` wide and returns the better of the two interior points.  An
+    ``inf`` value counts as worse than any finite one, so a bracket that is
+    infeasible on one side closes in on the feasible side.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit through the last three points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf
+    shrink = (math.sqrt(5.0) - 1) / 2
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = func(c), func(d)
+    while hi - lo > xatol:
+        if fc <= fd:  # a minimum lies in [lo, d]
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = func(c)
+        else:  # a minimum lies in [c, hi]
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = func(d)
+    return c if fc <= fd else d
 
 
-def doom_quantum_exponent(pt: RatePoint, grid_step: float = 1e-3) -> ExponentResult:
+def doom_quantum_exponent(pt: RatePoint) -> ExponentResult:
     """Minimize the multi-target quantum decoding exponent over lambda_rel.
 
-    Coarse grid over [0, 1 - R) followed by a bounded scalar polish around
-    the best grid point.  The residual reports how tightly the balance
-    constraint beta = (5/8) * lambda holds at the reported argmin.
+    A grid of step about GRID_STEP over [0, 1 - R), then a golden-section
+    polish on the best grid point +- 2 steps; the grid point stands when the
+    polish does worse.  The grid holds lambda = 0, where the objective is
+    quantum Prange, so every rate point is feasible.  The residual reports
+    how tightly the balance constraint beta = (5/8) * lambda holds at the
+    reported argmin.
     """
     r = pt.rate
-    grid_n = max(2, int(round((1 - r) / grid_step)))
-    best_lam, best_val = None, math.inf
-    for i in range(grid_n):
-        lam = i * (1 - r) / grid_n
-        got = doom_quantum_objective(pt, lam)
-        if got is not None and got[0] < best_val:
-            best_val, best_lam = got[0], lam
-    if best_lam is None:
-        raise ValueError("no feasible lambda for this rate point")
-    step = (1 - r) / grid_n
-    lo = max(0.0, best_lam - 2 * step)
-    hi = min((1 - r) * (1 - 1e-12), best_lam + 2 * step)
 
     def penalized(lam: float) -> float:
         got = doom_quantum_objective(pt, lam)
         return got[0] if got is not None else math.inf
 
-    lam = _fminbound(penalized, lo, hi, 1e-12)
-    got = doom_quantum_objective(pt, lam)
-    if got is None or got[0] > best_val:
+    grid_n = max(2, int(round((1 - r) / GRID_STEP)))
+    grid = [i * (1 - r) / grid_n for i in range(grid_n)]
+    best_val, best_lam = min((penalized(lam), lam) for lam in grid)
+    step = (1 - r) / grid_n
+    lo = max(0.0, best_lam - 2 * step)
+    hi = min((1 - r) * (1 - 1e-12), best_lam + 2 * step)
+    lam = _golden_section(penalized, lo, hi, 1e-12)
+    if penalized(lam) > best_val:
         lam = best_lam
-        got = doom_quantum_objective(pt, lam)
-    assert got is not None
-    value, pi = got
+    value, pi = doom_quantum_objective(pt, lam)
     win = r + lam
-    beta_check = win / 3 * entropy(pi / win) if win else 0.0
+    beta_check = win / 3 * entropy(pi / win)
     return ExponentResult(
         exponent=value,
         lambda_rel=lam,

@@ -1,9 +1,13 @@
 import concurrent.futures
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cbfdh.cli
 import cbfdh.reduction
@@ -353,6 +357,58 @@ def test_exponents_rate_alone_uses_gv_weight(capsys, fmt):
     assert "omega=0.110028" in out and "regime=many-solutions" in out
 
 
+def test_exponents_zero_weight_is_quantum_prange(capsys):
+    # only lambda = 0 is feasible, where the decoder is quantum Prange
+    code, out, err = run_cli(
+        capsys, "exponents", "--rate", "0.5", "--omega", "0", "--format", "structured"
+    )
+    assert code == 0, err
+    row = kv_lines(out)[1]
+    assert row["doom_quantum"] == row["prange_quantum"] == "0.250000"
+
+
+def run_captured(argv):
+    """Run the CLI in-process: exit code (argparse's included), stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def rate_points(draw):
+    rate = draw(st.floats(0, 1, exclude_min=True, exclude_max=True))
+    return rate, draw(st.floats(0, (1 - rate) / 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rate_points())
+def test_exponents_doom_never_above_prange(point):
+    # the grid holds lambda = 0, where the objective is quantum Prange
+    rate, omega = point
+    code, out, err = run_captured(
+        ["exponents", "--rate", repr(rate), "--omega", repr(omega),
+         "--format", "structured"]
+    )
+    assert code == 0, err
+    row = kv_lines(out)[1]
+    assert float(row["doom_quantum"]) <= float(row["prange_quantum"])
+
+
+number_text = st.one_of(st.text(), st.floats().map(repr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(number_text, number_text)
+def test_exponents_arbitrary_text_exits_cleanly(rate, omega):
+    code, _, err = run_captured(["exponents", "--rate", rate, "--omega", omega])
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
 # --- bound --------------------------------------------------------------------------
 
 
@@ -635,8 +691,9 @@ def test_cli_runs_with_scipy_and_numpy_blocked(argv, capsys):
 def test_import_loads_no_scipy_numpy_or_process_pool():
     proc = subprocess.run(
         [sys.executable, "-c",
-         # the star import runs every lazily loaded library module
-         "import sys, cbfdh.cli; from cbfdh import *; print(sorted(k for k in sys.modules"
+         # reading each library module's __all__ runs that lazily loaded module
+         "import sys, cbfdh, cbfdh.cli; [getattr(cbfdh, m).__all__ for m in cbfdh.__all__];"
+         " print(sorted(k for k in sys.modules"
          " if k.split('.')[0] in ('scipy', 'numpy')"
          " or k == 'concurrent.futures.process'))"],
         capture_output=True, text=True, timeout=120,

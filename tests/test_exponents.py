@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 
@@ -40,6 +41,10 @@ def test_entropy_inverse_round_trip(y):
     x = entropy_inv(y)
     assert 0 <= x <= 0.5
     assert abs(entropy(x) - y) < 1e-9
+
+
+def test_entropy_inv_zero_is_exact():
+    assert entropy_inv(0.0) == 0.0
 
 
 def test_entropy_inv_half_matches_independent_solver():
@@ -91,6 +96,15 @@ def test_doom_objective_at_zero_matches_quantum_prange():
     assert abs(got[0] - prange_exponent_quantum(pt)) < 1e-9
 
 
+def test_doom_at_zero_weight_is_quantum_prange():
+    # only lambda = 0 is feasible: the window must carry weight 0
+    for rate in (0.1, 0.5, 0.9):
+        pt = RatePoint(rate, 0.0)
+        res = doom_quantum_exponent(pt)
+        assert res.lambda_rel == 0.0
+        assert abs(res.exponent - prange_exponent_quantum(pt)) < 1e-12
+
+
 def test_doom_never_exceeds_quantum_prange():
     r = 0.5
     gv = gv_relative_weight(r)
@@ -102,10 +116,11 @@ def test_doom_never_exceeds_quantum_prange():
         assert res.exponent <= prange_exponent_quantum(pt) + 1e-9
 
 
-def test_doom_grid_halving_stability():
+def test_doom_grid_halving_stability(monkeypatch):
     pt = RatePoint(0.5, 0.17)
-    a = doom_quantum_exponent(pt, grid_step=1e-3).exponent
-    b = doom_quantum_exponent(pt, grid_step=5e-4).exponent
+    a = doom_quantum_exponent(pt).exponent
+    monkeypatch.setattr(exponents, "GRID_STEP", exponents.GRID_STEP / 2)
+    b = doom_quantum_exponent(pt).exponent
     assert abs(a - b) < 1e-6
 
 
@@ -130,45 +145,65 @@ def test_exponent_continuity_in_omega():
         prev = val
 
 
-# an all-inf penalty window gives inf - inf in scipy's parabola; both sides
-# then take the golden step, so the warning is expected
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_fminbound_port_matches_scipy_bounded_brent(monkeypatch):
-    """The pure-Python polish is exact: over a grid of rate points,
-    doom_quantum_exponent returns the same floats (or raises the same
-    error) as with scipy's bounded Brent, the independent oracle."""
+def test_golden_section_finds_parabola_minimum():
+    x = exponents._golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-12)
+    assert abs(x - 0.3) < 1e-9
 
-    def scipy_fminbound(func, lo, hi, xatol):
+
+def test_golden_section_finds_kink():
+    c = 0.123456789
+    x = exponents._golden_section(lambda x: abs(x - c), 0.1, 0.2, 1e-12)
+    assert abs(x - c) < 2e-12
+
+
+def test_golden_section_closes_on_the_finite_side():
+    # the minimum sits on the edge of the feasible region, as the penalised
+    # objective's does where the weight split stops being feasible
+    edge = 0.4
+    left = exponents._golden_section(
+        lambda x: -x if x <= edge else math.inf, 0.3, 0.5, 1e-12)
+    right = exponents._golden_section(
+        lambda x: x if x >= edge else math.inf, 0.3, 0.5, 1e-12)
+    assert edge - 1e-12 <= left <= edge
+    assert edge <= right <= edge + 1e-12
+
+
+def test_golden_section_all_inf_bracket_stays_inside():
+    calls = []
+
+    def infeasible(x):
+        calls.append(x)
+        return math.inf
+
+    x = exponents._golden_section(infeasible, 0.2, 0.3, 1e-12)
+    assert 0.2 <= x <= 0.3
+    assert all(0.2 <= c <= 0.3 for c in calls)
+    assert len(calls) < 100
+
+
+def test_golden_section_polish_matches_scipy_bounded_brent(monkeypatch):
+    """At every rate 0.01..0.99, at two weights each, the exponent polished
+    by golden-section search lies within 1e-9 of the one polished by scipy's
+    bounded Brent (the independent oracle) on the same bracket, and both
+    print the same six decimals."""
+    search = exponents._golden_section
+
+    def scipy_bounded(func, lo, hi, xatol):
         res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
                               options={"xatol": xatol})
         return float(res.x)
 
-    port = exponents._fminbound
-    objective = exponents.doom_quantum_objective
-
-    def outcome(pt, fminbound):
-        monkeypatch.setattr(exponents, "_fminbound", fminbound)
-        try:
-            return exponents.doom_quantum_exponent(pt)
-        except ValueError as err:
-            return str(err)
-
-    infeasible = 0
+    # the objective is pure: the oracle's run reads the grid values of ours
+    objective = functools.lru_cache(maxsize=None)(exponents.doom_quantum_objective)
+    monkeypatch.setattr(exponents, "doom_quantum_objective", objective)
     for i in range(1, 100):
         rate = i / 100
-        for j in range(21):
-            pt = RatePoint(rate, (1 - rate) / 2 * (j / 20))
-            # the objective is pure: the second run reads the first's values
-            memo = {}
-
-            def memo_objective(pt_, lam):
-                if lam not in memo:
-                    memo[lam] = objective(pt_, lam)
-                return memo[lam]
-
-            monkeypatch.setattr(exponents, "doom_quantum_objective", memo_objective)
-            ours = outcome(pt, port)
-            oracle = outcome(pt, scipy_fminbound)
-            assert ours == oracle, (rate, pt.omega)
-            infeasible += isinstance(ours, str)
-    assert infeasible == 99  # omega = 0 has no feasible window weight
+        for frac in (0.35, 0.85):
+            pt = RatePoint(rate, (1 - rate) / 2 * frac)
+            ours = exponents.doom_quantum_exponent(pt).exponent
+            monkeypatch.setattr(exponents, "_golden_section", scipy_bounded)
+            oracle = exponents.doom_quantum_exponent(pt).exponent
+            monkeypatch.setattr(exponents, "_golden_section", search)
+            objective.cache_clear()
+            assert abs(ours - oracle) < 1e-9, (rate, pt.omega)
+            assert f"{ours:.6f}" == f"{oracle:.6f}", (rate, pt.omega)
