@@ -240,12 +240,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
     est = isd.isd_success(args.n, args.k, args.w, args.p, args.l, q=q)
     if args.mode == "doom":
-        targets = isd.default_doom_targets(q)
+        planted_target = next(isd.default_doom_targets(1))
 
         def hash_fn(t: bytes) -> f2.BitVector:
-            # target 0 carries the planted syndrome so the instance stays
-            # solvable; the rest are honest hash decoys
-            if t == targets[0]:
+            # the first target carries the planted syndrome so the instance
+            # stays solvable; the rest are honest hash decoys
+            if t == planted_target:
                 return s
             return hashing.syndrome_hash(b"attack:" + t, h.nrows)
 

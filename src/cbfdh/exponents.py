@@ -26,7 +26,6 @@ __all__ = [
     "entropy",
     "entropy_inv",
     "gv_relative_weight",
-    "gv_bound",
     "prange_exponent_classical",
     "prange_exponent_quantum",
     "doom_quantum_objective",
@@ -88,13 +87,6 @@ def gv_relative_weight(rate: float) -> float:
     if not 0 < rate < 1:
         raise ValueError("rate must lie in (0, 1)")
     return entropy_inv(1 - rate)
-
-
-def gv_bound(n: int, k: int) -> float:
-    """Gilbert-Varshamov distance n * h^{-1}(1 - k/n), as a real number."""
-    if not 0 < k < n:
-        raise ValueError("need 0 < k < n")
-    return n * gv_relative_weight(k / n)
 
 
 def prange_exponent_classical(pt: RatePoint) -> float:

@@ -128,10 +128,6 @@ class BitVector:
     def from_bytes(cls, data: bytes, n: int) -> "BitVector":
         return cls(n, _bytes_to_bits(data, n))
 
-    @classmethod
-    def from_hex(cls, text: str, n: int) -> "BitVector":
-        return cls.from_bytes(bytes.fromhex(text.strip()), n)
-
     def weight(self) -> int:
         return self.bits.bit_count()
 
@@ -143,19 +139,11 @@ class BitVector:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.bits >> i & 1)
 
-    def flip(self, i: int) -> "BitVector":
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return BitVector(self.n, self.bits ^ (1 << i))
-
     def slice(self, start: int, stop: int) -> "BitVector":
         if not 0 <= start <= stop <= self.n:
             raise IndexError((start, stop))
         mask = (1 << (stop - start)) - 1
         return BitVector(stop - start, self.bits >> start & mask)
-
-    def concat(self, other: "BitVector") -> "BitVector":
-        return BitVector(self.n + other.n, self.bits | other.bits << self.n)
 
     def to_bytes(self) -> bytes:
         return _bits_to_bytes(self.bits, self.n)

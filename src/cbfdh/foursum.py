@@ -3,11 +3,13 @@
 For a fixed column selection, finding a weight-p window word whose
 subsyndrome matches one of many hashed targets is cast as a 4-sum problem
 over G = F_2^{l/2} x F_2^{l/2}: the window splits into three equal thirds
-carrying weight p/3 each (sets V1, V2, V3 of window masks, mapped through
-the tails of the reduced window columns of a selection of h's
-:class:`cbfdh.f2.SystematicFrame`, the one information-set kernel), while
-V4 is a set of hash preimages mapped to the l-bit tail of their reduced
-syndrome.  A quadruple summing to zero means the combined window
+carrying weight p/3 each (sets V1, V2, V3 of window masks, the window words
+of :mod:`cbfdh.isd`, mapped through the tails of the reduced window columns
+of a selection of h's :class:`cbfdh.f2.SystematicFrame`, the one
+information-set kernel), while V4 is a set of hash preimages, by default
+DOOM's counter targets, hashed once as :func:`cbfdh.isd.doom_attack`
+hashes them and mapped to the l-bit tail of their reduced syndrome.  A
+quadruple summing to zero means the combined window
 word solves the subsyndrome for that preimage; the predicate g accepts when
 the completed error vector has full weight w, and then the completion is a
 valid multi-target decoding solution.
@@ -19,12 +21,12 @@ coordinates and filters the collisions, returning every solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import dataclass
+from itertools import product
 from typing import Any, Callable, Sequence
 
 from .f2 import BitMatrix, BitVector, Selection, SingularSelectionError
-from .isd import DoomSolution
+from .isd import DoomSolution, _HashedTargets, _words, default_doom_targets
 
 __all__ = [
     "FourSumInstance",
@@ -55,8 +57,8 @@ def snap_foursum_params(k: int, l: int, p: int) -> tuple[int, int]:
 @dataclass
 class FourSumInstance:
     """The four sets with their maps into F_2^l, plus completion data:
-    the selection and its reduced window columns (front in the low r bits,
-    tail above)."""
+    the selection, its reduced window columns and the reduced syndrome of
+    each preimage (front in the low r bits, tail above)."""
 
     h: BitMatrix
     hash_fn: Callable[[Any], BitVector]
@@ -70,7 +72,7 @@ class FourSumInstance:
     v2: tuple[int, ...]
     v3: tuple[int, ...]
     v4: tuple[Any, ...]
-    _f4_cache: dict[Any, tuple[int, int]] = field(default_factory=dict, repr=False)
+    targets: dict[Any, int]
 
     @property
     def window(self) -> int:
@@ -93,44 +95,21 @@ class FourSumInstance:
         """``hpp mask^T``: the reduced syndrome of the window word, less its front."""
         return self._reduced_window(mask) >> self.h.nrows
 
-    def _reduced_target(self, preimage: Any) -> tuple[int, int]:
-        """(front part, tail) of the reduced syndrome of hash(preimage)."""
-        got = self._f4_cache.get(preimage)
-        if got is None:
-            s = self.hash_fn(preimage)
-            if s.n != self.h.nrows:
-                raise ValueError("hash output width does not match the matrix")
-            bits = self.selection.reduce(self.selection.frame.reduce(s.bits))
-            r = self.h.nrows
-            got = (bits & ((1 << r) - 1), bits >> r)
-            self._f4_cache[preimage] = got
-        return got
-
     def f4(self, preimage: Any) -> int:
         """The l-bit tail of the reduced target syndrome."""
-        return self._reduced_target(preimage)[1]
+        return self.targets[preimage] >> self.h.nrows
 
     def complete(self, window_mask: int, preimage: Any) -> BitVector:
         """Error vector whose window part is ``window_mask`` and whose forced
         part closes the syndrome of ``preimage`` when the word's tail matches
         the preimage's."""
-        sp, _ = self._reduced_target(preimage)
-        e1 = (sp ^ self._reduced_window(window_mask)) & ((1 << self.h.nrows) - 1)
+        front = (1 << self.h.nrows) - 1
+        e1 = (self.targets[preimage] ^ self._reduced_window(window_mask)) & front
         return BitVector(self.h.ncols, self.selection.complete(e1, window_mask))
 
     def g(self, v1: int, v2: int, v3: int, preimage: Any) -> bool:
         """Accept when the completed error vector has full weight w."""
         return self.complete(v1 ^ v2 ^ v3, preimage).weight() == self.w
-
-
-def _third_masks(offset: int, size: int, weight: int) -> tuple[int, ...]:
-    out = []
-    for combo in combinations(range(offset, offset + size), weight):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        out.append(mask)
-    return tuple(out)
 
 
 def build_foursum_instance(
@@ -146,8 +125,9 @@ def build_foursum_instance(
 
     Requires l even, p and the window size k + l divisible by 3 (see
     :func:`snap_foursum_params`).  ``preimages`` defaults to counter byte
-    strings; exactly C((k+l)/3, p/3) of them are used so all four sets have
-    equal size.
+    strings (:func:`cbfdh.isd.default_doom_targets`); exactly C((k+l)/3, p/3)
+    of them are used so all four sets have equal size.  Every preimage is
+    hashed here, so a hash of the wrong width raises ValueError at build.
     """
     n, r = h.ncols, h.nrows
     if len(cols) > r or len(set(cols)) != len(cols) or not all(0 <= c < n for c in cols):
@@ -168,15 +148,19 @@ def build_foursum_instance(
         raise ValueError("parity-check matrix is rank deficient")
     size = math.comb(third, p3)
     if preimages is None:
-        preimages = [i.to_bytes(8, "big") for i in range(size)]
-    else:
-        preimages = list(preimages)
-        if len(preimages) < size:
-            raise ValueError(f"need at least {size} preimages")
-        preimages = preimages[:size]
+        preimages = default_doom_targets(size)
+    preimages = list(preimages)[:size]
+    if len(preimages) < size:
+        raise ValueError(f"need at least {size} preimages")
     selection = h.frame.select(cols)
     if selection is None:
         raise SingularSelectionError("column selection singular")
+    window_columns = selection.window_columns()
+    v1, v2, v3 = (
+        tuple(mask for _, _, mask in _words(window_columns, range(i, i + third), p3, r))
+        for i in (0, third, 2 * third)
+    )
+    reduced = selection.reduce_all(_HashedTargets(preimages, hash_fn, r))
     return FourSumInstance(
         h=h,
         hash_fn=hash_fn,
@@ -185,11 +169,12 @@ def build_foursum_instance(
         l=l,
         w=w,
         selection=selection,
-        window_columns=selection.window_columns(),
-        v1=_third_masks(0, third, p3),
-        v2=_third_masks(third, third, p3),
-        v3=_third_masks(2 * third, third, p3),
+        window_columns=window_columns,
+        v1=v1,
+        v2=v2,
+        v3=v3,
         v4=tuple(preimages),
+        targets=dict(zip(preimages, reduced)),
     )
 
 

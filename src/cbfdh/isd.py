@@ -13,6 +13,10 @@ built once: it memoises its words per l-bit tail, each with its front
 syndrome ``hp e''^T``, so a trial runs at most min(q, 2^l) probes and
 completes every candidate with one XOR and a popcount.  Among several hits in a trial the
 lowest target index wins, then that target's first word in enumerator order.
+Targets are hashed once, in index order, into a list that also records each
+preimage, and the solved preimage is named from that list; the four-sum
+formulation (:mod:`cbfdh.foursum`) builds its sets from the same hashed
+targets and window words.
 
 Trials are driven by 64-bit child seeds drawn in trial order from the
 caller's rng, so results are reproducible and independent of the worker
@@ -243,10 +247,12 @@ class WindowEnumerator:
 
 class _HashedTargets:
     """Target syndromes, hashed in index order as trials first reach them:
-    every trial resumes one shared iterator past the hashed ones."""
+    every trial resumes one shared iterator past the hashed ones, and
+    ``preimages[i]`` records the preimage of the i-th."""
 
-    def __init__(self, targets: Sequence, hash_fn: Callable[[Any], BitVector], r: int):
-        self.pending, self.hash_fn, self.r, self.bits = iter(targets), hash_fn, r, []
+    def __init__(self, preimages: Iterable, hash_fn: Callable[[Any], BitVector], r: int):
+        self.pending, self.hash_fn, self.r = iter(preimages), hash_fn, r
+        self.preimages, self.bits = [], []
 
     def __iter__(self) -> Iterator[int]:
         yield from self.bits
@@ -254,6 +260,7 @@ class _HashedTargets:
             s = self.hash_fn(t)
             if s.n != self.r:
                 raise ValueError("hash output width does not match the matrix")
+            self.preimages.append(t)
             self.bits.append(s.bits)
             yield s.bits
 
@@ -343,27 +350,12 @@ def generalized_isd(
     return SearchResult(BitVector(n, got[1]), used)
 
 
-class _CounterTargets:
-    """Target i is ``i.to_bytes(8, "big")``, made when it is indexed."""
-
-    def __init__(self, q: int):
-        if q > 1 << 64:
-            raise ValueError(f"q = {q} exceeds 2^64")
-        self.indices = range(q)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [j.to_bytes(8, "big") for j in self.indices[i]]
-        return self.indices[i].to_bytes(8, "big")
-
-
-def default_doom_targets(q: int) -> Sequence[bytes]:
-    """The q preimages ``i.to_bytes(8, "big")``, i < q, as a lazy sequence;
-    ValueError for q above 2^64, the most that 8 bytes can count."""
-    return _CounterTargets(q)
+def default_doom_targets(q: int) -> Iterator[bytes]:
+    """The q preimages ``i.to_bytes(8, "big")``, i < q, made as they are
+    reached; ValueError for q above 2^64, the most that 8 bytes can count."""
+    if q > 1 << 64:
+        raise ValueError(f"q = {q} exceeds 2^64")
+    return (i.to_bytes(8, "big") for i in range(q))
 
 
 def doom_attack(
@@ -392,15 +384,15 @@ def doom_attack(
         targets = default_doom_targets(q_limit)
     else:
         targets = list(targets)[:q_limit]
-    syndromes = _HashedTargets(targets, hash_fn, h.nrows)
-    if workers > 1:  # the workers' payload carries every syndrome
-        syndromes = tuple(syndromes)
+    hashed = _HashedTargets(targets, hash_fn, h.nrows)
+    # the workers' payload carries every syndrome
+    syndromes = tuple(hashed) if workers > 1 else hashed
     got, used = _search(h, syndromes, w, params, rng, workers)
     if got is None:
         return SearchResult(None, used)
     ti, e_bits = got
     solution = DoomSolution.checked(
-        h, hash_fn, w, BitVector(n, e_bits), targets[ti]
+        h, hash_fn, w, BitVector(n, e_bits), hashed.preimages[ti]
     )
     return SearchResult(solution, used, target_index=ti)
 

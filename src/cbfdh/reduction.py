@@ -115,6 +115,8 @@ class LazyOracle:
         unranked lexicographically from an index rejection-sampled below
         C(n, w)."""
         count = math.comb(n, w)
+        if not count:  # w > n: the rejection loop below would never end
+            raise ValueError(f"no weight-{w} words of length {n}")
         index_bits = max(1, count.bit_length())
 
         def sampler(r: random.Random) -> tuple[int, BitVector]:

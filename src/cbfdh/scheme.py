@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 MAGIC = b"CBFDH1"
+LAM0_MAX = 1 << 16  # salt width ceiling in bits, far above SURF's 256
 
 CodeFamily = Callable[[random.Random], BitMatrix]
 
@@ -96,6 +97,8 @@ class SchemeParams:
             raise ValueError("weight outside [0, n]")
         if self.lam0 <= 0 or self.lam <= 0:
             raise ValueError("security and salt widths must be positive")
+        if self.lam0 > LAM0_MAX:
+            raise ValueError(f"salt width lam0 = {self.lam0} exceeds {LAM0_MAX} bits")
 
     @property
     def n_k(self) -> int:

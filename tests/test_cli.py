@@ -24,6 +24,17 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_captured(argv):
+    """Run the CLI in-process: exit code (argparse's included), stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def kv_lines(text):
     """Parse structured output into a list of {key: value} dicts."""
     rows = []
@@ -190,6 +201,80 @@ def test_secret_key_bad_block_header_exit_2(tmp_path, capsys, header):
     assert code == 2
     assert "error: bad matrix header" in err
     assert "Traceback" not in err
+
+
+def test_secret_key_salt_width_above_the_ceiling_exit_2(tmp_path, capsys):
+    main(keygen_args(tmp_path))
+    data = bytearray((tmp_path / "sk.key").read_bytes())
+    lam0_at = len(MAGIC) + 12  # the fourth packed u32 field
+    data[lam0_at : lam0_at + 4] = (1 << 30).to_bytes(4, "little")
+    wide = tmp_path / "wide.key"
+    wide.write_bytes(data)
+    code, _, err = run_cli(
+        capsys, "sign", "--secret-key", str(wide),
+        "--signature", str(tmp_path / "m.sig"), "--message", "hello",
+    )
+    assert code == 2 and "exceeds 65536 bits" in err
+    assert not (tmp_path / "m.sig").exists()
+
+
+@pytest.fixture(scope="module")
+def signed_files(tmp_path_factory):
+    """A key pair and a signature of "hello", as the CLI writes them."""
+    d = tmp_path_factory.mktemp("signed")
+    assert run_captured(keygen_args(d))[0] == 0
+    sign = ["sign", "--secret-key", str(d / "sk.key"), "--signature", str(d / "m.sig")]
+    assert run_captured([*sign, "--message", "hello"])[0] == 0
+    return d, {name: (d / name).read_bytes() for name in ("sk.key", "pk.key", "m.sig")}
+
+
+file_edit = st.tuples(
+    st.sampled_from(("flip", "replace", "truncate", "insert")),
+    st.integers(0, 1 << 12),
+    st.integers(0, 255),
+)
+
+
+def edit_bytes(data, edit):
+    """``data`` with one bit flipped, one byte replaced, the tail from some
+    offset cut, or one byte inserted."""
+    kind, at, byte = edit
+    out = bytearray(data)
+    if kind == "insert":
+        out.insert(at % (len(out) + 1), byte)
+    elif out:
+        i = at % len(out)
+        if kind == "flip":
+            out[i] ^= 1 << (byte & 7)
+        elif kind == "replace":
+            out[i] = byte
+        else:
+            del out[i:]
+    return bytes(out)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(("sk.key", "pk.key", "m.sig")), file_edit)
+def test_mutated_keys_and_signatures_exit_cleanly(signed_files, name, edit):
+    # exit codes only: a signature from a mutated secret key may be one
+    # that the true public key rejects or cannot read
+    d, pristine = signed_files
+    (d / f"mutated-{name}").write_bytes(edit_bytes(pristine[name], edit))
+    path = {f: str(d / (f"mutated-{f}" if f == name else f)) for f in pristine}
+    if name == "sk.key":
+        code, _, err = run_captured([
+            "sign", "--secret-key", path["sk.key"],
+            "--signature", str(d / "fresh.sig"), "--message", "hello",
+        ])
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+        if code:
+            return  # verify would read the pristine pair
+        path["m.sig"] = str(d / "fresh.sig")
+    code, _, err = run_captured([
+        "verify", "--public-key", path["pk.key"],
+        "--signature", path["m.sig"], "--message", "hello",
+    ])
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
 
 
 def test_same_seed_gives_byte_identical_keys(tmp_path):
@@ -365,17 +450,6 @@ def test_exponents_zero_weight_is_quantum_prange(capsys):
     assert code == 0, err
     row = kv_lines(out)[1]
     assert row["doom_quantum"] == row["prange_quantum"] == "0.250000"
-
-
-def run_captured(argv):
-    """Run the CLI in-process: exit code (argparse's included), stdout, stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 @st.composite

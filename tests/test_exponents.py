@@ -14,7 +14,6 @@ from cbfdh.exponents import (
     doom_quantum_objective,
     entropy,
     entropy_inv,
-    gv_bound,
     gv_relative_weight,
     prange_exponent_classical,
     prange_exponent_quantum,
@@ -56,11 +55,10 @@ def test_entropy_inv_half_matches_independent_solver():
 
 def test_gv_bound_values():
     assert abs(gv_relative_weight(0.5) - 0.1100278644) < 1e-9
-    assert abs(gv_bound(13976, 6988) - 1537.7494) < 1e-3
+    d_gv = 13976 * gv_relative_weight(6988 / 13976)
+    assert abs(d_gv - 1537.7494) < 1e-3
     # the reference parameter set decodes clearly above the GV distance
-    assert 2668 > gv_bound(13976, 6988)
-    with pytest.raises(ValueError):
-        gv_bound(10, 0)
+    assert 2668 > d_gv
 
 
 def test_rate_point_validation():

@@ -123,6 +123,12 @@ def test_build_validations():
         build_foursum_instance(h, hash_fn, cols8, 3, 2, 6, preimages=[b"a"])
 
 
+def test_build_rejects_a_hash_of_the_wrong_width():
+    # every preimage is hashed when the instance is built, not at first f4
+    with pytest.raises(ValueError, match="width"):
+        make_instance(20, 10, 2, 3, 6, random.Random(2), hash_width=9)
+
+
 def test_build_foursum_instance_rejects_bad_selections():
     h = random_full_rank(3, 6, random.Random(1))
     hash_fn = lambda t: syndrome_hash(t, 3)

@@ -84,6 +84,15 @@ def test_coin_and_pattern_outputs():
         assert e.n == 10 and e.weight() == 3
 
 
+def test_coin_and_pattern_refuses_a_weight_above_the_length():
+    # C(n, w) = 0 leaves no index to accept, so sampling would never end
+    with pytest.raises(ValueError, match="no weight-5 words"):
+        LazyOracle.coin_and_pattern(4, 5, random.Random(0))
+    rng = random.Random(1)
+    with pytest.raises(ValueError, match="no weight-13 words"):
+        ZOracle(random_full_rank(6, 12, rng), 13, 24, rng)
+
+
 # --- the reprogrammed oracle -----------------------------------------------------
 
 
@@ -295,7 +304,7 @@ def test_extraction_rejects_tampered_transcripts():
     )
     win = next(t for t in stats.transcripts if t.win)
     m_f, e_f, r_f = win.forgery
-    bad = dataclasses.replace(win, forgery=(m_f, e_f.flip(0), r_f))
+    bad = dataclasses.replace(win, forgery=(m_f, BitVector(e_f.n, e_f.bits ^ 1), r_f))
     with pytest.raises(ReductionError):
         extract_doom_solution(bad)
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from cbfdh.f2 import (
 )
 from cbfdh.hashing import FdhHash
 from cbfdh.scheme import (
+    LAM0_MAX,
     SchemeParams,
     Signature,
     SignatureKeyPair,
@@ -62,6 +63,12 @@ def test_params_validation():
         warnings.simplefilter("error")
         SchemeParams(n=24, k=12, w=1)  # far below GV
         SchemeParams(n=24, k=12, w=7)  # above (n-k)/2
+
+
+def test_salt_width_has_a_ceiling():
+    assert SchemeParams(n=24, k=12, w=7, lam0=LAM0_MAX).lam0 == LAM0_MAX
+    with pytest.raises(ValueError, match="exceeds 65536 bits"):
+        SchemeParams(n=24, k=12, w=7, lam0=LAM0_MAX + 1)
 
 
 def test_salt_width_from_signing_budget():
@@ -174,7 +181,7 @@ def permuting_decoder(h, s, w, budget, rng):
                 seed = BitVector.from_support(window, rng.sample(range(window), p))
                 forced = base ^ mat_vec_mul(hp, seed)
                 if forced.weight() == w - p:
-                    return perm.inverse().apply(forced.concat(seed))
+                    return perm.inverse().apply(BitVector(n, forced.bits | seed.bits << r))
     return None
 
 
@@ -264,7 +271,7 @@ def test_sign_verify_round_trip_and_rejections():
     assert sig.e.weight() == keypair.params.w
     assert verify(keypair.public, msg, sig, hash_fn)
     assert not verify(keypair.public, msg + b"!", sig, hash_fn)
-    other = Signature(sig.e, sig.salt.flip(0))
+    other = Signature(sig.e, BitVector(sig.salt.n, sig.salt.bits ^ 1))
     assert not verify(keypair.public, msg, other, hash_fn)
 
 
@@ -274,7 +281,7 @@ def test_single_bit_tampering_always_rejected():
     sig = sign(keypair, b"tamper", hash_fn, rng)
     for i in range(keypair.params.n):
         assert not verify(
-            keypair.public, b"tamper", Signature(sig.e.flip(i), sig.salt), hash_fn
+            keypair.public, b"tamper", Signature(BitVector(sig.e.n, sig.e.bits ^ 1 << i), sig.salt), hash_fn
         )
 
 
