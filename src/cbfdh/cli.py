@@ -22,6 +22,7 @@ command runs only the library modules it calls.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -552,9 +553,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of main, built on its first call in the process
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:

@@ -15,7 +15,8 @@ around the best grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import FrozenRecord, set_field
 
 GRID_STEP = 1e-3  # lambda grid step of doom_quantum_exponent, before its polish
 ENTROPY_TOL = 1e-12  # absolute tolerance of entropy_inv's bisection
@@ -33,28 +34,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(FrozenRecord):
     """Asymptotic operating point: rate R and relative weight omega."""
 
-    rate: float
-    omega: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.rate < 1:
+    def __init__(self, rate: float, omega: float) -> None:
+        if not 0 < rate < 1:
             raise ValueError("rate must lie in (0, 1)")
-        if not 0 <= self.omega <= (1 - self.rate) / 2:
+        if not 0 <= omega <= (1 - rate) / 2:
             raise ValueError("relative weight must lie in [0, (1-R)/2]")
+        set_field(self, "rate", rate)
+        set_field(self, "omega", omega)
 
 
-@dataclass(frozen=True)
-class ExponentResult:
+class ExponentResult(FrozenRecord):
     """Minimized exponent with the optimizer's argmin and diagnostics."""
 
-    exponent: float
-    lambda_rel: float
-    pi_rel: float
-    residual: float
+    def __init__(
+        self, exponent: float, lambda_rel: float, pi_rel: float, residual: float
+    ) -> None:
+        set_field(self, "exponent", exponent)
+        set_field(self, "lambda_rel", lambda_rel)
+        set_field(self, "pi_rel", pi_rel)
+        set_field(self, "residual", residual)
 
 
 def entropy(x: float) -> float:

@@ -6,10 +6,14 @@ single wide XORs.  Hex and byte conversions at the wire boundary use
 big-endian bit order within bytes, so coordinate 0 is the most significant
 bit of byte 0 and rows pad on the right up to a whole byte.
 
-Values are immutable after construction; every operation returns a fresh
-object, which keeps sharing across worker processes safe.  A matrix
-computes its column syndromes and its :class:`SystematicFrame` once, on
-first use, and keeps them out of equality, hashing and pickles.
+Values are immutable after construction: vectors, matrices and
+permutations are :class:`cbfdh._record.FrozenRecord` classes, whose
+constructors check their fields and set them with ``object.__setattr__``
+and which refuse any later attribute assignment.  Every operation returns
+a fresh object, which keeps sharing across worker processes safe.  A
+matrix computes its column syndromes and its :class:`SystematicFrame` once,
+on first use, into its instance ``__dict__`` (:func:`functools.cached_property`),
+and keeps them out of equality, hashing and pickles.
 
 One kernel solves on a column selection, square or not: the
 :class:`SystematicFrame` of a matrix, its first information set with every
@@ -24,10 +28,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
+
+from ._record import FrozenRecord, set_field
 
 __all__ = [
     "BitVector",
@@ -81,27 +86,34 @@ def _bytes_to_bits(data: bytes, n: int) -> int:
     return int.from_bytes(data[:nbytes].translate(_REV), "little") & ((1 << n) - 1)
 
 
-@dataclass(frozen=True)
-class BitVector:
+class BitVector(FrozenRecord):
     """Immutable vector over GF(2), length ``n``, payload ``bits``."""
 
-    n: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, bits: int = 0) -> None:
+        if n < 0:
             raise ValueError("negative length")
-        if self.bits < 0 or self.bits >> self.n:
+        if bits < 0 or bits >> n:
             raise ValueError("payload does not fit the stated length")
+        set_field(self, "n", n)
+        set_field(self, "bits", bits)
 
     @classmethod
     def _unchecked(cls, n: int, bits: int) -> "BitVector":
-        """``cls(n, bits)`` at half the cost, for bits that fit n by construction."""
+        """``cls(n, bits)`` without the checks, for bits that fit n by
+        construction: it writes the fields straight into ``__dict__``."""
         v = object.__new__(cls)
         fields = v.__dict__
         fields["n"] = n
         fields["bits"] = bits
         return v
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bits))
 
     @classmethod
     def zeros(cls, n: int) -> "BitVector":
@@ -160,23 +172,21 @@ class BitVector:
         return self.n
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(FrozenRecord):
     """Immutable row-major matrix over GF(2); each row is a packed int."""
 
-    nrows: int
-    ncols: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.nrows < 0 or self.ncols < 0:
+    def __init__(self, nrows: int, ncols: int, rows: tuple[int, ...]) -> None:
+        if nrows < 0 or ncols < 0:
             raise ValueError("negative shape")
-        if len(self.rows) != self.nrows:
+        if len(rows) != nrows:
             raise ValueError("row count does not match shape")
-        limit = 1 << self.ncols
-        for r in self.rows:
+        limit = 1 << ncols
+        for r in rows:
             if not 0 <= r < limit:
                 raise ValueError("row payload does not fit the stated width")
+        set_field(self, "nrows", nrows)
+        set_field(self, "ncols", ncols)
+        set_field(self, "rows", rows)
 
     @classmethod
     def from_dense(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
@@ -215,10 +225,6 @@ class BitMatrix:
             return SystematicFrame(self.columns(), self.nrows)
         except SingularSelectionError:
             return None
-
-    def __reduce__(self):
-        # pickle and copy the fields only: a cached value is rebuilt on use
-        return BitMatrix, (self.nrows, self.ncols, self.rows)
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.ncols, self.nrows, self.columns())
@@ -269,15 +275,13 @@ class BitMatrix:
         return cls(nrows, ncols, rows)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(FrozenRecord):
     """Permutation of ``n`` coordinates; ``images[i]`` is where ``i`` lands."""
 
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
+    def __init__(self, images: tuple[int, ...]) -> None:
+        if sorted(images) != list(range(len(images))):
             raise ValueError("images are not a permutation of 0..n-1")
+        set_field(self, "images", images)
 
     @property
     def n(self) -> int:

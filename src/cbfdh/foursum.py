@@ -21,10 +21,10 @@ coordinates and filters the collisions, returning every solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Sequence
 
+from ._record import Record
 from .f2 import BitMatrix, BitVector, Selection, SingularSelectionError
 from .isd import DoomSolution, _HashedTargets, _words, default_doom_targets
 
@@ -54,25 +54,20 @@ def snap_foursum_params(k: int, l: int, p: int) -> tuple[int, int]:
     return best_l, best_p
 
 
-@dataclass
-class FourSumInstance:
+class FourSumInstance(Record):
     """The four sets with their maps into F_2^l, plus completion data:
     the selection, its reduced window columns and the reduced syndrome of
     each preimage (front in the low r bits, tail above)."""
 
-    h: BitMatrix
-    hash_fn: Callable[[Any], BitVector]
-    cols: tuple[int, ...]
-    p: int
-    l: int
-    w: int
-    selection: Selection
-    window_columns: tuple[int, ...]
-    v1: tuple[int, ...]
-    v2: tuple[int, ...]
-    v3: tuple[int, ...]
-    v4: tuple[Any, ...]
-    targets: dict[Any, int]
+    def __init__(
+        self, h: BitMatrix, hash_fn: Callable[[Any], BitVector], cols: tuple[int, ...],
+        p: int, l: int, w: int, selection: Selection, window_columns: tuple[int, ...],
+        v1: tuple[int, ...], v2: tuple[int, ...], v3: tuple[int, ...],
+        v4: tuple[Any, ...], targets: dict[Any, int],
+    ) -> None:
+        self.h, self.hash_fn, self.cols, self.p, self.l, self.w = h, hash_fn, cols, p, l, w
+        self.selection, self.window_columns = selection, window_columns
+        self.v1, self.v2, self.v3, self.v4, self.targets = v1, v2, v3, v4, targets
 
     @property
     def window(self) -> int:

@@ -29,12 +29,12 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from ._record import FrozenRecord, set_field
 from .f2 import (
     BitMatrix,
     BitVector,
@@ -60,17 +60,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IsdParams:
+class IsdParams(FrozenRecord):
     """Window weight p, window extension l, and the trial budget."""
 
-    p: int
-    l: int
-    max_iterations: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.l < 0 or self.max_iterations < 0:
+    def __init__(self, p: int, l: int, max_iterations: int = 1000) -> None:
+        if p < 0 or l < 0 or max_iterations < 0:
             raise ValueError("parameters must be nonnegative")
+        set_field(self, "p", p)
+        set_field(self, "l", l)
+        set_field(self, "max_iterations", max_iterations)
 
     def check(self, n: int, k: int, w: int) -> None:
         if self.l > n - k:
@@ -85,43 +83,48 @@ class IsdParams:
             )
 
 
-@dataclass(frozen=True)
-class SolutionCount:
+class SolutionCount(FrozenRecord):
     """Expected number of weight-w solutions per syndrome: C(n,w)/2^(n-k)."""
 
-    exact: Fraction
-    log2: float
+    def __init__(self, exact: Fraction, log2: float) -> None:
+        set_field(self, "exact", exact)
+        set_field(self, "log2", log2)
 
 
-@dataclass(frozen=True)
-class SuccessEstimate:
+class SuccessEstimate(FrozenRecord):
     """Per-iteration success chance; the exact 1-(1-hit)^expected form and
     the min(1, expected * hit) surrogate are both reported."""
 
-    hit_prob: float
-    hit_prob_log2: float
-    exact: float
-    surrogate: float
-    surrogate_log2: float
+    def __init__(
+        self, hit_prob: float, hit_prob_log2: float, exact: float,
+        surrogate: float, surrogate_log2: float,
+    ) -> None:
+        set_field(self, "hit_prob", hit_prob)
+        set_field(self, "hit_prob_log2", hit_prob_log2)
+        set_field(self, "exact", exact)
+        set_field(self, "surrogate", surrogate)
+        set_field(self, "surrogate_log2", surrogate_log2)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    solution: Any
-    iterations: int
-    target_index: int | None = None
+class SearchResult(FrozenRecord):
+    def __init__(
+        self, solution: Any, iterations: int, target_index: int | None = None
+    ) -> None:
+        set_field(self, "solution", solution)
+        set_field(self, "iterations", iterations)
+        set_field(self, "target_index", target_index)
 
     @property
     def found(self) -> bool:
         return self.solution is not None
 
 
-@dataclass(frozen=True)
-class DoomSolution:
+class DoomSolution(FrozenRecord):
     """Error vector plus the hash preimage whose syndrome it decodes."""
 
-    e: BitVector
-    preimage: Any
+    def __init__(self, e: BitVector, preimage: Any) -> None:
+        set_field(self, "e", e)
+        set_field(self, "preimage", preimage)
 
     @classmethod
     def checked(

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, ClassVar, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence
 
+from ._record import FrozenRecord, Record, set_field
 from .f2 import BitMatrix, BitVector, mat_vec_mul, random_matrix
 from .hashing import unrank_weight_pattern
 from .isd import DoomSolution
@@ -205,26 +205,22 @@ class Adversary(Protocol):
     ) -> tuple[bytes, BitVector, BitVector] | None: ...
 
 
-@dataclass
-class NullAdversary:
+class NullAdversary(Record):
     """Outputs a fixed garbage triple without querying anything."""
 
-    params: SchemeParams
-    q_hash: int = 0
-    q_sign: int = 0
+    def __init__(self, params: SchemeParams, q_hash: int = 0, q_sign: int = 0) -> None:
+        self.params, self.q_hash, self.q_sign = params, q_hash, q_sign
 
     def run(self, pk, hash_query, sign_query, rng):
         return b"junk", BitVector.zeros(self.params.n), BitVector.zeros(self.params.lam0)
 
 
-@dataclass
-class ReplayAdversary:
+class ReplayAdversary(Record):
     """Asks for one signature and resubmits it verbatim; the freshness
     requirement on the forged message makes this lose every game."""
 
-    params: SchemeParams
-    q_hash: int = 0
-    q_sign: int = 1
+    def __init__(self, params: SchemeParams, q_hash: int = 0, q_sign: int = 1) -> None:
+        self.params, self.q_hash, self.q_sign = params, q_hash, q_sign
 
     def run(self, pk, hash_query, sign_query, rng):
         sig = sign_query(b"replayed message")
@@ -233,8 +229,7 @@ class ReplayAdversary:
         return b"replayed message", sig.e, sig.salt
 
 
-@dataclass
-class OmniscientAdversary:
+class OmniscientAdversary(Record):
     """Unbounded-computation stand-in: decodes the public matrix directly.
 
     First exercises the signing oracle on one benign message (twice, so the
@@ -244,9 +239,8 @@ class OmniscientAdversary:
     never needs the planted key, only desk-scale decoding.
     """
 
-    params: SchemeParams
-    q_hash: int = 8
-    q_sign: int = 2
+    def __init__(self, params: SchemeParams, q_hash: int = 8, q_sign: int = 2) -> None:
+        self.params, self.q_hash, self.q_sign = params, q_hash, q_sign
 
     def run(self, pk, hash_query, sign_query, rng):
         for _ in range(self.q_sign):
@@ -263,27 +257,31 @@ class OmniscientAdversary:
 # --- game harness -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(FrozenRecord):
     """Scheme parameters of the game harness.  Keys come from the uniform
     full-rank family and the Z oracle draws its patterns exactly."""
 
-    params: SchemeParams
+    def __init__(self, params: SchemeParams) -> None:
+        set_field(self, "params", params)
 
 
-@dataclass(frozen=True)
-class GameTranscript:
+class GameTranscript(FrozenRecord):
     """Everything needed to replay one trial's hash oracle and re-validate
     its outcome: the oracle's seed and first-query key order, the matrix in
     force, and the forgery."""
 
-    game_id: int
-    params: SchemeParams
-    h_pub: BitMatrix
-    h_seed: int
-    h_keys: tuple[Any, ...]
-    forgery: tuple[bytes, BitVector, BitVector] | None
-    win: bool
+    def __init__(
+        self, game_id: int, params: SchemeParams, h_pub: BitMatrix, h_seed: int,
+        h_keys: tuple[Any, ...], forgery: tuple[bytes, BitVector, BitVector] | None,
+        win: bool,
+    ) -> None:
+        set_field(self, "game_id", game_id)
+        set_field(self, "params", params)
+        set_field(self, "h_pub", h_pub)
+        set_field(self, "h_seed", h_seed)
+        set_field(self, "h_keys", h_keys)
+        set_field(self, "forgery", forgery)
+        set_field(self, "win", win)
 
 
 def wilson_interval(
@@ -305,13 +303,18 @@ def wilson_interval(
     return lo, hi
 
 
-@dataclass
-class GameStats:
+class GameStats(Record):
     """Success and trial counts per game, plus any kept transcripts."""
 
-    successes: dict[int, int] = field(default_factory=dict)
-    trials: dict[int, int] = field(default_factory=dict)
-    transcripts: list[GameTranscript] = field(default_factory=list)
+    def __init__(
+        self,
+        successes: dict[int, int] | None = None,
+        trials: dict[int, int] | None = None,
+        transcripts: list[GameTranscript] | None = None,
+    ) -> None:
+        self.successes = {} if successes is None else successes
+        self.trials = {} if trials is None else trials
+        self.transcripts = [] if transcripts is None else transcripts
 
     def record(self, game_id: int, win: bool) -> None:
         self.trials[game_id] = self.trials.get(game_id, 0) + 1
@@ -526,17 +529,19 @@ def _log2_sum(terms: Sequence[float]) -> float:
     return top + math.log2(sum(2.0 ** (t - top) for t in finite))
 
 
-@dataclass(frozen=True)
-class ConditionItem:
-    index: int
-    label: str
-    value_log2: float
-    threshold_log2: float
-    passed: bool
+class ConditionItem(FrozenRecord):
+    def __init__(
+        self, index: int, label: str, value_log2: float, threshold_log2: float,
+        passed: bool,
+    ) -> None:
+        set_field(self, "index", index)
+        set_field(self, "label", label)
+        set_field(self, "value_log2", value_log2)
+        set_field(self, "threshold_log2", threshold_log2)
+        set_field(self, "passed", passed)
 
 
-@dataclass(frozen=True)
-class ReductionBound:
+class ReductionBound(FrozenRecord):
     """The master forgery bound as five log2-domain terms plus their sum.
 
     Terms: doubled multi-target decoding success, key-distinguishing
@@ -546,20 +551,24 @@ class ReductionBound:
     parameter choice, not a side condition).
     """
 
-    doom_term: float
-    distinguisher_term: float
-    zhandry_term: float
-    signing_term: float
-    birthday_term: float
-    total: float
-
-    CONDITION_ITEMS: ClassVar[dict[str, int | None]] = {
+    CONDITION_ITEMS: dict[str, int | None] = {
         "doom_term": None,
         "distinguisher_term": 3,
         "zhandry_term": 1,
         "signing_term": 2,
         "birthday_term": None,
     }
+
+    def __init__(
+        self, doom_term: float, distinguisher_term: float, zhandry_term: float,
+        signing_term: float, birthday_term: float, total: float,
+    ) -> None:
+        set_field(self, "doom_term", doom_term)
+        set_field(self, "distinguisher_term", distinguisher_term)
+        set_field(self, "zhandry_term", zhandry_term)
+        set_field(self, "signing_term", signing_term)
+        set_field(self, "birthday_term", birthday_term)
+        set_field(self, "total", total)
 
     def terms(self) -> list[tuple[str, float, int | None]]:
         """(name, log2 value, side-condition item) in bound order."""
@@ -629,12 +638,12 @@ def theorem1_bound_log2(
     return ReductionBound(doom, dist, zhandry, signing, birthday, total)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(FrozenRecord):
     """Side-condition verdicts plus an echo of the measured inputs."""
 
-    items: tuple[ConditionItem, ...]
-    measured: dict[str, Any]
+    def __init__(self, items: tuple[ConditionItem, ...], measured: dict[str, Any]) -> None:
+        set_field(self, "items", items)
+        set_field(self, "measured", measured)
 
     @property
     def passed(self) -> bool:

@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 import random
 import struct
-from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
+from ._record import FrozenRecord, set_field
 from .f2 import (
     BitMatrix,
     BitVector,
@@ -43,7 +43,9 @@ from .f2 import (
     random_permutation,
     sample,
 )
-from .hashing import FdhHash
+
+if TYPE_CHECKING:  # for annotations only: keygen runs without hashing
+    from .hashing import FdhHash
 
 __all__ = [
     "SchemeParams",
@@ -79,26 +81,24 @@ class SigningFailure(Exception):
     the signature failed the signer's own check against the public key."""
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(FrozenRecord):
     """Scheme parameters: length n, dimension k, signature weight w,
     security target lam, and salt width lam0 in bits."""
 
-    n: int
-    k: int
-    w: int
-    lam: int = 128
-    lam0: int = 64
-
-    def __post_init__(self) -> None:
-        if not 0 < self.k < self.n:
+    def __init__(self, n: int, k: int, w: int, lam: int = 128, lam0: int = 64) -> None:
+        if not 0 < k < n:
             raise ValueError("need 0 < k < n")
-        if not 0 <= self.w <= self.n:
+        if not 0 <= w <= n:
             raise ValueError("weight outside [0, n]")
-        if self.lam0 <= 0 or self.lam <= 0:
+        if lam0 <= 0 or lam <= 0:
             raise ValueError("security and salt widths must be positive")
-        if self.lam0 > LAM0_MAX:
-            raise ValueError(f"salt width lam0 = {self.lam0} exceeds {LAM0_MAX} bits")
+        if lam0 > LAM0_MAX:
+            raise ValueError(f"salt width lam0 = {lam0} exceeds {LAM0_MAX} bits")
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "w", w)
+        set_field(self, "lam", lam)
+        set_field(self, "lam0", lam0)
 
     @property
     def n_k(self) -> int:
@@ -113,34 +113,39 @@ class SchemeParams:
         return cls(n=n, k=k, w=w, lam=lam, lam0=lam0)
 
 
-@dataclass(frozen=True)
-class SecretKey:
-    h_sec: BitMatrix
-    scramble: BitMatrix
-    scramble_inv: BitMatrix
-    perm: Permutation
+class SecretKey(FrozenRecord):
+    def __init__(
+        self, h_sec: BitMatrix, scramble: BitMatrix, scramble_inv: BitMatrix,
+        perm: Permutation,
+    ) -> None:
+        set_field(self, "h_sec", h_sec)
+        set_field(self, "scramble", scramble)
+        set_field(self, "scramble_inv", scramble_inv)
+        set_field(self, "perm", perm)
 
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(FrozenRecord):
     """h_pub, the signature weight w and the salt width lam0 in bits."""
 
-    h_pub: BitMatrix
-    w: int
-    lam0: int
+    def __init__(self, h_pub: BitMatrix, w: int, lam0: int) -> None:
+        set_field(self, "h_pub", h_pub)
+        set_field(self, "w", w)
+        set_field(self, "lam0", lam0)
 
 
-@dataclass(frozen=True)
-class SignatureKeyPair:
-    params: SchemeParams
-    secret: SecretKey
-    public: PublicKey
+class SignatureKeyPair(FrozenRecord):
+    def __init__(
+        self, params: SchemeParams, secret: SecretKey, public: PublicKey
+    ) -> None:
+        set_field(self, "params", params)
+        set_field(self, "secret", secret)
+        set_field(self, "public", public)
 
 
-@dataclass(frozen=True)
-class Signature:
-    e: BitVector
-    salt: BitVector
+class Signature(FrozenRecord):
+    def __init__(self, e: BitVector, salt: BitVector) -> None:
+        set_field(self, "e", e)
+        set_field(self, "salt", salt)
 
 
 def random_code_family(n: int, k: int) -> CodeFamily:

@@ -5,7 +5,6 @@ output) and enforces the pinned tolerance and runtime budget for its
 criterion.  Everything here goes through public package interfaces only.
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -35,7 +34,14 @@ from cbfdh.reduction import (
     run_game,
     sign_without_secret,
 )
-from cbfdh.scheme import SchemeParams, keygen, random_code_family, sign, verify
+from cbfdh.scheme import (
+    SchemeParams,
+    Signature,
+    keygen,
+    random_code_family,
+    sign,
+    verify,
+)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -120,7 +126,7 @@ def test_criterion_3_scheme_round_trip():
     for i in range(50):
         message, sig = signatures[i]
         flipped = BitVector(n, sig.e.bits ^ 1 << rng.randrange(n))
-        tampered = dataclasses.replace(sig, e=flipped)
+        tampered = Signature(flipped, sig.salt)
         rejects += not verify(keypair.public, message, tampered, hash_fn)
     elapsed = time.monotonic() - t0
     ok = accepts == 100 and rejects == 50 and elapsed < 5

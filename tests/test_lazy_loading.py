@@ -3,8 +3,10 @@
 Every library submodule loads on first use, so a command runs only the
 modules it calls.  Each case below runs in a fresh interpreter and lists
 the ``cbfdh`` submodules that were executed: those whose type is plain
-``types.ModuleType``, not the lazy stand-in.  Runnable without pytest; it
-prints one line per case and exits 1 on any mismatch:
+``types.ModuleType``, not the lazy stand-in.  It also lists which of the
+slow-to-import standard modules ``dataclasses`` and ``inspect`` were
+loaded, which must be none.  Runnable without pytest; it prints one line
+per case and exits 1 on any mismatch:
 
     PYTHONPATH=src python tests/test_lazy_loading.py
 """
@@ -37,21 +39,24 @@ CASES = {
     "bound": ["bound", "--preset", "surf"],
     "simulate": ["simulate", "--trials", "4"],
 }
-SCHEME = ["cli", "f2", "hashing", "scheme"]
-REDUCTION = ["cli", "f2", "hashing", "isd", "reduction", "scheme"]
+SCHEME = ["_record", "cli", "f2", "hashing", "scheme"]
+REDUCTION = ["_record", "cli", "f2", "hashing", "isd", "reduction", "scheme"]
 EXPECTED = {
     "import cbfdh": [],
     "import cbfdh.cli": ["cli"],
-    "keygen": SCHEME,
-    "keygen-uuv": ["cli", "codes", "f2", "hashing", "scheme"],
+    "keygen": ["_record", "cli", "f2", "scheme"],
+    "keygen-uuv": ["_record", "cli", "codes", "f2", "scheme"],
     "sign": SCHEME,
     "verify": SCHEME,
-    "attack-sd": ["cli", "f2", "isd"],
-    "attack-doom": ["cli", "f2", "hashing", "isd"],
-    "exponents": ["cli", "exponents"],
+    "attack-sd": ["_record", "cli", "f2", "isd"],
+    "attack-doom": ["_record", "cli", "f2", "hashing", "isd"],
+    "exponents": ["_record", "cli", "exponents"],
     "bound": REDUCTION,
     "simulate": REDUCTION,
 }
+# standard modules no command may load: dataclasses pulls in inspect, and
+# the two cost a cold command about 15 ms
+SLOW_IMPORTS = ["dataclasses", "inspect"]
 
 CHILD = """
 import contextlib, io, json, sys, types
@@ -62,10 +67,10 @@ if argv:
         code = cbfdh.cli.main(argv)
     if code != 0:
         sys.exit(f"{{argv[0]}} exited {{code}}")
-print(json.dumps(sorted(
+print(json.dumps([sorted(
     name.split(".", 1)[1] for name, module in sys.modules.items()
     if name.startswith("cbfdh.") and type(module) is types.ModuleType
-)))
+), [name for name in {slow} if name in sys.modules]]))
 """
 
 # the library modules the package binds lazily
@@ -82,18 +87,24 @@ def _child_env() -> dict[str, str]:
     return env
 
 
-def _child(statement: str, argv: list[str], workdir: str, env: dict) -> list[str]:
+def _child(
+    statement: str, argv: list[str], workdir: str, env: dict
+) -> tuple[list[str], list[str]]:
+    """The library modules the child ran, and the slow imports it loaded."""
+    child = CHILD.format(statement=statement, slow=SLOW_IMPORTS)
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD.format(statement=statement), json.dumps(argv)],
+        [sys.executable, "-c", child, json.dumps(argv)],
         cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
     )
     if proc.returncode != 0:
         raise AssertionError(f"{argv or statement}: {proc.stderr[-400:]}")
-    return json.loads(proc.stdout)
+    modules, slow = json.loads(proc.stdout)
+    return modules, slow
 
 
-def module_sets(workdir: str) -> dict[str, list[str]]:
-    """The modules each case runs, every case in its own interpreter."""
+def module_sets(workdir: str) -> dict[str, tuple[list[str], list[str]]]:
+    """The library modules each case runs and the slow imports it loads,
+    every case in its own interpreter."""
     env = _child_env()
     # keys and a signature for sign and verify, made in a child of their own
     _child("import cbfdh.cli", KEYGEN, workdir, env)
@@ -122,7 +133,9 @@ def check_modules() -> None:
 
 
 def test_each_command_runs_only_the_modules_it_calls(tmp_path):
-    assert module_sets(str(tmp_path)) == EXPECTED
+    got = module_sets(str(tmp_path))
+    assert {kind: modules for kind, (modules, _) in got.items()} == EXPECTED
+    assert {kind: slow for kind, (_, slow) in got.items()} == {kind: [] for kind in CASES}
 
 
 def test_package_exports_are_the_submodule_objects():
@@ -133,7 +146,10 @@ if __name__ == "__main__":
     check_modules()
     with tempfile.TemporaryDirectory() as workdir:
         got = module_sets(workdir)
-    for kind, modules in got.items():
-        mark = "ok  " if modules == EXPECTED[kind] else "FAIL"
-        print(f"{mark} {kind}: {' '.join(modules) or '-'}")
-    sys.exit(0 if got == EXPECTED else 1)
+    failed = False
+    for kind, (modules, slow) in got.items():
+        ok = modules == EXPECTED[kind] and not slow
+        failed |= not ok
+        loads = f"; loads {' '.join(slow)}" if slow else ""
+        print(f"{'ok  ' if ok else 'FAIL'} {kind}: {' '.join(modules) or '-'}{loads}")
+    sys.exit(1 if failed else 0)

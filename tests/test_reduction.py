@@ -14,6 +14,7 @@ from cbfdh.codes import (
 from cbfdh.f2 import BitMatrix, BitVector, mat_vec_mul, random_full_rank
 from cbfdh.reduction import (
     GameConfig,
+    GameTranscript,
     HarnessError,
     LazyOracle,
     NullAdversary,
@@ -304,11 +305,13 @@ def test_extraction_rejects_tampered_transcripts():
     )
     win = next(t for t in stats.transcripts if t.win)
     m_f, e_f, r_f = win.forgery
-    bad = dataclasses.replace(win, forgery=(m_f, BitVector(e_f.n, e_f.bits ^ 1), r_f))
+    fields = (win.params, win.h_pub, win.h_seed, win.h_keys)
+    forgery = (m_f, BitVector(e_f.n, e_f.bits ^ 1), r_f)
+    bad = GameTranscript(win.game_id, *fields, forgery, win.win)
     with pytest.raises(ReductionError):
         extract_doom_solution(bad)
     with pytest.raises(ValueError):
-        extract_doom_solution(dataclasses.replace(win, game_id=4))
+        extract_doom_solution(GameTranscript(4, *fields, win.forgery, win.win))
 
 
 def test_wilson_interval_behaves():
