@@ -19,9 +19,10 @@ One kernel solves on a column selection, square or not: the
 :class:`SystematicFrame` of a matrix, its first information set with every
 column written in that basis, built once per matrix.  Each selection it
 solves eliminates only its columns outside that set, for the signer,
-ISD/DOOM, four-sum and :func:`inverse` alike.  :func:`systematic_form` is
-the independent row-reduction reference the kernel is checked against, and
-:func:`sample` draws the selections.
+ISD/DOOM, four-sum and :func:`inverse` alike, and keeps its basis in lists
+indexed by leading bit.  :func:`systematic_form` is the independent
+row-reduction reference the kernel is checked against, and :func:`sample`
+draws the selections from a plan cached per shape.
 """
 
 from __future__ import annotations
@@ -386,31 +387,48 @@ def inverse(m: BitMatrix) -> BitMatrix:
     return BitMatrix(n, n, tuple(frame.reduce(1 << i) for i in range(n))).transpose()
 
 
+# (n, k) -> the plan of sample(rng, n, k): None for CPython's set branch,
+# else its pool branch's (m, bit width, m - 1) per draw and the pool to copy
+_SAMPLE_PLANS: dict[tuple[int, int], tuple | None] = {}
+
+
 def sample(rng: random.Random, n: int, k: int) -> list[int]:
     """``rng.sample(range(n), k)`` by the same ``getrandbits`` calls, without
     its sequence check and per-draw ``_randbelow`` call: CPython's pool
-    branch when n is at most ``setsize``, else its set branch."""
-    if not 0 <= k <= n:
-        raise ValueError("Sample larger than population or is negative")
+    branch when n is at most ``setsize``, else its set branch.  The branch,
+    each pool draw's bit width and the pool come from a plan built on the
+    first call per (n, k); a refused (n, k) raises ValueError and keeps no
+    plan."""
+    try:
+        plan = _SAMPLE_PLANS[n, k]
+    except KeyError:
+        size = max(n, 0)  # len(range(n))
+        if not 0 <= k <= size:
+            raise ValueError("Sample larger than population or is negative") from None
+        setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+        plan = None
+        if size <= setsize:
+            draws = tuple((m, m.bit_length(), m - 1) for m in range(size, size - k, -1))
+            plan = draws, list(range(size))
+        _SAMPLE_PLANS[n, k] = plan
     getrandbits = rng.getrandbits
-    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
-    if n <= setsize:
-        out, pool = [], list(range(n))
-        for m in range(n, n - k, -1):
-            bits = m.bit_length()
+    if plan is None:
+        bits, selected = n.bit_length(), {}  # a dict keeps the draw order
+        for _ in range(k):
             j = getrandbits(bits)
-            while j >= m:
+            while j >= n or j in selected:
                 j = getrandbits(bits)
-            out.append(pool[j])
-            pool[j] = pool[m - 1]
-        return out
-    bits, selected = n.bit_length(), {}  # a dict keeps the draw order
-    for _ in range(k):
+            selected[j] = None
+        return list(selected)
+    draws, pool = plan
+    pool, out = pool.copy(), []
+    for m, bits, last in draws:
         j = getrandbits(bits)
-        while j >= n or j in selected:
+        while j >= m:
             j = getrandbits(bits)
-        selected[j] = None
-    return list(selected)
+        out.append(pool[j])
+        pool[j] = pool[last]
+    return out
 
 
 def random_matrix(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
@@ -447,7 +465,8 @@ class SystematicFrame:
     enter an XOR basis, on the coordinate bits of the unselected reference
     columns (the free bits).  S is singular exactly when one of them reduces
     to 0.  The l = r - f free bits that no column pivots on complete the
-    basis as the tail.
+    basis as the tail.  Like the frame's, that basis is two lists indexed by
+    leading bit: keys (free bits) and tags (the x and tail bits they add).
     """
 
     __slots__ = ("cols", "coords", "units", "vecs", "tags", "positions")
@@ -489,70 +508,76 @@ class SystematicFrame:
         they are linearly dependent."""
         units, coords = self.units, self.coords
         r = len(self.cols)
-        chosen = sum(map(units.__getitem__, cols))  # the selected bits of I0
+        chosen = 0  # the selected bits of I0
+        for c in cols:
+            chosen |= units[c]
         free = chosen ^ (1 << r) - 1
-        shift = 2 * r
-        floor = 1 << shift
-        vecs = {}  # v.bit_length() -> basis vector
+        # [b]: the basis vector with leading free bit b, as its key (its
+        # free bits) and its tag (its chosen bits, then the free bit its
+        # column pivots on, with the tail above bit r)
+        keys, tags, pivots = [0] * r, [0] * r, []
         for c in cols:
             if units[c]:
                 continue
             a = coords[c]
-            # the key (a's free bits) above a 2r-bit tag: x, which holds a's
-            # chosen bits and then the free bit the column pivots on, with
-            # the tail above it
-            v = (a & free) << shift | a & chosen
-            while v >= floor:
-                top = v.bit_length()
-                if top not in vecs:
-                    vecs[top] = v | 1 << top - 1 - shift
+            key, x = a & free, a & chosen
+            while key:
+                top = key.bit_length() - 1
+                if not keys[top]:
+                    keys[top], tags[top] = key, x | 1 << top
+                    pivots.append(top)
                     break
-                v ^= vecs[top]
+                key ^= keys[top]
+                x ^= tags[top]
             else:
                 return None
         if len(cols) < r:  # the free bits no column pivots on: tail bits r, r + 1, ...
             tail = r
             for b in range(r):
-                if free >> b & 1 and shift + b + 1 not in vecs:
-                    vecs[shift + b + 1] = 1 << shift + b | 1 << tail
+                if free >> b & 1 and not keys[b]:
+                    keys[b], tags[b] = 1 << b, 1 << tail
                     tail += 1
         window = tuple(sorted(self.positions.difference(cols)))
-        return Selection(self, vecs, chosen, free, shift, tuple(cols), window)
+        return Selection(self, keys, tags, pivots, chosen, free, tuple(cols), window)
 
 
 class Selection:
     """``h_S x^T = t^T`` on a column selection S = ``cols`` of a
     :class:`SystematicFrame`.  Bit i of x is the coefficient of the column
     of S that reduces to ``1 << i``: the reference column ``frame.cols[i]``
-    when S holds it, else the column outside I0 that pivots on free bit i.
-    The window is the non-selected columns, ascending."""
+    when S holds it, else the column outside I0 that pivots on free bit i
+    (``pivots`` lists those bits in the order of S).  ``keys`` and ``tags``
+    hold the basis by leading free bit, as :meth:`SystematicFrame.select`
+    builds it.  The window is the non-selected columns, ascending."""
 
-    __slots__ = ("frame", "vecs", "chosen", "free", "shift", "cols", "window", "_front")
+    __slots__ = ("frame", "keys", "tags", "pivots", "chosen", "free", "cols", "window", "_front")
 
     def __init__(
-        self, frame: SystematicFrame, vecs: dict[int, int], chosen: int,
-        free: int, shift: int, cols: tuple[int, ...], window: tuple[int, ...],
+        self, frame: SystematicFrame, keys: list[int], tags: list[int],
+        pivots: list[int], chosen: int, free: int, cols: tuple[int, ...],
+        window: tuple[int, ...],
     ):
-        self.frame, self.vecs, self.chosen, self.free = frame, vecs, chosen, free
-        self.shift, self.cols, self.window, self._front = shift, cols, window, None
+        self.frame, self.keys, self.tags, self.pivots = frame, keys, tags, pivots
+        self.chosen, self.free, self.cols, self.window = chosen, free, cols, window
+        self._front = None
 
     def reduce(self, tau: int) -> int:
         """``x | tail << r`` for the coordinates tau of t
         (:meth:`SystematicFrame.reduce`): the l-bit tail is 0 exactly when t
         lies in the span of h_S, and then x is the unique solution, of the
         weight of the error on S."""
-        vecs, shift = self.vecs, self.shift
-        floor = 1 << shift
-        v = (tau & self.free) << shift | tau & self.chosen
-        while v >= floor:
-            v ^= vecs[v.bit_length()]
-        return v
+        keys, tags = self.keys, self.tags
+        key, x = tau & self.free, tau & self.chosen
+        while key:
+            top = key.bit_length() - 1
+            key ^= keys[top]
+            x ^= tags[top]
+        return x
 
     def window_columns(self) -> tuple[int, ...]:
         """The reduced window columns: entry t is the reduction of the t-th
         non-selected column."""
-        reduce, coords = self.reduce, self.frame.coords
-        return tuple(reduce(coords[c]) for c in self.window)
+        return tuple(map(self.reduce, map(self.frame.coords.__getitem__, self.window)))
 
     def reduce_all(self, syndromes: Iterable[int]) -> Iterator[int]:
         """``reduce(frame.reduce(s))`` of each syndrome s, lazily: basis walks
@@ -581,19 +606,19 @@ class Selection:
         that reduces to ``1 << i``, window bit t to the t-th non-selected
         column."""
         if self._front is None:  # built on the first call: the signer makes one
+            units = self.frame.units
             self._front = list(self.frame.cols)
-            # vecs holds the pivots of the columns outside I0 in their order,
-            # then the tail's vectors
-            units, tops = self.frame.units, iter(self.vecs)
-            for c in self.cols:
-                if not units[c]:
-                    self._front[next(tops) - 1 - self.shift] = c
-        out = 0
-        for positions, bits in ((self._front, front_bits), (self.window, window_word)):
-            while bits:
-                low = bits & -bits
-                out |= 1 << positions[low.bit_length() - 1]
-                bits ^= low
+            for c, top in zip([c for c in self.cols if not units[c]], self.pivots):
+                self._front[top] = c
+        out, front, window = 0, self._front, self.window
+        while front_bits:
+            low = front_bits & -front_bits
+            out |= 1 << front[low.bit_length() - 1]
+            front_bits ^= low
+        while window_word:
+            low = window_word & -window_word
+            out |= 1 << window[low.bit_length() - 1]
+            window_word ^= low
         return out
 
 

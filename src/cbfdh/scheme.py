@@ -229,19 +229,20 @@ def decode_to_weight(
         for _ in range(budget):
             sample(rng, n, r)
         return None
-    coords, base = frame.coords, frame.reduce(s.bits)
+    coords, base, select = frame.coords, frame.reduce(s.bits), frame.select
     window = n - r
+    weights = range(max(0, w - r), min(w, window) + 1)
     for _ in range(budget):
-        selection = frame.select(sample(rng, n, r))
+        selection = select(sample(rng, n, r))
         if selection is None:
             continue
-        rest = selection.window
-        for p in range(max(0, w - r), min(w, window) + 1):
+        rest, reduce = selection.window, selection.reduce
+        for p in weights:
             seed, target = 0, base
             for t in sample(rng, window, p):
                 seed |= 1 << t
                 target ^= coords[rest[t]]
-            forced = selection.reduce(target)
+            forced = reduce(target)
             if forced.bit_count() == w - p:
                 return BitVector(n, selection.complete(forced, seed))
     return None

@@ -22,6 +22,8 @@ from cbfdh.f2 import (
     rank,
     systematic_form,
 )
+from cbfdh.foursum import build_foursum_instance, solve_foursum
+from cbfdh.hashing import syndrome_hash
 
 
 def brute_rank(m: BitMatrix) -> int:
@@ -546,3 +548,61 @@ def test_frame_matches_column_basis():
             cols = rng.sample(outside, rng.randrange(1, min(r, len(outside)) + 1))
             seen["none of I0, " + check_selection(h, cols, rng, case)] += 1
     assert min(seen.values()) >= 40, seen
+
+
+def test_kernel_outputs_are_pinned():
+    """The kernel's words at fixed seeds, as literals: reductions with their
+    tails, reduced window columns and completions at the DOOM shape
+    (n = 40, r = 20, l = 4) and on a square selection (l = 0).  A
+    budget-capped four-sum join reads the tail coordinates, so its output
+    pins their numbering too."""
+    pinned = {
+        (1901, 4): (
+            [35, 24, 27, 0, 20, 36, 18, 12, 22, 1, 16, 13, 2, 15, 34, 30],
+            [744859, 471713, 1029917, 272876],
+            [0xA3FE42, 0xA83805, 0x19C02, 0x17F440],
+            [0x100000, 0x200000, 0x339063, 0x138044, 0x400000, 0x800000,
+             0x209A03, 0x848440, 0x2AC45, 0x364A63, 0x470463, 0x7FC821,
+             0x53B064, 0x133001, 0x6E3604, 0xD18E24, 0xD3665, 0x3BE025,
+             0xAF7C25, 0x672E63, 0xE5D227, 0x4A4E06, 0x2FF220, 0xC4EE21],
+            {(344795, 7252159): 0x65E49D05FB, (235983, 15037738): 0xE893B399DF},
+        ),
+        (1902, 0): (
+            [4, 16, 7, 12, 26, 30, 21, 32, 24, 29, 11, 13, 2, 10, 39, 31, 17, 35, 6, 0],
+            [1010662, 125742, 291864, 624078],
+            [0x7B20, 0xD5D28, 0x80C19, 0xF4A91],
+            [0x50B42, 0xED109, 0x73521, 0x3E727, 0x6CD76, 0x84E6E, 0x60403,
+             0x72989, 0x213E8, 0xC9CAB, 0xFC691, 0x977C0, 0x1AAE3, 0x671C1,
+             0x8ED6F, 0xD39E4, 0x5B927, 0xA1074, 0x604EF, 0x979E1],
+            {(493022, 1017185): 0xFE606BC4D6, (263001, 435588): 0x3A694C0071},
+        ),
+    }
+    n, r = 40, 20
+    for (seed, l), (cols, targets, words, window, completions) in pinned.items():
+        rng = random.Random(seed)
+        h = random_full_rank(r, n, rng)
+        while True:  # the first nonsingular selection
+            picked = rng.sample(range(n), r - l)
+            selection = h.frame.select(picked)
+            if selection is not None:
+                break
+        assert picked == cols
+        assert [rng.getrandbits(r) for _ in targets] == targets
+        assert [selection.reduce(h.frame.reduce(t)) for t in targets] == words
+        assert list(selection.reduce_all(targets)) == words
+        assert list(selection.window_columns()) == window
+        for x, y in completions:
+            assert (x, y) == (rng.getrandbits(r), rng.getrandbits(n - r + l))
+            assert selection.complete(x, y) == completions[x, y]
+
+    zero = b"\x00" * 8
+    capped = {
+        (1923, 10): [(1, 512, 65536, zero), (2, 256, 65536, zero)],
+        (1926, 8): [(1, 2048, 65536, zero)],
+    }
+    for (seed, w), found in capped.items():
+        rng = random.Random(seed)
+        h = random_full_rank(r, n, rng)
+        cols = sorted(rng.sample(range(n), r - 4))
+        inst = build_foursum_instance(h, lambda t: syndrome_hash(t, r), cols, 3, 4, w)
+        assert solve_foursum(inst, budget=3) == found, seed

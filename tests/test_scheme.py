@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from cbfdh.f2 import (
+    _SAMPLE_PLANS,
     BitMatrix,
     BitVector,
     front_permutation,
@@ -229,21 +230,44 @@ def test_decode_matches_permuting_reference():
 
 
 def test_sample_matches_random_sample():
+    """f2.sample against random.sample, by result and generator state: the
+    first call per (n, k) builds its plan and later calls reuse it."""
+
+    def check(n, k, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert sample(ours, n, k) == theirs.sample(range(n), k), (n, k)
+        assert ours.getstate() == theirs.getstate(), (n, k)
+
     rng = random.Random(2024)
+    shapes = []
     for n in range(301):
         for k in range(min(n, 64) + 1):
             if k > 8 and rng.random() < 0.8:
                 continue
-            seed = rng.getrandbits(64)
-            ours, theirs = random.Random(seed), random.Random(seed)
-            assert sample(ours, n, k) == theirs.sample(range(n), k), (n, k)
-            assert ours.getstate() == theirs.getstate(), (n, k)
-    for n, k in [(0, 1), (5, 6), (300, 301)]:
+            shapes.append((n, k))
+    # CPython draws from a pool up to setsize and from a set above it
+    for k in range(6, 65):
+        setsize = 21 + 4 ** math.ceil(math.log(k * 3, 4))
+        shapes += [(setsize, k), (setsize + 1, k)]
+    shapes += [(-3, 0), (-1, 0)]  # random.sample(range(-3), 0) is []
+    for n, k in shapes:
+        check(n, k, rng.getrandbits(64))  # builds the plan
+        assert (n, k) in _SAMPLE_PLANS
+        check(n, k, rng.getrandbits(64))  # reuses it
+    # shapes interleaved on one pair of generators: no draw changes a plan
+    ours, theirs = random.Random(7), random.Random(7)
+    for n, k in rng.choices(shapes, k=3000):
+        assert sample(ours, n, k) == theirs.sample(range(n), k), (n, k)
+    assert ours.getstate() == theirs.getstate()
+    # a refused shape draws nothing and keeps no plan
+    for n, k in [(0, 1), (5, 6), (300, 301), (-3, 1), (-1, 1), (4, -1)]:
         ours, theirs = random.Random(n), random.Random(n)
         with pytest.raises(ValueError):
             theirs.sample(range(n), k)
-        with pytest.raises(ValueError):
-            sample(ours, n, k)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                sample(ours, n, k)
+            assert (n, k) not in _SAMPLE_PLANS
         assert ours.getstate() == theirs.getstate()
 
 
