@@ -440,9 +440,12 @@ def random_matrix(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
 
 
 def random_full_rank(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
+    """Uniform full-rank matrix (nrows <= ncols), with the frame that tested it."""
+    if nrows > ncols:
+        raise ValueError("a full-rank matrix needs nrows <= ncols")
     while True:
         m = random_matrix(nrows, ncols, rng)
-        if rank(m) == min(nrows, ncols):
+        if m.frame is not None:
             return m
 
 

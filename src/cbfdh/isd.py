@@ -18,10 +18,10 @@ preimage, and the solved preimage is named from that list; the four-sum
 formulation (:mod:`cbfdh.foursum`) builds its sets from the same hashed
 targets and window words.
 
-Trials are driven by 64-bit child seeds drawn in trial order from the
-caller's rng, so results are reproducible and independent of the worker
-count: a parallel run returns exactly the success with the lowest trial
-index, as a sequential run would.
+Trials run through :func:`run_trials`, shared with the game harness, on
+child seeds drawn in trial order from the caller's rng, so results are
+reproducible and independent of the worker count: a parallel run returns
+exactly the success with the lowest trial index, as a sequential one would.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from contextlib import closing
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -57,6 +58,7 @@ __all__ = [
     "doom_attack",
     "default_doom_targets",
     "plant_instance",
+    "run_trials",
 ]
 
 
@@ -296,6 +298,39 @@ def _isd_trial(
     return None
 
 
+def run_trials(
+    trial: Callable[[int], Any], count: int, rng: random.Random, workers: int = 1
+) -> Iterator[Any]:
+    """Yield ``trial(seed)`` for ``count`` seeds ``rng.getrandbits(64)`` in
+    trial order, each drawn as its trial starts.  With workers, a pool of at
+    most the CPU count maps blocks of seeds, from max(8 * workers, 16) up to
+    1024, one block ahead of the block being read, so the outputs do not
+    depend on ``workers`` and a caller that stops early has drawn at most
+    one block ahead.  Closing the generator shuts its pool down."""
+    if workers <= 1:
+        for _ in range(count):
+            yield trial(rng.getrandbits(64))
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(workers, os.cpu_count() or 1)  # a pool forks all its workers
+    block, ahead = max(8 * workers, 16), iter(())
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        while count > 0:
+            seeds = [rng.getrandbits(64) for _ in range(min(block, count))]
+            count -= len(seeds)
+            # four tasks per worker, but a task's round trip costs this
+            # process about one small trial, so each holds at least 16
+            chunk = max(16, len(seeds) // (4 * workers))
+            # the pool runs this block while the caller reads the one before
+            current, ahead = ahead, pool.map(trial, seeds, chunksize=chunk)
+            yield from current
+            block = min(2 * block, 1024)
+        yield from ahead
+    finally:  # an early stop waits only for the tasks workers have taken
+        pool.shutdown(cancel_futures=True)
+
+
 def _search(
     h: BitMatrix,
     targets: Iterable[int],
@@ -311,24 +346,10 @@ def _search(
         raise ValueError("parity-check matrix is rank deficient")
     trial = partial(_isd_trial, (h.frame, targets, w, params.p, params.l))
     budget = params.max_iterations
-    if workers <= 1:
-        for idx in range(budget):
-            got = trial(rng.getrandbits(64))
+    with closing(run_trials(trial, budget, rng, workers)) as trials:
+        for used, got in enumerate(trials, 1):
             if got is not None:
-                return got, idx + 1
-        return None, budget
-    from concurrent.futures import ProcessPoolExecutor
-    workers = min(workers, os.cpu_count() or 1)  # a pool forks all its workers
-    block = max(8 * workers, 16)
-    done = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        while done < budget:
-            count = min(block, budget - done)
-            seeds = [rng.getrandbits(64) for _ in range(count)]
-            for i, got in enumerate(pool.map(trial, seeds)):
-                if got is not None:
-                    return got, done + i + 1
-            done += count
+                return got, used
     return None, budget
 
 

@@ -9,14 +9,13 @@ log2-domain entry point (:func:`theorem1_bound_log2`).
 Superposition queries cannot be executed here: the harness drives
 classical-query adversaries only, and quantum query counts enter solely
 through the q^(3/2) sqrt(eps) term of the bound calculator.  Each trial
-builds fresh oracles from a per-trial seed, so trials are independent and
-reproducible regardless of the worker count (capped at the CPU count).
+builds fresh oracles from its own seed (:func:`cbfdh.isd.run_trials`), so
+trials are independent and reproducible regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 from functools import partial
 from typing import Any, Callable, Mapping, Protocol, Sequence
@@ -24,7 +23,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 from ._record import FrozenRecord, Record, set_field
 from .f2 import BitMatrix, BitVector, mat_vec_mul, random_matrix
 from .hashing import unrank_weight_pattern
-from .isd import DoomSolution
+from .isd import DoomSolution, run_trials
 from .scheme import (
     PublicKey,
     SchemeParams,
@@ -457,23 +456,16 @@ def run_game(
     the same message, 2 swaps the hash procedure for Z, 3 signs without
     the secret key, 4 replaces the public matrix by a uniform one, and 5
     additionally requires the hidden coin at the forgery point to be 0.
-    Per-trial child seeds make the outcome independent of ``workers``.
+    Seeds are drawn as trials start, at most a block ahead under a pool,
+    so memory stays bounded and the outcome does not depend on ``workers``.
     """
     if not 0 <= game_id <= 5:
         raise ValueError("game_id must be in 0..5")
-    seeds = [rng.getrandbits(64) for _ in range(trials)]
     trial = partial(
         _run_trial, game_id, adversary, config, keep_transcript=keep_transcripts
     )
-    if workers <= 1:
-        outcomes = map(trial, seeds)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        workers = min(workers, os.cpu_count() or 1)  # a pool forks all its workers
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(trial, seeds, chunksize=16))
     stats = GameStats()
-    for win, transcript in outcomes:
+    for win, transcript in run_trials(trial, trials, rng, workers):
         stats.record(game_id, win)
         if transcript is not None:
             stats.transcripts.append(transcript)

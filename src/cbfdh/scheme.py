@@ -181,9 +181,9 @@ def keygen(
     rng: random.Random,
 ) -> SignatureKeyPair:
     """Draw (h_sec, s, perm) and publish h_pub = s @ h_sec @ P.  Both code
-    families return full-rank matrices by construction, so one draw of
-    h_sec is taken and a rank-deficient one, which has no frame, is
-    rejected; the signer reuses the frame built here."""
+    families return full-rank matrices by construction, so one h_sec is
+    drawn, a rank-deficient one (no frame) is rejected, and the frames the
+    full-rank tests built serve the signer and :func:`inverse`."""
     r = params.n_k
     h_sec = family(rng)
     if h_sec.nrows != r or h_sec.ncols != params.n:

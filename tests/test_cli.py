@@ -615,11 +615,8 @@ class RecordingPool:
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
     def map(self, fn, *iterables, chunksize=1):
         return map(fn, *iterables)
@@ -628,7 +625,8 @@ class RecordingPool:
 @pytest.mark.parametrize("argv", [
     ["attack", "--mode", "doom", "--q", "8", *ATTACK_ARGS],
     ["simulate", "--game", "3", "--trials", "20", "--seed", "4"],
-], ids=("attack", "simulate"))
+    ["attack", *ATTACK_ARGS],
+], ids=("attack", "simulate", "attack-sd"))
 def test_worker_pool_is_capped_at_cpu_count(capsys, monkeypatch, argv):
     _, seq, _ = run_cli(capsys, *argv)
     monkeypatch.setattr(RecordingPool, "sizes", [])

@@ -208,6 +208,19 @@ def test_random_nonsingular_dim_one_is_forced():
     assert random_full_rank(1, 1, random.Random(0)) == BitMatrix.from_dense([[1]])
 
 
+def test_random_full_rank_keeps_the_frame_that_tested_it():
+    rng, ref = random.Random(8), random.Random(8)
+    for r, n in ((0, 3), (1, 1), (4, 4), (5, 5), (6, 12), (20, 40)):
+        m = random_full_rank(r, n, rng)
+        expected = random_matrix(r, n, ref)
+        while rank(expected) < r:  # the rejection rule it had with rank
+            expected = random_matrix(r, n, ref)
+        assert m == expected
+        assert m.__dict__["frame"] is not None  # built by the test, cached
+    with pytest.raises(ValueError, match="nrows <= ncols"):
+        random_full_rank(3, 2, rng)
+
+
 # --- permutations ----------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -28,6 +30,7 @@ from cbfdh.isd import (
     isd_success,
     m_solutions,
     plant_instance,
+    run_trials,
 )
 
 
@@ -263,6 +266,48 @@ def test_worker_pool_matches_sequential():
     par = generalized_isd(h, s, 4, IsdParams(1, 2, 300), random.Random(5), workers=2)
     assert seq == par
     assert seq.found
+    # returning on the hit closed the runner, which shut its pool down
+    assert multiprocessing.active_children() == []
+
+
+# --- the seeded trial runner ------------------------------------------------------
+
+
+class CountingRandom(random.Random):
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("count", [40, 100])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_trials_yields_the_trials_of_the_seeds_in_order(count, workers):
+    ref = random.Random(11)
+    expected = [ref.getrandbits(64) for _ in range(count)]
+    assert list(run_trials(abs, count, random.Random(11), workers)) == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_trials_draws_at_most_one_block_ahead(monkeypatch, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rng, ref = CountingRandom(12), random.Random(12)
+    block_ends, end, block = [], 0, 16  # max(8 * 2, 16) seeds, doubling to 1024
+    while end < 3000:
+        end += block
+        block_ends.append(min(end, 3000))
+        block = min(2 * block, 1024)
+    trials = run_trials(abs, 3000, rng, workers)
+    for taken in range(1, 2100):
+        assert next(trials) == ref.getrandbits(64)
+        if workers == 1:
+            assert rng.draws == taken
+        else:  # the seeds of the block holding this trial and of the next one
+            b = next(b for b, e in enumerate(block_ends) if e >= taken)
+            assert rng.draws == block_ends[min(b + 1, len(block_ends) - 1)]
+    trials.close()
+    assert multiprocessing.active_children() == []
 
 
 # --- multi-target attacks -----------------------------------------------------------

@@ -232,6 +232,29 @@ def test_harness_is_deterministic_and_worker_independent():
     assert c.transcripts == a.transcripts
 
 
+def test_run_game_draws_each_seed_as_its_trial_starts():
+    params = toy_params()
+
+    class CountingRandom(random.Random):
+        draws = 0
+
+        def getrandbits(self, k):
+            self.draws += 1
+            return super().getrandbits(k)
+
+    rng = CountingRandom(6)
+    seen = []
+
+    class Recording(NullAdversary):
+        def run(self, pk, hash_query, sign_query, adv_rng):
+            seen.append(rng.draws)
+            return super().run(pk, hash_query, sign_query, adv_rng)
+
+    stats = run_game(0, Recording(params), GameConfig(params), 5, rng)
+    assert seen == [1, 2, 3, 4, 5]  # not five draws before the first trial
+    assert stats.trials[0] == rng.draws == 5
+
+
 def test_game_hop_birthday_bound():
     # tiny salt space so the same-message salt collision actually fires
     params = toy_params(lam0=4)
