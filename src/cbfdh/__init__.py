@@ -3,9 +3,9 @@
 The package splits into three layers: GF(2) linear algebra and code
 constructions (f2, codes, hashing), the signature scheme plus the decoding
 attacks against it (scheme, isd, foursum), and the security analysis tools
-(exponents for asymptotic attack costs, reduction for the oracle-game
-harness and loss-bound calculators).  The cli module ties them together for
-reproducible batch runs.
+(exponents for the asymptotic attack-cost and loss-bound calculators,
+reduction for the oracle-game harness).  The cli module ties them together
+for reproducible batch runs.
 
 Each library submodule loads on first use: importing the package binds
 ``cbfdh.f2`` and its siblings as lazy modules (also in ``sys.modules``),

@@ -7,7 +7,8 @@ as ``_fields``.  Instances compare equal when they are of the same class
 with equal fields, print as ``Name(field=value, ...)`` and pickle as a call
 of the constructor on the fields.  A :class:`FrozenRecord` also hashes its
 fields and refuses attribute assignment; its ``__init__`` checks the fields
-and writes each with :func:`set_field`.
+and writes them with ``set_fields(self, locals())``, or, where a record is
+made in an inner loop, each with :func:`set_field`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ from __future__ import annotations
 # It keeps CPython's inline attribute values, which read about twice as
 # fast as fields written through a materialised ``self.__dict__``.
 set_field = object.__setattr__
+
+
+def set_fields(record: FrozenRecord, values: dict[str, object]) -> None:
+    """Write each field of ``record`` from its ``__init__``'s locals()."""
+    for name in record._fields:
+        set_field(record, name, values[name])
 
 
 class Record:

@@ -12,7 +12,7 @@ the echo from them, so a handler passes only the values it resolved (the
 key file's n, k, w; attack's q; bound's preset, lambda and inputs).  Output
 is line-delimited key=value records in both formats; text mode adds comment
 headers.  Exit codes: 0 success, 1 verification reject, 2 input error,
-3 budget exhausted.
+3 budget exhausted, 128 + the signal number after SIGINT or SIGTERM.
 
 The library is reached through its modules (``scheme.sign``,
 ``isd.doom_attack``), which the package loads on first use, so each
@@ -21,6 +21,7 @@ command runs only the library modules it calls.
 
 from __future__ import annotations
 
+import _signal  # signal's builtin core; signal's enums cost a cold command 1 ms
 import argparse
 import functools
 import math
@@ -34,21 +35,6 @@ ATTACK_SIZE_GUARD = 64
 # the inputs of the Theorem 1 loss bound, each given as a decimal or 2^x
 # literal; theorem1_bound_log2 takes each as log2_<name>
 BOUND_INPUTS = ("eps_doom", "dist", "exp_rho_pub", "rho_sign", "q_hash", "q_sign")
-
-SURF_PRESET = {
-    "n": 13976,
-    "k": 6988,
-    "k_u": 4320,
-    "k_v": 2668,
-    "w": 2668,
-    "lam": 128,
-    "eps_doom": "2^-128",
-    "dist": "0",
-    "exp_rho_pub": "2^-838.56",
-    "rho_sign": "0",
-    "q_hash": "2^128",
-    "q_sign": "2^64",
-}
 
 # parser dests echoed under another name
 _ECHO_NAMES = {"lam": "lambda", "lam0": "lambda0"}
@@ -328,7 +314,7 @@ def cmd_exponents(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     # each input is the flag if given, else the preset's value, else 0
-    preset = SURF_PRESET if args.preset == "surf" else {}
+    preset = exponents.SURF_PRESET if args.preset == "surf" else {}
     values = {}
     for key in BOUND_INPUTS:
         given = getattr(args, key)
@@ -339,10 +325,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
     report = Report(args, preset=args.preset or "none", lam=lam, **values)
     if preset:
         report.record(
-            *((f"preset_{k}", SURF_PRESET[k]) for k in ("n", "k", "k_u", "k_v", "w"))
+            *((f"preset_{k}", preset[k]) for k in ("n", "k", "k_u", "k_v", "w"))
         )
 
-    bound = reduction.theorem1_bound_log2(
+    bound = exponents.theorem1_bound_log2(
         **{f"log2_{k}": v for k, v in logs.items()}, lam=lam
     )
     report.header("security-loss terms")
@@ -567,4 +553,24 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    """The ``cbfdh`` command.  SIGINT and SIGTERM end it with one error line
+    and exit 128 + the signal number, unwinding through every ``finally``,
+    so a trial pool shuts down; ``main`` installs no handler."""
+    stopped_by = []
+
+    def stop(signum: int, frame: object) -> None:
+        stopped_by.append(signum)
+        raise SystemExit(128 + signum)
+
+    for signum in (_signal.SIGINT, _signal.SIGTERM):
+        if _signal.getsignal(signum) != _signal.SIG_IGN:  # kept, as by nohup
+            _signal.signal(signum, stop)
+    try:
+        sys.exit(main())
+    except BaseException:
+        if not stopped_by:
+            raise
+        # CPython drops an exception raised while a lazy module loads, and
+        # the next import from that module fails instead
+        print("error: interrupted", file=sys.stderr)
+        sys.exit(128 + stopped_by[0])

@@ -10,16 +10,22 @@ lambda_rel, the walk costs (6/5) * beta, and a Grover factor halves the
 (capped) per-iteration success exponent.  doom_quantum_exponent minimises
 that cost over lambda_rel: a grid search, then a golden-section polish
 around the best grid point.
+
+Theorem 1's loss bound lives here too: :func:`theorem1_bound_log2`, its
+side-condition check, and the SURF parameter preset it is evaluated at.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._record import FrozenRecord, set_field
+from ._record import FrozenRecord, set_fields
 
 GRID_STEP = 1e-3  # lambda grid step of doom_quantum_exponent, before its polish
-ENTROPY_TOL = 1e-12  # absolute tolerance of entropy_inv's bisection
+ENTROPY_TOL = 1e-12  # absolute tolerance of entropy_inv in x
+# [0, 1/2] halved until a cell is at most ENTROPY_TOL wide: 2^39 of 2^-40
+_CELLS = 2 ** math.ceil(math.log2(0.5 / ENTROPY_TOL))
+_CELL = 0.5 / _CELLS
 
 __all__ = [
     "RatePoint",
@@ -31,6 +37,11 @@ __all__ = [
     "prange_exponent_quantum",
     "doom_quantum_objective",
     "doom_quantum_exponent",
+    "ReductionBound",
+    "theorem1_bound_log2",
+    "ConditionItem",
+    "ConditionReport",
+    "condition_check",
 ]
 
 
@@ -42,8 +53,7 @@ class RatePoint(FrozenRecord):
             raise ValueError("rate must lie in (0, 1)")
         if not 0 <= omega <= (1 - rate) / 2:
             raise ValueError("relative weight must lie in [0, (1-R)/2]")
-        set_field(self, "rate", rate)
-        set_field(self, "omega", omega)
+        set_fields(self, locals())
 
 
 class ExponentResult(FrozenRecord):
@@ -52,10 +62,7 @@ class ExponentResult(FrozenRecord):
     def __init__(
         self, exponent: float, lambda_rel: float, pi_rel: float, residual: float
     ) -> None:
-        set_field(self, "exponent", exponent)
-        set_field(self, "lambda_rel", lambda_rel)
-        set_field(self, "pi_rel", pi_rel)
-        set_field(self, "residual", residual)
+        set_fields(self, locals())
 
 
 def entropy(x: float) -> float:
@@ -68,12 +75,41 @@ def entropy(x: float) -> float:
 
 
 def entropy_inv(y: float) -> float:
-    """Inverse of h on [0, 1/2] by bisection to ENTROPY_TOL; h^{-1}(0) = 0."""
+    """Inverse of h on [0, 1/2]; h^{-1}(0) = 0.
+
+    Returns what bisection of [0, 1/2] to ENTROPY_TOL returns, the midpoint
+    of the root's cell, but finds the root by Newton steps on h(x) - y.
+    They start below it, at Topsoe's bound h(x) <= (4x(1-x))^(1/ln 4),
+    bisect the bracket whenever a step leaves it, and stop at a step of at
+    most ENTROPY_TOL.  Bisection then runs only within the smallest of its
+    brackets that holds the root with a margin 20 times the rounding error
+    of h: none where h is steep, all of [0, 1/2] where h is flat near 1/2.
+    """
     if not 0 <= y <= 1:
         raise ValueError(f"entropy value {y} outside [0, 1]")
     if y == 0:
         return 0.0
     lo, hi = 0.0, 0.5
+    u = y ** math.log(4)
+    x = u / (2 + 2 * math.sqrt(1 - u))
+    while hi - lo > ENTROPY_TOL:
+        if not lo < x < hi:
+            x = (lo + hi) / 2
+        lx, lx1 = math.log2(x), math.log2(1 - x)
+        f = -x * lx - (1 - x) * lx1 - y  # h(x) - y, as entropy() rounds h
+        if f < 0:
+            lo = x
+        else:
+            hi = x
+        step = f / (lx1 - lx)
+        x -= step
+        if abs(step) <= ENTROPY_TOL:
+            break
+    reach = 1e-14 / (lx1 - lx) + abs(step)
+    a = max(int((x - reach) / _CELL), 0)
+    b = min(int((x + reach) / _CELL), _CELLS - 1)
+    s = (a ^ b).bit_length()  # bisection's bracket of 2^s cells holding both
+    lo, hi = (a >> s << s) * _CELL, ((a >> s) + 1 << s) * _CELL
     while hi - lo > ENTROPY_TOL:
         mid = (lo + hi) / 2
         if entropy(mid) < y:
@@ -192,3 +228,195 @@ def doom_quantum_exponent(pt: RatePoint) -> ExponentResult:
         pi_rel=pi,
         residual=abs(beta_check - 5 / 8 * lam),
     )
+
+
+# --- the Theorem 1 loss bound ------------------------------------------------------
+
+ZHANDRY_CONSTANT = 8 * math.pi / math.sqrt(3)
+
+# SURF's parameters at lambda = 128 and the bound inputs its estimate assumes
+SURF_PRESET = {
+    "n": 13976,
+    "k": 6988,
+    "k_u": 4320,
+    "k_v": 2668,
+    "w": 2668,
+    "lam": 128,
+    "eps_doom": "2^-128",
+    "dist": "0",
+    "exp_rho_pub": "2^-838.56",
+    "rho_sign": "0",
+    "q_hash": "2^128",
+    "q_sign": "2^64",
+}
+
+
+def _log2(x: float) -> float:
+    if x < 0:
+        raise ValueError("expected a nonnegative value")
+    return -math.inf if x == 0 else math.log2(x)
+
+
+def _log2_sum(terms: list[float]) -> float:
+    finite = [t for t in terms if t != -math.inf]
+    if not finite:
+        return -math.inf
+    top = max(finite)
+    return top + math.log2(sum(2.0 ** (t - top) for t in finite))
+
+
+class ConditionItem(FrozenRecord):
+    def __init__(
+        self, index: int, label: str, value_log2: float, threshold_log2: float,
+        passed: bool,
+    ) -> None:
+        set_fields(self, locals())
+
+
+class ReductionBound(FrozenRecord):
+    """The master forgery bound as five log2-domain terms plus their sum.
+
+    Terms: doubled multi-target decoding success, key-distinguishing
+    advantage, the q^(3/2) oracle-swap cost, accumulated signing leakage,
+    and the salt-birthday floor.  ``condition_item`` tags each term with
+    the side-condition item it must satisfy (None: hardness assumption or
+    parameter choice, not a side condition).
+    """
+
+    CONDITION_ITEMS: dict[str, int | None] = {
+        "doom_term": None,
+        "distinguisher_term": 3,
+        "zhandry_term": 1,
+        "signing_term": 2,
+        "birthday_term": None,
+    }
+
+    def __init__(
+        self, doom_term: float, distinguisher_term: float, zhandry_term: float,
+        signing_term: float, birthday_term: float, total: float,
+    ) -> None:
+        set_fields(self, locals())
+
+    def terms(self) -> list[tuple[str, float, int | None]]:
+        """(name, log2 value, side-condition item) in bound order."""
+        return [
+            (name, getattr(self, name), item)
+            for name, item in self.CONDITION_ITEMS.items()
+        ]
+
+    def side_conditions(
+        self, threshold_log2: float | None = None
+    ) -> tuple[ConditionItem, ConditionItem]:
+        """Items 1 and 2: the oracle-swap and signing terms against the
+        threshold, default 2^(-lam/2) (half the birthday term's exponent)."""
+        thr = self.birthday_term / 2 if threshold_log2 is None else threshold_log2
+        return (
+            ConditionItem(
+                1, "oracle-swap term small", self.zhandry_term, thr,
+                self.zhandry_term <= thr,
+            ),
+            ConditionItem(
+                2, "signing leakage small", self.signing_term, thr,
+                self.signing_term <= thr,
+            ),
+        )
+
+
+def theorem1_bound_log2(
+    log2_eps_doom: float,
+    log2_dist: float,
+    log2_exp_rho_pub: float,
+    log2_rho_sign: float,
+    log2_q_hash: float,
+    log2_q_sign: float,
+    lam: float,
+) -> ReductionBound:
+    """Master bound on forgery success from its five ingredients, each
+    given in log2 form (-inf for an exact zero) so that cryptographic sizes
+    do not underflow: 2*eps_doom + dist + (8 pi / sqrt 3) q_hash^(3/2)
+    sqrt(E[rho_pub]) + q_sign*rho_sign + 2^-lam, reported term by term.
+
+    Raises ValueError unless each probability is at most 2^0, each query
+    count is finite and lam is nonnegative; NaN fails every check.
+    """
+    if not lam >= 0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    for name, value in (
+        ("eps_doom", log2_eps_doom),
+        ("dist", log2_dist),
+        ("exp_rho_pub", log2_exp_rho_pub),
+        ("rho_sign", log2_rho_sign),
+    ):
+        if not value <= 0.0:
+            raise ValueError(f"{name} must be a probability, got 2^{value}")
+    for name, value in (("q_hash", log2_q_hash), ("q_sign", log2_q_sign)):
+        if not value < math.inf:
+            raise ValueError(f"{name} must be a finite count, got 2^{value}")
+    doom = 1.0 + log2_eps_doom
+    dist = log2_dist
+    zhandry = (
+        -math.inf
+        if log2_q_hash == -math.inf or log2_exp_rho_pub == -math.inf
+        else math.log2(ZHANDRY_CONSTANT) + 1.5 * log2_q_hash + 0.5 * log2_exp_rho_pub
+    )
+    signing = log2_q_sign + log2_rho_sign
+    birthday = -float(lam)
+    total = _log2_sum([doom, dist, zhandry, signing, birthday])
+    return ReductionBound(doom, dist, zhandry, signing, birthday, total)
+
+
+class ConditionReport(FrozenRecord):
+    """Side-condition verdicts plus an echo of the measured inputs."""
+
+    def __init__(self, items: tuple[ConditionItem, ...], measured: dict) -> None:
+        set_fields(self, locals())
+
+    @property
+    def passed(self) -> bool:
+        return all(item.passed for item in self.items)
+
+
+def condition_check(
+    measured: dict[str, object],
+    q_hash: float,
+    q_sign: float,
+    lam: float,
+    threshold_log2: float | None = None,
+) -> ConditionReport:
+    """Check the three side conditions against measured desk-scale inputs.
+
+    ``measured`` carries ``exp_rho_pub`` (mean weight-w syndrome distance
+    over keys), ``rho_sign`` (decoder output distance), and optionally
+    ``dist_profile``, a sequence of (t, advantage) points for the key
+    distinguisher.  Items 1 and 2 compare their bound term against the
+    threshold, default 2^(-lam/2).  Item 3 checks every profile point for
+    advantage <= t * 2^-lam, a finite-sample proxy for the required decay;
+    an empty profile passes vacuously.
+    """
+    bound = theorem1_bound_log2(
+        log2_eps_doom=-math.inf,
+        log2_dist=-math.inf,
+        log2_exp_rho_pub=_log2(float(measured["exp_rho_pub"])),
+        log2_rho_sign=_log2(float(measured["rho_sign"])),
+        log2_q_hash=_log2(q_hash),
+        log2_q_sign=_log2(q_sign),
+        lam=lam,
+    )
+    profile = tuple(measured.get("dist_profile") or ())
+    # worst log2 margin of advantage * 2^lam / t over the profile
+    margin3 = -math.inf
+    for t, adv in profile:
+        if t <= 0:
+            raise ValueError("profile times must be positive")
+        margin3 = max(margin3, _log2(float(adv)) + float(lam) - math.log2(t))
+    items = (
+        *bound.side_conditions(threshold_log2),
+        ConditionItem(
+            3,
+            "key distinguisher decays (advantage <= t / 2^lam)",
+            margin3,
+            0.0,
+            margin3 <= 0.0,
+        ),
+    )
+    return ConditionReport(items, dict(measured))

@@ -35,7 +35,7 @@ from functools import partial
 from itertools import combinations
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from ._record import FrozenRecord, set_field
+from ._record import FrozenRecord, set_fields
 from .f2 import (
     BitMatrix,
     BitVector,
@@ -68,9 +68,7 @@ class IsdParams(FrozenRecord):
     def __init__(self, p: int, l: int, max_iterations: int = 1000) -> None:
         if p < 0 or l < 0 or max_iterations < 0:
             raise ValueError("parameters must be nonnegative")
-        set_field(self, "p", p)
-        set_field(self, "l", l)
-        set_field(self, "max_iterations", max_iterations)
+        set_fields(self, locals())
 
     def check(self, n: int, k: int, w: int) -> None:
         if self.l > n - k:
@@ -89,8 +87,7 @@ class SolutionCount(FrozenRecord):
     """Expected number of weight-w solutions per syndrome: C(n,w)/2^(n-k)."""
 
     def __init__(self, exact: Fraction, log2: float) -> None:
-        set_field(self, "exact", exact)
-        set_field(self, "log2", log2)
+        set_fields(self, locals())
 
 
 class SuccessEstimate(FrozenRecord):
@@ -101,20 +98,14 @@ class SuccessEstimate(FrozenRecord):
         self, hit_prob: float, hit_prob_log2: float, exact: float,
         surrogate: float, surrogate_log2: float,
     ) -> None:
-        set_field(self, "hit_prob", hit_prob)
-        set_field(self, "hit_prob_log2", hit_prob_log2)
-        set_field(self, "exact", exact)
-        set_field(self, "surrogate", surrogate)
-        set_field(self, "surrogate_log2", surrogate_log2)
+        set_fields(self, locals())
 
 
 class SearchResult(FrozenRecord):
     def __init__(
         self, solution: Any, iterations: int, target_index: int | None = None
     ) -> None:
-        set_field(self, "solution", solution)
-        set_field(self, "iterations", iterations)
-        set_field(self, "target_index", target_index)
+        set_fields(self, locals())
 
     @property
     def found(self) -> bool:
@@ -125,8 +116,7 @@ class DoomSolution(FrozenRecord):
     """Error vector plus the hash preimage whose syndrome it decodes."""
 
     def __init__(self, e: BitVector, preimage: Any) -> None:
-        set_field(self, "e", e)
-        set_field(self, "preimage", preimage)
+        set_fields(self, locals())
 
     @classmethod
     def checked(
@@ -298,6 +288,14 @@ def _isd_trial(
     return None
 
 
+def _worker_signals() -> None:
+    """Pool initializer: a terminal's ^C is for the pool's owner to handle,
+    and SIGTERM ends a worker at once, whatever handler fork passed on."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def run_trials(
     trial: Callable[[int], Any], count: int, rng: random.Random, workers: int = 1
 ) -> Iterator[Any]:
@@ -314,7 +312,7 @@ def run_trials(
     from concurrent.futures import ProcessPoolExecutor
     workers = min(workers, os.cpu_count() or 1)  # a pool forks all its workers
     block, ahead = max(8 * workers, 16), iter(())
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_signals)
     try:
         while count > 0:
             seeds = [rng.getrandbits(64) for _ in range(min(block, count))]

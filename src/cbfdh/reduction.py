@@ -2,13 +2,13 @@
 
 Lazily-sampled random oracles, the reprogrammed oracle Z whose outputs mix
 fresh uniform syndromes with syndromes of exactly uniform weight-w words,
-signing without the secret key, the hybrid game sequence 0..5 as an
-executable harness, and the master bound with its side conditions, from one
-log2-domain entry point (:func:`theorem1_bound_log2`).
+signing without the secret key, and the hybrid game sequence 0..5 as an
+executable harness.
 
 Superposition queries cannot be executed here: the harness drives
 classical-query adversaries only, and quantum query counts enter solely
-through the q^(3/2) sqrt(eps) term of the bound calculator.  Each trial
+through the q^(3/2) sqrt(eps) term of the bound calculator
+(:func:`cbfdh.exponents.theorem1_bound_log2`).  Each trial
 builds fresh oracles from its own seed (:func:`cbfdh.isd.run_trials`), so
 trials are independent and reproducible regardless of the worker count.
 """
@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
-from typing import Any, Callable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Protocol
 
-from ._record import FrozenRecord, Record, set_field
+from ._record import FrozenRecord, Record, set_fields
 from .f2 import BitMatrix, BitVector, mat_vec_mul, random_matrix
 from .hashing import unrank_weight_pattern
 from .isd import DoomSolution, run_trials
@@ -52,14 +52,7 @@ __all__ = [
     "wilson_interval",
     "run_game",
     "extract_doom_solution",
-    "ReductionBound",
-    "theorem1_bound_log2",
-    "ConditionItem",
-    "ConditionReport",
-    "condition_check",
 ]
-
-ZHANDRY_CONSTANT = 8 * math.pi / math.sqrt(3)
 
 # decoder budget of the real signer in games 0..2 and of the omniscient forger
 GAME_SIGN_BUDGET = 400
@@ -261,7 +254,7 @@ class GameConfig(FrozenRecord):
     full-rank family and the Z oracle draws its patterns exactly."""
 
     def __init__(self, params: SchemeParams) -> None:
-        set_field(self, "params", params)
+        set_fields(self, locals())
 
 
 class GameTranscript(FrozenRecord):
@@ -274,13 +267,7 @@ class GameTranscript(FrozenRecord):
         h_keys: tuple[Any, ...], forgery: tuple[bytes, BitVector, BitVector] | None,
         win: bool,
     ) -> None:
-        set_field(self, "game_id", game_id)
-        set_field(self, "params", params)
-        set_field(self, "h_pub", h_pub)
-        set_field(self, "h_seed", h_seed)
-        set_field(self, "h_keys", h_keys)
-        set_field(self, "forgery", forgery)
-        set_field(self, "win", win)
+        set_fields(self, locals())
 
 
 def wilson_interval(
@@ -502,187 +489,3 @@ def extract_doom_solution(transcript: GameTranscript) -> DoomSolution | None:
         )
     except ValueError as exc:
         raise ReductionError(f"winning transcript failed validation: {exc}") from exc
-
-
-# --- bound calculators --------------------------------------------------------------
-
-
-def _log2(x: float) -> float:
-    if x < 0:
-        raise ValueError("expected a nonnegative value")
-    return -math.inf if x == 0 else math.log2(x)
-
-
-def _log2_sum(terms: Sequence[float]) -> float:
-    finite = [t for t in terms if t != -math.inf]
-    if not finite:
-        return -math.inf
-    top = max(finite)
-    return top + math.log2(sum(2.0 ** (t - top) for t in finite))
-
-
-class ConditionItem(FrozenRecord):
-    def __init__(
-        self, index: int, label: str, value_log2: float, threshold_log2: float,
-        passed: bool,
-    ) -> None:
-        set_field(self, "index", index)
-        set_field(self, "label", label)
-        set_field(self, "value_log2", value_log2)
-        set_field(self, "threshold_log2", threshold_log2)
-        set_field(self, "passed", passed)
-
-
-class ReductionBound(FrozenRecord):
-    """The master forgery bound as five log2-domain terms plus their sum.
-
-    Terms: doubled multi-target decoding success, key-distinguishing
-    advantage, the q^(3/2) oracle-swap cost, accumulated signing leakage,
-    and the salt-birthday floor.  ``condition_item`` tags each term with
-    the side-condition item it must satisfy (None: hardness assumption or
-    parameter choice, not a side condition).
-    """
-
-    CONDITION_ITEMS: dict[str, int | None] = {
-        "doom_term": None,
-        "distinguisher_term": 3,
-        "zhandry_term": 1,
-        "signing_term": 2,
-        "birthday_term": None,
-    }
-
-    def __init__(
-        self, doom_term: float, distinguisher_term: float, zhandry_term: float,
-        signing_term: float, birthday_term: float, total: float,
-    ) -> None:
-        set_field(self, "doom_term", doom_term)
-        set_field(self, "distinguisher_term", distinguisher_term)
-        set_field(self, "zhandry_term", zhandry_term)
-        set_field(self, "signing_term", signing_term)
-        set_field(self, "birthday_term", birthday_term)
-        set_field(self, "total", total)
-
-    def terms(self) -> list[tuple[str, float, int | None]]:
-        """(name, log2 value, side-condition item) in bound order."""
-        return [
-            (name, getattr(self, name), item)
-            for name, item in self.CONDITION_ITEMS.items()
-        ]
-
-    def side_conditions(
-        self, threshold_log2: float | None = None
-    ) -> tuple[ConditionItem, ConditionItem]:
-        """Items 1 and 2: the oracle-swap and signing terms against the
-        threshold, default 2^(-lam/2) (half the birthday term's exponent)."""
-        thr = self.birthday_term / 2 if threshold_log2 is None else threshold_log2
-        return (
-            ConditionItem(
-                1, "oracle-swap term small", self.zhandry_term, thr,
-                self.zhandry_term <= thr,
-            ),
-            ConditionItem(
-                2, "signing leakage small", self.signing_term, thr,
-                self.signing_term <= thr,
-            ),
-        )
-
-
-def theorem1_bound_log2(
-    log2_eps_doom: float,
-    log2_dist: float,
-    log2_exp_rho_pub: float,
-    log2_rho_sign: float,
-    log2_q_hash: float,
-    log2_q_sign: float,
-    lam: float,
-) -> ReductionBound:
-    """Master bound on forgery success from its five ingredients, each
-    given in log2 form (-inf for an exact zero) so that cryptographic sizes
-    do not underflow: 2*eps_doom + dist + (8 pi / sqrt 3) q_hash^(3/2)
-    sqrt(E[rho_pub]) + q_sign*rho_sign + 2^-lam, reported term by term.
-
-    Raises ValueError unless each probability is at most 2^0, each query
-    count is finite and lam is nonnegative; NaN fails every check.
-    """
-    if not lam >= 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    for name, value in (
-        ("eps_doom", log2_eps_doom),
-        ("dist", log2_dist),
-        ("exp_rho_pub", log2_exp_rho_pub),
-        ("rho_sign", log2_rho_sign),
-    ):
-        if not value <= 0.0:
-            raise ValueError(f"{name} must be a probability, got 2^{value}")
-    for name, value in (("q_hash", log2_q_hash), ("q_sign", log2_q_sign)):
-        if not value < math.inf:
-            raise ValueError(f"{name} must be a finite count, got 2^{value}")
-    doom = 1.0 + log2_eps_doom
-    dist = log2_dist
-    zhandry = (
-        -math.inf
-        if log2_q_hash == -math.inf or log2_exp_rho_pub == -math.inf
-        else math.log2(ZHANDRY_CONSTANT) + 1.5 * log2_q_hash + 0.5 * log2_exp_rho_pub
-    )
-    signing = log2_q_sign + log2_rho_sign
-    birthday = -float(lam)
-    total = _log2_sum([doom, dist, zhandry, signing, birthday])
-    return ReductionBound(doom, dist, zhandry, signing, birthday, total)
-
-
-class ConditionReport(FrozenRecord):
-    """Side-condition verdicts plus an echo of the measured inputs."""
-
-    def __init__(self, items: tuple[ConditionItem, ...], measured: dict[str, Any]) -> None:
-        set_field(self, "items", items)
-        set_field(self, "measured", measured)
-
-    @property
-    def passed(self) -> bool:
-        return all(item.passed for item in self.items)
-
-
-def condition_check(
-    measured: Mapping[str, Any],
-    q_hash: float,
-    q_sign: float,
-    lam: float,
-    threshold_log2: float | None = None,
-) -> ConditionReport:
-    """Check the three side conditions against measured desk-scale inputs.
-
-    ``measured`` carries ``exp_rho_pub`` (mean weight-w syndrome distance
-    over keys), ``rho_sign`` (decoder output distance), and optionally
-    ``dist_profile``, a sequence of (t, advantage) points for the key
-    distinguisher.  Items 1 and 2 compare their bound term against the
-    threshold, default 2^(-lam/2).  Item 3 checks every profile point for
-    advantage <= t * 2^-lam, a finite-sample proxy for the required decay;
-    an empty profile passes vacuously.
-    """
-    bound = theorem1_bound_log2(
-        log2_eps_doom=-math.inf,
-        log2_dist=-math.inf,
-        log2_exp_rho_pub=_log2(float(measured["exp_rho_pub"])),
-        log2_rho_sign=_log2(float(measured["rho_sign"])),
-        log2_q_hash=_log2(q_hash),
-        log2_q_sign=_log2(q_sign),
-        lam=lam,
-    )
-    profile = tuple(measured.get("dist_profile") or ())
-    # worst log2 margin of advantage * 2^lam / t over the profile
-    margin3 = -math.inf
-    for t, adv in profile:
-        if t <= 0:
-            raise ValueError("profile times must be positive")
-        margin3 = max(margin3, _log2(float(adv)) + float(lam) - math.log2(t))
-    items = (
-        *bound.side_conditions(threshold_log2),
-        ConditionItem(
-            3,
-            "key distinguisher decays (advantage <= t / 2^lam)",
-            margin3,
-            0.0,
-            margin3 <= 0.0,
-        ),
-    )
-    return ConditionReport(items, dict(measured))

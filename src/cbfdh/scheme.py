@@ -31,7 +31,7 @@ import random
 import struct
 from typing import TYPE_CHECKING, Callable
 
-from ._record import FrozenRecord, set_field
+from ._record import FrozenRecord, set_fields
 from .f2 import (
     BitMatrix,
     BitVector,
@@ -94,11 +94,7 @@ class SchemeParams(FrozenRecord):
             raise ValueError("security and salt widths must be positive")
         if lam0 > LAM0_MAX:
             raise ValueError(f"salt width lam0 = {lam0} exceeds {LAM0_MAX} bits")
-        set_field(self, "n", n)
-        set_field(self, "k", k)
-        set_field(self, "w", w)
-        set_field(self, "lam", lam)
-        set_field(self, "lam0", lam0)
+        set_fields(self, locals())
 
     @property
     def n_k(self) -> int:
@@ -118,34 +114,26 @@ class SecretKey(FrozenRecord):
         self, h_sec: BitMatrix, scramble: BitMatrix, scramble_inv: BitMatrix,
         perm: Permutation,
     ) -> None:
-        set_field(self, "h_sec", h_sec)
-        set_field(self, "scramble", scramble)
-        set_field(self, "scramble_inv", scramble_inv)
-        set_field(self, "perm", perm)
+        set_fields(self, locals())
 
 
 class PublicKey(FrozenRecord):
     """h_pub, the signature weight w and the salt width lam0 in bits."""
 
     def __init__(self, h_pub: BitMatrix, w: int, lam0: int) -> None:
-        set_field(self, "h_pub", h_pub)
-        set_field(self, "w", w)
-        set_field(self, "lam0", lam0)
+        set_fields(self, locals())
 
 
 class SignatureKeyPair(FrozenRecord):
     def __init__(
         self, params: SchemeParams, secret: SecretKey, public: PublicKey
     ) -> None:
-        set_field(self, "params", params)
-        set_field(self, "secret", secret)
-        set_field(self, "public", public)
+        set_fields(self, locals())
 
 
 class Signature(FrozenRecord):
     def __init__(self, e: BitVector, salt: BitVector) -> None:
-        set_field(self, "e", e)
-        set_field(self, "salt", salt)
+        set_fields(self, locals())
 
 
 def random_code_family(n: int, k: int) -> CodeFamily:

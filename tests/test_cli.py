@@ -1,9 +1,12 @@
 import concurrent.futures
 import contextlib
+import functools
 import io
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -612,7 +615,7 @@ class RecordingPool:
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
 
     def shutdown(self, wait=True, *, cancel_futures=False):
@@ -732,6 +735,94 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "0.020349" in proc.stdout
+
+
+# --- signals ---------------------------------------------------------------------------
+
+
+def _proc_status(pid):
+    """The fields of /proc/<pid>/status, or {} once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            pairs = [line.split(":", 1) for line in fh]
+    except OSError:
+        return {}
+    return {key: value.strip() for key, value in pairs}
+
+
+def _signal_bit(mask, signum):
+    return int(mask, 16) >> (signum - 1) & 1
+
+
+def _live(pid):
+    return _proc_status(pid).get("State", "Z")[0] != "Z"
+
+
+def _live_descendants(pid):
+    """Pids of the processes below ``pid`` that have not exited."""
+    children = {}
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        status = _proc_status(entry)
+        if status.get("State", "Z")[0] != "Z":
+            children.setdefault(int(status["PPid"]), []).append(int(entry))
+    found, todo = [], [pid]
+    while todo:
+        below = children.get(todo.pop(), [])
+        found += below
+        todo += below
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads processes from /proc")
+@pytest.mark.parametrize("workers", ["1", "2"], ids=("sequential", "workers"))
+@pytest.mark.parametrize("signum, code, err", [
+    (signal.SIGINT, 130, "error: interrupted\n"),
+    (signal.SIGTERM, 143, "error: interrupted\n"),
+], ids=("SIGINT", "SIGTERM"))
+def test_signal_ends_simulate_without_traceback_or_survivors(signum, code, err, workers):
+    """SIGINT reaches the whole process group, as a terminal's ^C does, and
+    SIGTERM the command alone, as kill and timeout send it; either way the
+    run exits 128 + signum with no traceback, its trial pool shut down."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cbfdh", "simulate", "--game", "0",
+         "--trials", "2^30", "--workers", workers],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+        # a shell may start the tests with SIGINT ignored, which the child
+        # would inherit
+        preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
+    )
+    pool_size = 0 if workers == "1" else min(2, os.cpu_count() or 1)
+    family = []
+    try:
+        # wait until the command has installed its SIGTERM handler and every
+        # pool worker has started and ignores SIGINT: a signal that lands
+        # while the pool forks is not yet handled cleanly
+        deadline = time.monotonic() + 60
+        while True:
+            assert proc.poll() is None and time.monotonic() < deadline
+            caught = _proc_status(proc.pid).get("SigCgt", "0")
+            family = _live_descendants(proc.pid)
+            ignored = [_proc_status(pid).get("SigIgn", "0") for pid in family]
+            if (_signal_bit(caught, signal.SIGTERM) and len(family) >= pool_size
+                    and all(_signal_bit(m, signal.SIGINT) for m in ignored)):
+                break
+            time.sleep(0.05)
+        if signum == signal.SIGINT:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
+        _, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stderr) == (code, err)
+        deadline = time.monotonic() + 10
+        while any(map(_live, family)):
+            assert time.monotonic() < deadline, "a pool process outlived the command"
+            time.sleep(0.05)
+    finally:
+        for pid in [proc.pid, *family]:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait()
 
 
 # --- standard-library runtime ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import time
 
 import pytest
@@ -53,6 +54,56 @@ def test_entropy_inv_half_matches_independent_solver():
     assert abs(entropy_inv(0.5) - 0.110028) < 1e-5
 
 
+def test_entropy_inv_matches_brentq_sweep():
+    # independent oracle: scipy's bracketing root finder on h(x) - y
+    for i in range(1, 991):
+        y = i / 1000
+        oracle = brentq(lambda x: entropy(x) - y, 0.0, 0.5, xtol=1e-15)
+        assert abs(entropy_inv(y) - oracle) <= 1e-12, y
+
+
+def test_entropy_inv_at_the_ends():
+    # where h is flat, the root is pinned by h(x) = y rather than by x
+    for y in (1 - 1e-12, 1.0):
+        assert abs(entropy(entropy_inv(y)) - y) <= 1e-12, y
+    # at y = 1e-300 the root is about 1e-303; the answer is bisection's,
+    # the midpoint 2^-41 of the first cell, within the tolerance in x but
+    # about 2e-11 from y in h, so only x is checked here
+    assert entropy_inv(1e-300) <= exponents.ENTROPY_TOL
+
+
+def bisection_inverse(y):
+    """h^{-1}(y) by bisection of [0, 1/2] to ENTROPY_TOL, the method
+    entropy_inv must agree with to the bit."""
+    lo, hi = 0.0, 0.5
+    while hi - lo > exponents.ENTROPY_TOL:
+        mid = (lo + hi) / 2
+        if entropy(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_entropy_inv_returns_the_bisection_float():
+    """The echo of ``exponents --rate`` prints the GV weight in full, so
+    the Newton search must land on bisection's float: across the range, in
+    the first cell, near 1 where h is too flat for Newton, and at values of
+    h on the cell edges themselves."""
+    rng = random.Random(7)
+    cells = [rng.randrange(1, 2**39) * 2.0**-40 for _ in range(300)]
+    ys = [
+        *(rng.random() for _ in range(1500)),
+        *(10 ** -rng.uniform(11, 40) for _ in range(100)),
+        *(1 - 10 ** -rng.uniform(0, 16) for _ in range(300)),
+        *(entropy(edge) for edge in cells),
+        *(math.nextafter(entropy(edge), 1.0) for edge in cells),
+        5e-324, 1e-300, 0.5, 1 - 1e-12, 1.0,
+    ]
+    for y in ys:
+        assert entropy_inv(y) == bisection_inverse(y), y
+
+
 def test_gv_bound_values():
     assert abs(gv_relative_weight(0.5) - 0.1100278644) < 1e-9
     d_gv = 13976 * gv_relative_weight(6988 / 13976)
@@ -85,6 +136,35 @@ def test_doom_quantum_reference_values():
     assert abs(high.exponent - 0.009159) < 1e-3
     assert low.residual < 1e-9
     assert high.residual < 1e-9
+
+
+# doom_quantum_exponent at 6 decimals as bisection-based entropy_inv gave
+# them: a GV-relative weight below (unique-solution regime) and above
+# (many-solutions regime) the GV weight at seven rates, plus the two rows of
+# the exponents command
+PINNED_DOOM_EXPONENTS = [
+    (0.05, 0.221477, "0.102521"),
+    (0.05, 0.432651, "0.002628"),
+    (0.2, 0.145802, "0.124907"),
+    (0.2, 0.337202, "0.006681"),
+    (0.35, 0.099994, "0.122129"),
+    (0.35, 0.261663, "0.008235"),
+    (0.5, 0.066017, "0.107410"),
+    (0.5, 0.194011, "0.008261"),
+    (0.5, 0.11, "0.056684"),
+    (0.5, 0.190899, "0.009191"),
+    (0.65, 0.039472, "0.084162"),
+    (0.65, 0.131315, "0.007097"),
+    (0.8, 0.018675, "0.053549"),
+    (0.8, 0.07245, "0.004873"),
+    (0.95, 0.003364, "0.015198"),
+    (0.95, 0.017243, "0.001511"),
+]
+
+
+@pytest.mark.parametrize("rate, omega, pinned", PINNED_DOOM_EXPONENTS)
+def test_doom_quantum_exponent_pinned(rate, omega, pinned):
+    assert f"{doom_quantum_exponent(RatePoint(rate, omega)).exponent:.6f}" == pinned
 
 
 def test_doom_objective_at_zero_matches_quantum_prange():

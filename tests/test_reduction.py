@@ -11,6 +11,7 @@ from cbfdh.codes import (
     stat_distance,
     syndrome_weight_distribution,
 )
+from cbfdh.exponents import ZHANDRY_CONSTANT, condition_check, theorem1_bound_log2
 from cbfdh.f2 import BitMatrix, BitVector, mat_vec_mul, random_full_rank
 from cbfdh.reduction import (
     GameConfig,
@@ -22,12 +23,9 @@ from cbfdh.reduction import (
     ReductionError,
     ReplayAdversary,
     ZOracle,
-    ZHANDRY_CONSTANT,
-    condition_check,
     extract_doom_solution,
     run_game,
     sign_without_secret,
-    theorem1_bound_log2,
     wilson_interval,
 )
 from cbfdh.scheme import (
