@@ -11,8 +11,10 @@ names each command's handler, help line and echo keys; ``Report`` writes
 the echo from them, so a handler passes only the values it resolved (the
 key file's n, k, w; attack's q; bound's preset, lambda and inputs).  Output
 is line-delimited key=value records in both formats; text mode adds comment
-headers.  Exit codes: 0 success, 1 verification reject, 2 input error,
-3 budget exhausted, 128 + the signal number after SIGINT or SIGTERM.
+headers.  Lines are printed as they are made, so a stopped run keeps its
+echo; handlers check inputs first, so an input error prints nothing.  Exit
+codes: 0 success, 1 verification reject, 2 input error, 3 budget exhausted,
+128 + the signal number after SIGINT or SIGTERM.
 
 The library is reached through its modules (``scheme.sign``,
 ``isd.doom_attack``), which the package loads on first use, so each
@@ -94,14 +96,13 @@ def _fmt_pow2(x: float) -> str:
 
 
 class Report:
-    """Accumulates output lines; text mode keeps # headers, structured drops
+    """Prints output lines at once; text mode keeps # headers, structured drops
     them so every line splits into key=value fields.  The first line echoes
     the command's ``COMMANDS`` keys, read from the arguments overlaid with
     the values the command resolved; a key that resolves to None is left out."""
 
     def __init__(self, args: argparse.Namespace, **resolved: object) -> None:
         self.fmt = args.fmt
-        self.lines: list[str] = []
         values = {**vars(args), **resolved}
         self.record(
             ("command", args.command),
@@ -114,19 +115,13 @@ class Report:
 
     def header(self, title: str) -> None:
         if self.fmt == "text":
-            self.lines.append(f"# {title}")
+            print(f"# {title}")
 
     def record(self, *pairs: tuple[str, object]) -> None:
-        self.lines.append(" ".join(f"{k}={v}" for k, v in pairs))
+        print(" ".join(f"{k}={v}" for k, v in pairs))
 
     def note(self, text: str) -> None:
-        if self.fmt == "text":
-            self.lines.append(f"# {text}")
-        else:
-            self.lines.append("note=" + text.replace(" ", "_"))
-
-    def flush(self) -> None:
-        print("\n".join(self.lines))
+        print(f"# {text}" if self.fmt == "text" else "note=" + text.replace(" ", "_"))
 
 
 def _scheme_params(args: argparse.Namespace) -> scheme.SchemeParams:
@@ -164,7 +159,6 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     report = Report(args, k_u=k_u)
     report.record(("wrote_secret", args.secret_key))
     report.record(("wrote_public", args.public_key))
-    report.flush()
     return 0
 
 
@@ -188,7 +182,6 @@ def cmd_sign(args: argparse.Namespace) -> int:
     report = Report(args, n=params.n, k=params.k, w=params.w)
     report.record(("wrote_signature", args.signature))
     report.record(("salt", sig.salt.to_hex()), ("e", sig.e.to_hex()))
-    report.flush()
     return 0
 
 
@@ -199,7 +192,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok = scheme.verify(public, message, sig, hashing.FdhHash(params.n_k))
     report = Report(args, n=params.n, k=params.k, w=params.w)
     report.record(("result", "ACCEPT" if ok else "REJECT"))
-    report.flush()
     return 0 if ok else 1
 
 
@@ -211,24 +203,21 @@ def cmd_attack(args: argparse.Namespace) -> int:
         raise ValueError("--q needs --mode doom")
     q = 1 if args.q is None else args.q
     if args.n > ATTACK_SIZE_GUARD and not args.force:
-        print(
-            f"error: n={args.n} exceeds the toy-scale guard "
-            f"({ATTACK_SIZE_GUARD}); pass --force to run anyway",
-            file=sys.stderr,
+        raise ValueError(
+            f"n={args.n} exceeds the toy-scale guard "
+            f"({ATTACK_SIZE_GUARD}); pass --force to run anyway"
         )
-        return 2
     isd_params = isd.IsdParams(args.p, args.l, args.budget)
-    isd_params.check(args.n, args.k, args.w)
+    est = isd.isd_success(args.n, args.k, args.w, args.p, args.l, q=q)
+    if args.mode == "doom":
+        # the first of the q targets; q above 2^64 fails here
+        planted_target = next(isd.default_doom_targets(q))
     rng = random.Random(args.seed)
     h, s, planted = isd.plant_instance(args.n, args.k, args.w, rng)
 
     report = Report(args, q=q)
     report.record(("planted", planted.to_hex()))
-
-    est = isd.isd_success(args.n, args.k, args.w, args.p, args.l, q=q)
     if args.mode == "doom":
-        planted_target = next(isd.default_doom_targets(1))
-
         def hash_fn(t: bytes) -> f2.BitVector:
             # the first target carries the planted syndrome so the instance
             # stays solvable; the rest are honest hash decoys
@@ -249,9 +238,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         ("predicted_iterations", _fmt_pow2(-est.surrogate_log2)),
     )
     if result.found:
-        e_vec = (
-            result.solution.e if args.mode == "doom" else result.solution
-        )
+        e_vec = result.solution.e if args.mode == "doom" else result.solution
         pairs = [
             ("found", 1),
             ("iterations", result.iterations),
@@ -261,13 +248,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
         if args.mode == "doom":
             pairs.append(("target_index", result.target_index))
         report.record(*pairs)
-        report.flush()
         return 0
     report.record(("found", 0), ("iterations", result.iterations))
-    report.flush()
-    print(
-        f"error: budget of {args.budget} iterations exhausted", file=sys.stderr
-    )
+    print(f"error: budget of {args.budget} iterations exhausted", file=sys.stderr)
     return 3
 
 
@@ -286,26 +269,24 @@ def cmd_exponents(args: argparse.Namespace) -> int:
         if omega is None:
             omega = exponents.gv_relative_weight(args.rate)
         rows = ((args.rate, omega),)
+    points = [exponents.RatePoint(rate, omega) for rate, omega in rows]
     report = Report(args, omega=omega)
     report.header("asymptotic cost exponents, base-2 per bit")
-    for rate, omega in rows:
-        pt = exponents.RatePoint(rate, omega)
-        unique = omega < exponents.gv_relative_weight(rate)
-        pairs = [
-            ("rate", f"{rate:.6f}"),
-            ("omega", f"{omega:.6f}"),
+    for pt in points:
+        unique = pt.omega < exponents.gv_relative_weight(pt.rate)
+        report.record(
+            ("rate", f"{pt.rate:.6f}"),
+            ("omega", f"{pt.omega:.6f}"),
             ("prange_classical", f"{exponents.prange_exponent_classical(pt):.6f}"),
             ("prange_quantum", f"{exponents.prange_exponent_quantum(pt):.6f}"),
             ("doom_quantum", f"{exponents.doom_quantum_exponent(pt).exponent:.6f}"),
             ("regime", "unique-solution" if unique else "many-solutions"),
-        ]
-        report.record(*pairs)
+        )
         if unique:
             report.note(
                 "omega below the GV weight: unique-solution regime "
                 "(a random syndrome has at most one preimage on average)"
             )
-    report.flush()
     return 0
 
 
@@ -322,15 +303,15 @@ def cmd_bound(args: argparse.Namespace) -> int:
     lam = preset.get("lam", 128) if args.lam is None else args.lam
     logs = {k: parse_level_log2(v) for k, v in values.items()}
 
+    bound = exponents.theorem1_bound_log2(
+        **{f"log2_{k}": v for k, v in logs.items()}, lam=lam
+    )
+
     report = Report(args, preset=args.preset or "none", lam=lam, **values)
     if preset:
         report.record(
             *((f"preset_{k}", preset[k]) for k in ("n", "k", "k_u", "k_v", "w"))
         )
-
-    bound = exponents.theorem1_bound_log2(
-        **{f"log2_{k}": v for k, v in logs.items()}, lam=lam
-    )
     report.header("security-loss terms")
     for name, value, item in bound.terms():
         report.record(
@@ -368,7 +349,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
             "term; direct evaluation gives 2^-227.3 before the 8*pi/sqrt(3) "
             "factor and 2^-223.4 with it; this report keeps the computed value"
         )
-    report.flush()
     return 0
 
 
@@ -410,7 +390,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
         for line in stats.lines():
-            report.lines.append(line)
+            print(line)
         freq[game_id] = stats.frequency(game_id)
         if keep:
             wins = [t for t in stats.transcripts if t.win]
@@ -433,7 +413,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ("decoder_failure_rate", f"{fail_rate:.6f}"),
         ("rho_samples", 500),
     )
-    report.flush()
     return 0
 
 

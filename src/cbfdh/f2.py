@@ -4,7 +4,8 @@ Vectors and matrix rows are Python ints used as bitsets: bit ``i`` of the
 payload is coordinate ``i`` (0-based).  All row operations are therefore
 single wide XORs.  Hex and byte conversions at the wire boundary use
 big-endian bit order within bytes, so coordinate 0 is the most significant
-bit of byte 0 and rows pad on the right up to a whole byte.
+bit of byte 0 and rows pad on the right up to a whole byte with zero bits;
+:meth:`BitVector.from_hex` refuses a hex field padded any other way.
 
 Values are immutable after construction: vectors, matrices and
 permutations are :class:`cbfdh._record.FrozenRecord` classes, whose
@@ -141,6 +142,18 @@ class BitVector(FrozenRecord):
     def from_bytes(cls, data: bytes, n: int) -> "BitVector":
         return cls(n, _bytes_to_bits(data, n))
 
+    @classmethod
+    def from_hex(cls, text: str, n: int) -> "BitVector":
+        """An ``n``-bit hex field, read strictly: exactly ceil(n/8) bytes
+        whose padding bits are 0."""
+        data, nbytes = bytes.fromhex(text), (n + 7) // 8
+        if len(data) != nbytes:
+            raise ValueError(f"a {n}-bit field takes {nbytes} bytes, not {len(data)}")
+        bits = _bytes_to_bits(data, n)
+        if _bits_to_bytes(bits, n) != data:
+            raise ValueError("nonzero padding bits in a field")
+        return cls(n, bits)
+
     def weight(self) -> int:
         return self.bits.bit_count()
 
@@ -270,9 +283,7 @@ class BitMatrix(FrozenRecord):
             raise ValueError(f"bad matrix header: {lines[0]!r}") from exc
         if len(lines) != 1 + nrows:
             raise ValueError(f"expected {nrows} rows, found {len(lines) - 1}")
-        rows = tuple(
-            _bytes_to_bits(bytes.fromhex(ln.strip()), ncols) for ln in lines[1:]
-        )
+        rows = tuple(BitVector.from_hex(ln.strip(), ncols).bits for ln in lines[1:])
         return cls(nrows, ncols, rows)
 
 

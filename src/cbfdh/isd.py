@@ -26,6 +26,7 @@ exactly the success with the lowest trial index, as a sequential one would.
 
 from __future__ import annotations
 
+import _signal  # signal's builtin core; signal's enums cost a cold command 1 ms
 import math
 import os
 import random
@@ -288,12 +289,16 @@ def _isd_trial(
     return None
 
 
+_STOP_SIGNALS = {_signal.SIGINT, _signal.SIGTERM}
+
+
 def _worker_signals() -> None:
     """Pool initializer: a terminal's ^C is for the pool's owner to handle,
-    and SIGTERM ends a worker at once, whatever handler fork passed on."""
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    and SIGTERM ends a worker at once, whatever handler fork passed on.
+    Forked with both blocked, the worker unblocks them under these handlers."""
+    _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
+    _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
+    _signal.pthread_sigmask(_signal.SIG_UNBLOCK, _STOP_SIGNALS)
 
 
 def run_trials(
@@ -320,8 +325,13 @@ def run_trials(
             # four tasks per worker, but a task's round trip costs this
             # process about one small trial, so each holds at least 16
             chunk = max(16, len(seeds) // (4 * workers))
-            # the pool runs this block while the caller reads the one before
-            current, ahead = ahead, pool.map(trial, seeds, chunksize=chunk)
+            # the pool runs this block while the caller reads the one before;
+            # no stop handler may run while a map forks workers or threads
+            blocked = _signal.pthread_sigmask(_signal.SIG_BLOCK, _STOP_SIGNALS)
+            try:
+                current, ahead = ahead, pool.map(trial, seeds, chunksize=chunk)
+            finally:
+                _signal.pthread_sigmask(_signal.SIG_SETMASK, blocked)
             yield from current
             block = min(2 * block, 1024)
         yield from ahead

@@ -21,7 +21,8 @@ Key files start with magic ``CBFDH1``, then n, k, w, lambda0 as little-endian
 :meth:`cbfdh.f2.BitMatrix.to_text`.  The public file carries h_pub; the
 secret file carries h_sec, s, s^{-1} and the permutation as a line of
 0-based image indices.  Signature files are two lines: salt hex, then the
-error row in hex; the padding bits of each last byte must be 0.
+error row in hex.  Key rows and signature fields alike are read strictly
+by :meth:`cbfdh.f2.BitVector.from_hex`: no extra byte, no padding bit set.
 """
 
 from __future__ import annotations
@@ -410,18 +411,6 @@ def load_signature(path: str, params: SchemeParams) -> Signature:
     if len(lines) != 2:
         raise ValueError("signature file must hold salt and error lines")
     salt, e = (
-        _signature_field(line, bits) for line, bits in zip(lines, (params.lam0, params.n))
+        BitVector.from_hex(line, bits) for line, bits in zip(lines, (params.lam0, params.n))
     )
     return Signature(e, salt)
-
-
-def _signature_field(line: str, bits: int) -> BitVector:
-    """A ``bits``-wide field, read strictly: the padding bits of its last
-    byte must be 0, so each signature has exactly one encoding."""
-    data = bytes.fromhex(line)
-    if len(data) != (bits + 7) // 8:
-        raise ValueError("signature field lengths disagree with the parameters")
-    field = BitVector.from_bytes(data, bits)
-    if field.to_bytes() != data:
-        raise ValueError("nonzero padding bits in a signature field")
-    return field

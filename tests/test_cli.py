@@ -166,6 +166,34 @@ def _key_body_lines(path):
     return data[:fixed], data[fixed:].decode().splitlines()
 
 
+@pytest.mark.parametrize("key, row_edit, message", [
+    ("pk.key", lambda row: row[:-1] + "1", "nonzero padding bits"),
+    ("sk.key", lambda row: row + "00", "takes 2 bytes, not 3"),
+], ids=("public-padding-bit", "secret-extra-byte"))
+def test_key_rows_are_read_strictly(tmp_path, capsys, key, row_edit, message):
+    # n = 12: each row is two bytes whose last four bits are padding
+    assert main([
+        "keygen", "--n", "12", "--k", "6", "--w", "3", "--lambda", "16",
+        "--lambda0", "12", "--seed", "1", "--public-key", str(tmp_path / "pk.key"),
+        "--secret-key", str(tmp_path / "sk.key"),
+    ]) == 0
+    sign = ["sign", "--message", "hi", "--signature", str(tmp_path / "m.sig")]
+    verify = ["verify", "--message", "hi", "--signature", str(tmp_path / "m.sig")]
+    assert main([*sign, "--secret-key", str(tmp_path / "sk.key")]) == 0
+    head, lines = _key_body_lines(tmp_path / key)
+    assert lines[1][-1] == "0"
+    lines[1] = row_edit(lines[1])
+    edited = tmp_path / f"edited-{key}"
+    edited.write_bytes(head + ("\n".join(lines) + "\n").encode())
+    capsys.readouterr()
+    if key == "pk.key":
+        code, out, err = run_cli(capsys, *verify, "--public-key", str(edited))
+    else:
+        code, out, err = run_cli(capsys, *sign, "--secret-key", str(edited))
+    assert code == 2 and err.startswith("error: ") and message in err
+    assert out == ""
+
+
 def test_secret_key_with_blank_line_signs(tmp_path, capsys):
     main(keygen_args(tmp_path))
     sign = ["sign", "--message", "hello", "--seed", "9"]
@@ -758,70 +786,86 @@ def _live(pid):
     return _proc_status(pid).get("State", "Z")[0] != "Z"
 
 
-def _live_descendants(pid):
-    """Pids of the processes below ``pid`` that have not exited."""
-    children = {}
-    for entry in filter(str.isdigit, os.listdir("/proc")):
-        status = _proc_status(entry)
-        if status.get("State", "Z")[0] != "Z":
-            children.setdefault(int(status["PPid"]), []).append(int(entry))
-    found, todo = [], [pid]
-    while todo:
-        below = children.get(todo.pop(), [])
-        found += below
-        todo += below
+def _live_group(pgid):
+    """Pids of the processes in group ``pgid`` that have not exited."""
+    found = []
+    for pid in map(int, filter(str.isdigit, os.listdir("/proc"))):
+        with contextlib.suppress(OSError):
+            if os.getpgid(pid) == pgid and _live(pid):
+                found.append(pid)
     return found
 
 
+def _cpu_seconds(pid):
+    """User plus system time ``pid`` has used, or 0 once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return 0
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads processes from /proc")
-@pytest.mark.parametrize("workers", ["1", "2"], ids=("sequential", "workers"))
-@pytest.mark.parametrize("signum, code, err", [
-    (signal.SIGINT, 130, "error: interrupted\n"),
-    (signal.SIGTERM, 143, "error: interrupted\n"),
+@pytest.mark.parametrize("workers, settle", [
+    ("1", True), ("2", True), ("2", False),
+], ids=("sequential", "workers", "pool-start-up"))
+@pytest.mark.parametrize("signum, code", [
+    (signal.SIGINT, 130), (signal.SIGTERM, 143),
 ], ids=("SIGINT", "SIGTERM"))
-def test_signal_ends_simulate_without_traceback_or_survivors(signum, code, err, workers):
+def test_signal_ends_simulate_without_traceback_or_survivors(signum, code, workers, settle):
     """SIGINT reaches the whole process group, as a terminal's ^C does, and
     SIGTERM the command alone, as kill and timeout send it; either way the
-    run exits 128 + signum with no traceback, its trial pool shut down."""
+    run exits 128 + signum with no traceback, its trial pool shut down, and
+    its stdout keeps the lines it printed, echo first.  A settled run is
+    signalled inside its games; the pool-start-up case signals as soon as
+    the handler is installed, before or while the pool forks its workers."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "cbfdh", "simulate", "--game", "0",
          "--trials", "2^30", "--workers", workers],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
         # a shell may start the tests with SIGINT ignored, which the child
         # would inherit
         preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
     )
     pool_size = 0 if workers == "1" else min(2, os.cpu_count() or 1)
-    family = []
     try:
-        # wait until the command has installed its SIGTERM handler and every
-        # pool worker has started and ignores SIGINT: a signal that lands
-        # while the pool forks is not yet handled cleanly
+        # wait until the command has installed its SIGTERM handler; a
+        # settled run also waits until it plays its games: every pool
+        # worker has started and ignores SIGINT, or the sequential run has
+        # used 1 s of CPU, five times what it takes to reach game 0
         deadline = time.monotonic() + 60
         while True:
             assert proc.poll() is None and time.monotonic() < deadline
             caught = _proc_status(proc.pid).get("SigCgt", "0")
-            family = _live_descendants(proc.pid)
+            family = [pid for pid in _live_group(proc.pid) if pid != proc.pid]
             ignored = [_proc_status(pid).get("SigIgn", "0") for pid in family]
-            if (_signal_bit(caught, signal.SIGTERM) and len(family) >= pool_size
-                    and all(_signal_bit(m, signal.SIGINT) for m in ignored)):
+            if _signal_bit(caught, signal.SIGTERM) and (not settle or (
+                len(family) >= pool_size
+                and all(_signal_bit(m, signal.SIGINT) for m in ignored)
+                and (pool_size or _cpu_seconds(proc.pid) >= 1.0)
+            )):
                 break
-            time.sleep(0.05)
+            time.sleep(0.05 if settle else 0.01)
         if signum == signal.SIGINT:
             os.killpg(proc.pid, signum)
         else:
             proc.send_signal(signum)
-        _, stderr = proc.communicate(timeout=60)
-        assert (proc.returncode, stderr) == (code, err)
+        out, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stderr) == (code, "error: interrupted\n")
+        if settle or out:  # a signal in start-up may come before the echo
+            assert out.splitlines()[0] == (
+                "command=simulate seed=0 n=12 k=6 w=4 lambda=8 lambda0=24 "
+                f"trials={2**30} games=0 workers={workers}"
+            )
         deadline = time.monotonic() + 10
-        while any(map(_live, family)):
+        while _live_group(proc.pid):
             assert time.monotonic() < deadline, "a pool process outlived the command"
             time.sleep(0.05)
     finally:
-        for pid in [proc.pid, *family]:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
 
 

@@ -60,6 +60,7 @@ COMMANDS = [
     ["exponents", "--rate", "0.5"],
     ["exponents", "--omega", "0.11"],
     ["exponents", "--rate", "1.5"],
+    ["exponents", "--rate", "0.5", "--omega", "0.3"],
     ["bound"],
     ["bound", "--preset", "surf"],
     ["bound", "--preset", "surf", "--q-hash", "2^100", *STRUCTURED],
@@ -69,10 +70,12 @@ COMMANDS = [
      "--exp-rho-pub", "2^-300", "--q-hash", "2^60", *STRUCTURED],
     ["bound", "--lambda", "0", "--q-sign", "2^10", "--rho-sign", "2^-4"],
     ["bound", "--eps-doom", "-0.5"],
+    ["bound", "--eps-doom", "2"],
     ["simulate", "--trials", "4", "--seed", "1"],
     ["simulate", "--trials", "4", "--seed", "1", *STRUCTURED],
     ["simulate", "--game", "4,5", "--trials", "40", "--seed", "2"],
     ["simulate", "--game", "9"],
+    ["simulate", "--n", "40", "--k", "20", "--w", "9", "--trials", "1"],
 ]
 
 

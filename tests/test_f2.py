@@ -131,6 +131,18 @@ def test_matrix_text_rejects_bad_header():
         BitMatrix.from_text("2 4\na0\n")
 
 
+@pytest.mark.parametrize("row, message", [
+    ("a1", "nonzero padding bits"), ("a000", "takes 1 bytes, not 2"),
+])
+def test_hex_fields_are_read_strictly(row, message):
+    # a 4-bit row is one byte whose low four bits are padding
+    with pytest.raises(ValueError, match=message):
+        BitMatrix.from_text(f"2 4\n{row}\n50\n")
+    with pytest.raises(ValueError, match=message):
+        BitVector.from_hex(row, 4)
+    assert BitVector.from_hex("a0", 4) == BitVector.from_bits([1, 0, 1, 0])
+
+
 def test_columns_and_transpose():
     h = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
     assert h.columns() == (0b01, 0b11, 0b10)
