@@ -14,7 +14,8 @@ is line-delimited key=value records in both formats; text mode adds comment
 headers.  Lines are printed as they are made, so a stopped run keeps its
 echo; handlers check inputs first, so an input error prints nothing.  Exit
 codes: 0 success, 1 verification reject, 2 input error, 3 budget exhausted,
-128 + the signal number after SIGINT or SIGTERM.
+128 + the signal number after SIGINT or SIGTERM, and 141 (128 + SIGPIPE),
+with nothing on stderr, when the reader closes stdout.
 
 The library is reached through its modules (``scheme.sign``,
 ``isd.doom_attack``), which the package loads on first use, so each
@@ -27,6 +28,7 @@ import _signal  # signal's builtin core; signal's enums cost a cold command 1 ms
 import argparse
 import functools
 import math
+import os
 import random
 import sys
 
@@ -525,7 +527,16 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return COMMANDS[args.command][0](args)
+        code = COMMANDS[args.command][0](args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: end as SIGPIPE would, with nothing on
+        # stderr, and leave the exit flush nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -74,6 +74,15 @@ def _pack_positions(n: int, positions: Iterable[int]) -> int:
 # _REV[b] is byte b with its bit order reversed: it maps the wire's
 # big-endian bit order within a byte to the payload's little-endian one.
 _REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+@cache
+def _spread_table(stride: int) -> list[int]:
+    """Entry b has bit j * stride set for each bit j of the byte b."""
+    table = [0]
+    for j in range(0, 8 * stride, stride):
+        table += [x | 1 << j for x in table]
+    return table
 
 
 def _bits_to_bytes(bits: int, n: int) -> bytes:
@@ -218,18 +227,23 @@ class BitMatrix(FrozenRecord):
 
     def columns(self) -> tuple[int, ...]:
         """Column payloads: bit ``r`` of column ``j`` is entry (r, j), read
-        off by one bit scan of the rows on the first call."""
+        off by one table lookup per byte of each row on the first call."""
         return self._columns
 
     @cached_property
     def _columns(self) -> tuple[int, ...]:
-        cols = [0] * self.ncols
-        for r, bits in enumerate(self.rows):
-            while bits:
-                low = bits & -bits
-                cols[low.bit_length() - 1] |= 1 << r
-                bits ^= low
-        return tuple(cols)
+        nrows, ncols = self.nrows, self.ncols
+        if not nrows:
+            return (0,) * ncols
+        spread, mask, cols = _spread_table(nrows), (1 << nrows) - 1, []
+        shifts = range(0, 8 * nrows, nrows)
+        # per byte of the rows, its 8 columns side by side, nrows bits apart
+        for shift in range(0, ncols, 8):
+            acc = 0
+            for r, row in enumerate(self.rows):
+                acc |= spread[row >> shift & 255] << r
+            cols += [acc >> j & mask for j in shifts]
+        return tuple(cols[:ncols])
 
     @cached_property
     def frame(self) -> SystematicFrame | None:
@@ -593,22 +607,31 @@ class Selection:
         non-selected column."""
         return tuple(map(self.reduce, map(self.frame.coords.__getitem__, self.window)))
 
-    def reduce_all(self, syndromes: Iterable[int]) -> Iterator[int]:
-        """``reduce(frame.reduce(s))`` of each syndrome s, lazily: basis walks
-        for the first r, then one lookup per byte of s in XOR tables of the
-        reductions of the unit vectors, built when the (r + 1)-th syndrome is
-        reached."""
+    def byte_tables(self) -> list[list[int]]:
+        """XOR tables of the reductions of the unit syndromes: entry b of
+        table k is ``reduce(frame.reduce(b << 8k))``, so a syndrome reduces by
+        one lookup per byte.  Building them costs 2r basis walks."""
         frame, reduce = self.frame, self.reduce
         r = len(frame.cols)
+        tables = [[0] for _ in range(0, r, 8)]
+        for i in range(r):
+            col = reduce(frame.reduce(1 << i))
+            tables[i >> 3] += [x ^ col for x in tables[i >> 3]]
+        return tables
+
+    def reduce_all(self, syndromes: Iterable[int]) -> Iterator[int]:
+        """``reduce(frame.reduce(s))`` of each syndrome s, lazily: basis walks
+        for the first r, then, once the (r + 1)-th syndrome is reached, one
+        lookup per byte of s in :meth:`byte_tables`.  A caller that knows it
+        has more than r syndromes saves the walks by reading the tables from
+        the first."""
+        frame, reduce = self.frame, self.reduce
         syndromes = iter(syndromes)
-        yield from map(reduce, map(frame.reduce, islice(syndromes, r)))
-        tables: list[list[int]] = []  # [k][b]: the reduction of b << 8k
+        yield from map(reduce, map(frame.reduce, islice(syndromes, len(frame.cols))))
+        tables: list[list[int]] = []
         for s in syndromes:
             if not tables:
-                tables = [[0] for _ in range(0, r, 8)]
-                for i in range(r):
-                    col = reduce(frame.reduce(1 << i))
-                    tables[i >> 3] += [x ^ col for x in tables[i >> 3]]
+                tables = self.byte_tables()
             out = 0
             for table in tables:
                 out ^= table[s & 255]

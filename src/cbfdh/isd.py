@@ -9,10 +9,13 @@ hpp (tail).  The attack enumerates the weight-p window words solving the
 l-bit subsyndrome by a meet-in-the-middle split, and accepts when the
 forced part has weight w - p.  The multi-target (DOOM) variant joins all q
 syndromes against one window enumeration per trial, whose two halves are
-built once: it memoises its words per l-bit tail, each with its front
-syndrome ``hp e''^T``, so a trial runs at most min(q, 2^l) probes and
-completes every candidate with one XOR and a popcount.  Among several hits in a trial the
-lowest target index wins, then that target's first word in enumerator order.
+built once, and completes every candidate with one XOR and a popcount.  The
+target count sets how a trial shares its work.  With q >= 2^l (and at least
+2^l window words) it fills the front syndromes of every tail in one pass and
+fetches a window word only on a hit, else it probes each tail it reaches,
+memoised.  With q > r it reduces every target through the selection's byte
+tables, else by basis walks.  Among several hits in a trial the lowest
+target index wins, then that target's first word in enumerator order.
 Targets are hashed once, in index order, into a list that also records each
 preimage, and the solved preimage is named from that list; the four-sum
 formulation (:mod:`cbfdh.foursum`) builds its sets from the same hashed
@@ -201,22 +204,28 @@ class WindowEnumerator:
     (:meth:`cbfdh.f2.Selection.window_columns`), hp's bits below ``front``
     and hpp's above.  Meet-in-the-middle join: both halves are built once,
     the left words keyed by their l-bit tail and the right words listed with
-    theirs, so a probe costs one XOR and one lookup per right word; each
-    tail's answer is memoised (at most min(q, 2^l) probes).
+    theirs.  One tail costs one XOR and one lookup per right word, and its
+    answer is memoised; :meth:`every_tail` instead joins every left word
+    with every right word once, for a caller that expects to reach most of
+    the 2^l tails.
     """
 
     def __init__(self, cols: Sequence[int], front: int, p: int):
         window, half = len(cols), len(cols) // 2
         if p > window:
             raise ValueError("window weight exceeds window size")
-        # per left weight: the left words by tail, and the right words
-        self.joins: list[tuple[dict[int, list[tuple[int, int]]], list]] = []
+        # per left weight: the left words by tail, the left words in
+        # lexicographic order, and the right words
+        self.joins: list[tuple[dict[int, list[tuple[int, int]]], list, list]] = []
+        self.size = 0  # the number of window words
         for p_left in range(max(0, p - (window - half)), min(p, half) + 1):
             table: dict[int, list[tuple[int, int]]] = {}
-            for tail, syn, mask in _words(cols, range(half), p_left, front):
+            lefts = _words(cols, range(half), p_left, front)
+            for tail, syn, mask in lefts:
                 table.setdefault(tail, []).append((syn, mask))
             rights = _words(cols, range(half, window), p - p_left, front)
-            self.joins.append((table, rights))
+            self.joins.append((table, lefts, rights))
+            self.size += len(lefts) * len(rights)
         self._memo: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def solutions(self, tail: int) -> tuple[tuple[int, int], ...]:
@@ -227,9 +236,21 @@ class WindowEnumerator:
             got = self._memo[tail] = tuple(self._probe(tail))
         return got
 
+    def every_tail(self, l: int) -> list[list[int]]:
+        """The front syndromes of ``solutions(tail)``, in its order, for
+        each of the 2^l tails, filled in one pass: per left weight, each
+        right word in order, then each left word in order, whose tail with
+        the right word's picks the list it joins."""
+        fronts: list[list[int]] = [[] for _ in range(1 << l)]
+        for _, lefts, rights in self.joins:
+            for right_tail, right_syn, _ in rights:
+                for left_tail, left_syn, _ in lefts:
+                    fronts[left_tail ^ right_tail].append(right_syn ^ left_syn)
+        return fronts
+
     def _probe(self, tail: int) -> list[tuple[int, int]]:
         out: list[tuple[int, int]] = []
-        for table, rights in self.joins:
+        for table, _, rights in self.joins:
             get = table.get
             for right_tail, right_syn, right in rights:
                 # a left half with the complementary tail completes the word
@@ -262,30 +283,50 @@ class _HashedTargets:
 
 
 def _isd_trial(
-    payload: tuple[SystematicFrame, Iterable[int], int, int, int],
+    payload: tuple[SystematicFrame, Iterable[int], int, int, int, int],
     child_seed: int,
 ) -> tuple[int, int] | None:
-    """One information-set trial; returns (target index, error bits) or None.
+    """One information-set trial on q targets; returns (target index, error
+    bits) or None.
 
     Targets are scanned in index order against one shared enumerator, and
     each target's window words in enumerator order, so the first hit is the
-    lowest target index and then that target's first word.
+    lowest target index and then that target's first word.  q picks the
+    tail lookup and the reduction, as the module notes say.
     """
-    frame, targets, w, p, l = payload
+    frame, targets, q, w, p, l = payload
     r = len(frame.cols)
     rng = random.Random(child_seed)
     selection = frame.select(sorted(sample(rng, len(frame.coords), r - l)))
     if selection is None:
         return None
     enum = WindowEnumerator(selection.window_columns(), r, p)
+    # a fill spends a list on each tail: worth it when there are at least
+    # as many targets to reach the tails and as many words to fill them
+    fronts = enum.every_tail(l) if 1 << l <= min(q, enum.size) else None
+    tables = selection.byte_tables() if q > r else None  # for 2r basis walks
     front_mask = (1 << r) - 1
     need = w - p
-    for ti, reduced in enumerate(selection.reduce_all(targets)):
-        sp = reduced & front_mask
-        for syn, e2 in enum.solutions(reduced >> r):
-            e1 = sp ^ syn
-            if e1.bit_count() == need:
-                return ti, selection.complete(e1, e2)
+    for ti, s in enumerate(targets):
+        if tables is None:
+            reduced = selection.reduce(frame.reduce(s))
+        else:
+            reduced = 0
+            for table in tables:
+                reduced ^= table[s & 255]
+                s >>= 8
+        sp, tail = reduced & front_mask, reduced >> r
+        if fronts is None:
+            for syn, e2 in enum.solutions(tail):
+                e1 = sp ^ syn
+                if e1.bit_count() == need:
+                    return ti, selection.complete(e1, e2)
+        else:
+            for syn in fronts[tail]:
+                if (sp ^ syn).bit_count() == need:
+                    # the tail's first word with this front syndrome
+                    e2 = enum.solutions(tail)[fronts[tail].index(syn)][1]
+                    return ti, selection.complete(sp ^ syn, e2)
     return None
 
 
@@ -342,6 +383,7 @@ def run_trials(
 def _search(
     h: BitMatrix,
     targets: Iterable[int],
+    q: int,
     w: int,
     params: IsdParams,
     rng: random.Random,
@@ -352,7 +394,7 @@ def _search(
     cannot tell it from a singular selection."""
     if h.frame is None:
         raise ValueError("parity-check matrix is rank deficient")
-    trial = partial(_isd_trial, (h.frame, targets, w, params.p, params.l))
+    trial = partial(_isd_trial, (h.frame, targets, q, w, params.p, params.l))
     budget = params.max_iterations
     with closing(run_trials(trial, budget, rng, workers)) as trials:
         for used, got in enumerate(trials, 1):
@@ -376,7 +418,7 @@ def generalized_isd(
     if s.n != h.nrows:
         raise ValueError("syndrome length mismatch")
     params.check(n, k, w)
-    got, used = _search(h, (s.bits,), w, params, rng, workers)
+    got, used = _search(h, (s.bits,), 1, w, params, rng, workers)
     if got is None:
         return SearchResult(None, used)
     return SearchResult(BitVector(n, got[1]), used)
@@ -402,8 +444,9 @@ def doom_attack(
 ) -> SearchResult:
     """Decode any one of q hashed targets.
 
-    Each trial shares one reduction and one window enumeration, memoised per
-    syndrome tail, across all target syndromes.  When several targets decode
+    Each trial shares one reduction and one window enumeration across all
+    target syndromes; q, the targets given or else ``q_limit``, picks how
+    (see the module notes).  When several targets decode
     in the same trial, the result names the lowest target index and that
     target's first window word in enumerator order, exactly as a scan of the
     targets one at a time would.  With one worker, targets are hashed in
@@ -416,10 +459,11 @@ def doom_attack(
         targets = default_doom_targets(q_limit)
     else:
         targets = list(targets)[:q_limit]
+        q_limit = len(targets)
     hashed = _HashedTargets(targets, hash_fn, h.nrows)
     # the workers' payload carries every syndrome
     syndromes = tuple(hashed) if workers > 1 else hashed
-    got, used = _search(h, syndromes, w, params, rng, workers)
+    got, used = _search(h, syndromes, q_limit, w, params, rng, workers)
     if got is None:
         return SearchResult(None, used)
     ti, e_bits = got

@@ -765,6 +765,26 @@ def test_module_entry_point_subprocess():
     assert "0.020349" in proc.stdout
 
 
+def test_closed_stdout_ends_the_run_as_sigpipe_would():
+    """A reader that stops after the echo line, as ``| head -1`` does,
+    ends the run with exit 141 (128 + SIGPIPE) and nothing on stderr; the
+    games still to come each print a line into the closed pipe."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cbfdh", "simulate", "--trials", "400"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"},
+    )
+    try:
+        assert proc.stdout.readline().startswith("command=simulate ")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == ""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
 # --- signals ---------------------------------------------------------------------------
 
 

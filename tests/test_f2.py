@@ -149,6 +149,28 @@ def test_columns_and_transpose():
     assert h.transpose() == BitMatrix.from_dense([[1, 0], [1, 1], [0, 1]])
 
 
+def bitwise_columns(m: BitMatrix) -> tuple[int, ...]:
+    """Columns read off one set bit per step."""
+    cols = [0] * m.ncols
+    for r, bits in enumerate(m.rows):
+        while bits:
+            low = bits & -bits
+            cols[low.bit_length() - 1] |= 1 << r
+            bits ^= low
+    return tuple(cols)
+
+
+def test_columns_match_the_bitwise_transpose():
+    rng = random.Random(14)
+    shapes = [(0, 5), (0, 0), (6, 0), (1, 1)]
+    shapes += [(nrows, ncols) for nrows in (1, 7, 8, 9, 13, 20) for ncols in range(1, 71)]
+    for nrows, ncols in shapes:
+        ones = BitMatrix(nrows, ncols, ((1 << ncols) - 1,) * nrows)
+        for m in (random_matrix(nrows, ncols, rng), ones):
+            assert m.columns() == bitwise_columns(m), (nrows, ncols)
+            assert m.transpose().columns() == m.rows
+
+
 def test_caches_are_invisible():
     rng = random.Random(12)
     for _ in range(20):
@@ -442,10 +464,20 @@ def test_reduce_all_matches_reduce_on_both_sides_of_the_table_switch():
                 break
         u, _, _ = systematic_form(h, cols, 1)
         perm = front_permutation(cols, 2 * r)
+        tables = selection.byte_tables()
+
+        def from_the_tables(s):
+            out = 0
+            for table in tables:
+                out ^= table[s & 255]
+                s >>= 8
+            return out
+
         for count in (0, r, r + 1, 5 * r):
             ss = [rng.getrandbits(r) for _ in range(count)]
             got = list(selection.reduce_all(ss))
             assert got == [selection.reduce(h.frame.reduce(x)) for x in ss]
+            assert got == [from_the_tables(x) for x in ss]  # tables from the first
             for s, reduced in zip(ss, got):
                 us = mat_vec_mul(u, BitVector(r, s)).bits
                 assert (reduced >> r) == us >> r - 1  # the one tail bit

@@ -16,6 +16,7 @@ from cbfdh.f2 import (
     mat_vec_mul,
     random_full_rank,
     random_matrix,
+    sample,
     systematic_form,
 )
 from cbfdh.hashing import syndrome_hash
@@ -145,26 +146,48 @@ def test_isd_success_is_finite_at_surf_size():
 def test_window_enumerator_matches_filtered_enumeration():
     """The words of every tail come in the documented order (left weight,
     then right pattern, then left pattern), which decides the word a DOOM
-    hit returns; odd and even windows, every p up to the window size."""
+    hit returns; odd and even windows, every p up to the window size.  The
+    every-tail fill lists the same front syndromes in the same order, also
+    where words share a tail or a front syndrome and for tails no word
+    reaches, and the first index of a front syndrome names the first word
+    that has it."""
     rng = random.Random(3)
     front, l = 4, 3
+    seen = {"shared tail": 0, "shared front": 0, "unreached tail": 0}
     for window in (7, 8):
         half = window // 2
-        hp = random_matrix(front, window, rng)
-        hpp = random_matrix(l, window, rng)
-        for p in range(window + 1):
-            enum = WindowEnumerator(hp.vstack(hpp).columns(), front, p)
-            for tail in range(1 << l):
-                expect = tuple(
-                    (mat_vec_mul(hp, e).bits, e.bits)
-                    for p_left in range(p + 1)
-                    for right in combinations(range(half, window), p - p_left)
-                    for left in combinations(range(half), p_left)
-                    for e in [BitVector.from_support(window, left + right)]
-                    if mat_vec_mul(hpp, e).bits == tail
-                )
-                assert enum.solutions(tail) == expect
-                assert enum.solutions(tail) is enum.solutions(tail)  # memoised
+        # random blocks, then blocks with repeated and zero columns, so that
+        # many words meet in one tail and in one front syndrome
+        blocks = [(random_matrix(front, window, rng), random_matrix(l, window, rng))]
+        hp, hpp = blocks[0]
+        blocks.append((
+            BitMatrix(front, window, tuple(row & (0b11 << half) for row in hp.rows)),
+            BitMatrix(l, window, (hpp.rows[0], hpp.rows[0], 0)),
+        ))
+        for hp, hpp in blocks:
+            for p in range(window + 1):
+                enum = WindowEnumerator(hp.vstack(hpp).columns(), front, p)
+                fronts = enum.every_tail(l)
+                assert len(fronts) == 1 << l
+                for tail in range(1 << l):
+                    expect = tuple(
+                        (mat_vec_mul(hp, e).bits, e.bits)
+                        for p_left in range(p + 1)
+                        for right in combinations(range(half, window), p - p_left)
+                        for left in combinations(range(half), p_left)
+                        for e in [BitVector.from_support(window, left + right)]
+                        if mat_vec_mul(hpp, e).bits == tail
+                    )
+                    assert enum.solutions(tail) == expect
+                    assert enum.solutions(tail) is enum.solutions(tail)  # memoised
+                    assert fronts[tail] == [syn for syn, _ in expect]
+                    for syn, word in expect:
+                        first = next(e for s, e in expect if s == syn)
+                        assert enum.solutions(tail)[fronts[tail].index(syn)][1] == first
+                    seen["shared tail"] += len(expect) > 1
+                    seen["shared front"] += len({s for s, _ in expect}) < len(expect)
+                    seen["unreached tail"] += not expect
+    assert min(seen.values()) > 0, seen
 
 
 # --- attacks ----------------------------------------------------------------------
@@ -470,6 +493,71 @@ def test_doom_join_matches_per_target_reference(q):
                 assert got == (used, hits[0][1] if hits else None), (n, k, w, p, l, seed)
     if q > 1:
         assert multi_hit > 0, "no trial decoded several targets at once"
+
+
+def per_target_trial(frame, targets, w, p, l, child_seed):
+    """One trial as a scan of the targets one at a time, without regard to
+    their count: each target reduced through ``reduce_all`` and probed
+    through the memoised ``solutions`` of its tail."""
+    r = len(frame.cols)
+    rng = random.Random(child_seed)
+    selection = frame.select(sorted(sample(rng, len(frame.coords), r - l)))
+    if selection is None:
+        return None
+    enum = WindowEnumerator(selection.window_columns(), r, p)
+    for ti, reduced in enumerate(selection.reduce_all(targets)):
+        sp = reduced & (1 << r) - 1
+        for syn, e2 in enum.solutions(reduced >> r):
+            if (sp ^ syn).bit_count() == w - p:
+                return ti, selection.complete(sp ^ syn, e2)
+    return None
+
+
+# (l, q) on r = 12: q < 2^l <= r, 2^l <= q <= r, q > r >= 2^l and 2^l > q > r
+@pytest.mark.parametrize("l, q", [(3, 5), (2, 8), (3, 40), (4, 14)], ids=(
+    "probe-walk", "fill-walk", "fill-tables", "probe-tables",
+))
+def test_doom_target_count_switches_match_the_per_target_scan(l, q):
+    """Whichever work the target count picks, every fill or probe, byte
+    tables or walks, a DOOM search returns the trial, target and word of a
+    scan of the targets one at a time, with and without a pool.  Four pairs
+    of equal columns give many words a twin with the same tail and front
+    syndrome, of which the scan takes the first."""
+    budget, found = 25, 0
+    for rep in range(6):
+        seed = 1000 * q + 10 * l + rep
+        rng = random.Random(seed)
+        p = 1 + rep % 2
+        w = p + 1 + rep % 3 // 2
+        while True:
+            cols = list(random_matrix(12, 24, rng).columns())
+            cols[20:] = cols[16:20]
+            h = BitMatrix(24, 12, tuple(cols)).transpose()
+            if h.frame is not None:
+                break
+        planted = mat_vec_mul(h, BitVector.from_support(24, sample(rng, 24, w)))
+        targets = [b"%d/%d" % (seed, j) for j in range(q)]
+
+        def hash_fn(t, h=h, planted=planted, last=targets[-1]):
+            return planted if t == last else syndrome_hash(t, h.nrows)
+
+        syndromes = [hash_fn(t).bits for t in targets]
+        rng = random.Random(seed)
+        expect = (budget, None, None)
+        for used in range(1, budget + 1):
+            got = per_target_trial(h.frame, syndromes, w, p, l, rng.getrandbits(64))
+            if got is not None:
+                expect = (used, *got)
+                break
+        found += expect[1] is not None
+        for workers in (1, 2) if rep == 0 else (1,):
+            res = doom_attack(
+                h, hash_fn, w, IsdParams(p, l, budget), q, random.Random(seed),
+                targets=targets, workers=workers,
+            )
+            got = (res.iterations, res.target_index, res.solution.e.bits if res.found else None)
+            assert got == expect, (l, q, seed, workers)
+    assert found >= 3, found
 
 
 def test_doom_worker_pool_matches_sequential():
