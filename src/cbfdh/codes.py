@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .f2 import BitMatrix, BitVector
+from .f2 import BitMatrix, BitVector, rank
 
 __all__ = [
     "DiscreteDistribution",
@@ -31,7 +31,7 @@ def uuv_parity_check(h_u: BitMatrix, h_v: BitMatrix) -> BitMatrix:
     half-sum into V."""
     if h_u.ncols != h_v.ncols:
         raise ValueError("U and V must share the same length")
-    if h_u.frame is None or h_v.frame is None:
+    if rank(h_u) < h_u.nrows or rank(h_v) < h_v.nrows:
         raise ValueError("component parity checks must have full rank")
     top = h_u.hstack(BitMatrix.zeros(h_u.nrows, h_u.ncols))
     return top.vstack(h_v.hstack(h_v))

@@ -18,12 +18,15 @@ and keeps them out of equality, hashing and pickles.
 
 One kernel solves on a column selection, square or not: the
 :class:`SystematicFrame` of a matrix, its first information set with every
-column written in that basis, built once per matrix.  Each selection it
-solves eliminates only its columns outside that set, for the signer,
-ISD/DOOM, four-sum and :func:`inverse` alike, and keeps its basis in lists
-indexed by leading bit.  :func:`systematic_form` is the independent
-row-reduction reference the kernel is checked against, and :func:`sample`
-draws the selections from a plan cached per shape.
+column written in that basis, built once per matrix on a decoder's first
+read.  Each selection it solves eliminates only its columns outside that
+set, for the signer, ISD/DOOM and four-sum alike, and keeps its basis in
+lists indexed by leading bit.  Full-rank tests, :func:`rank` and
+:func:`inverse` build no frame: one pass over the rows puts them in an XOR
+basis keyed by leading bit, so a fresh key pays no frame until it is
+decoded on.  :func:`systematic_form` is the independent row-reduction
+reference the kernel is checked against, and :func:`sample` draws the
+selections from a plan cached per shape.
 """
 
 from __future__ import annotations
@@ -388,28 +391,55 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.nrows, b.ncols, tuple(out))
 
 
-def rank(m: BitMatrix) -> int:
-    rows = [r for r in m.rows if r]
-    rk = 0
-    while rows:
-        pivot = rows.pop()
-        rk += 1
-        low = pivot & -pivot
-        rows = [r ^ pivot if r & low else r for r in rows]
-        rows = [r for r in rows if r]
+def _rank(rows: Iterable[int], width: int) -> int:
+    vecs, rk = [0] * width, 0  # [b]: the basis vector with leading bit b
+    for v in rows:
+        while v:
+            top = v.bit_length() - 1
+            if not vecs[top]:
+                vecs[top] = v
+                rk += 1
+                break
+            v ^= vecs[top]
     return rk
 
 
+def rank(m: BitMatrix) -> int:
+    """The rank of m: the rows that enter an XOR basis keyed by leading bit,
+    in one pass."""
+    return _rank(m.rows, m.ncols)
+
+
 def inverse(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix: its frame's reference set is every
-    column, so the frame's coordinates of ``1 << i`` are column i of the
-    inverse.  Raises ValueError (SingularSelectionError) when singular."""
-    if m.nrows != m.ncols:
+    """Inverse of a square matrix by one row pass: m's rows enter an XOR
+    basis keyed by leading bit, each vector tagged with the rows it
+    combines, so reducing ``1 << i`` gathers in its tags the rows of m that
+    sum to unit row i, which is row i of the inverse.  Raises ValueError
+    (SingularSelectionError) at the first dependent row."""
+    n = m.nrows
+    if n != m.ncols:
         raise ValueError("matrix is not square")
-    frame, n = m.frame, m.nrows
-    if frame is None:
-        raise SingularSelectionError("the matrix is singular")
-    return BitMatrix(n, n, tuple(frame.reduce(1 << i) for i in range(n))).transpose()
+    vecs, tags = [0] * n, [0] * n
+    for i, v in enumerate(m.rows):
+        x = 1 << i
+        while v:
+            top = v.bit_length() - 1
+            if not vecs[top]:
+                vecs[top], tags[top] = v, x
+                break
+            v ^= vecs[top]
+            x ^= tags[top]
+        else:
+            raise SingularSelectionError("the matrix is singular")
+    out = []
+    for i in range(n):
+        t, x = 1 << i, 0
+        while t:
+            top = t.bit_length() - 1
+            t ^= vecs[top]
+            x ^= tags[top]
+        out.append(x)
+    return BitMatrix(n, n, tuple(out))
 
 
 # (n, k) -> the plan of sample(rng, n, k): None for CPython's set branch,
@@ -456,29 +486,32 @@ def sample(rng: random.Random, n: int, k: int) -> list[int]:
     return out
 
 
+def _random_rows(nrows: int, ncols: int, rng: random.Random) -> tuple[int, ...]:
+    getrandbits = rng.getrandbits
+    return tuple(getrandbits(ncols) if ncols else 0 for _ in range(nrows))
+
+
 def random_matrix(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
-    return BitMatrix(
-        nrows,
-        ncols,
-        tuple(rng.getrandbits(ncols) if ncols else 0 for _ in range(nrows)),
-    )
+    return BitMatrix(nrows, ncols, _random_rows(nrows, ncols, rng))
 
 
 def random_full_rank(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:
-    """Uniform full-rank matrix (nrows <= ncols), with the frame that tested it."""
+    """Uniform full-rank matrix (nrows <= ncols): the rows of
+    :func:`random_matrix` draws, each draw's rank taken by one row pass and
+    the first of full rank returned, with no frame built."""
     if nrows > ncols:
         raise ValueError("a full-rank matrix needs nrows <= ncols")
     while True:
-        m = random_matrix(nrows, ncols, rng)
-        if m.frame is not None:
-            return m
+        rows = _random_rows(nrows, ncols, rng)
+        if _rank(rows, ncols) == nrows:
+            return BitMatrix(nrows, ncols, rows)
 
 
 class SystematicFrame:
     """An r-row h of rank r in the coordinates of its reference information
     set I0 = ``cols``, the first r independent columns in index order, so
     building the frame draws nothing: the one information-set kernel, under
-    the signer, ISD/DOOM, four-sum and :func:`inverse`.
+    the signer, ISD/DOOM and four-sum.
 
     One greedy pass over h's column syndromes (:meth:`BitMatrix.columns`)
     builds an XOR basis of I0 keyed by leading bit, each vector tagged with

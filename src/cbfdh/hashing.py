@@ -45,23 +45,28 @@ class FdhHash:
 
 def unrank_weight_pattern(index: int, n: int, w: int) -> BitVector:
     """The ``index``-th weight-w word of length n in lexicographic support
-    order (supports sorted ascending, compared as tuples)."""
+    order (supports sorted ascending, compared as tuples).  The count
+    C(n - pos - 1, remaining - 1) of words that pick position pos next is
+    carried from step to step by one multiply and one exact divide, so a
+    call takes O(n) big-int steps."""
     total = math.comb(n, w)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside [0, C({n},{w}))")
-    support = []
-    pos = 0
-    for picked in range(w):
-        remaining = w - picked
-        while True:
-            block = math.comb(n - pos - 1, remaining - 1)
-            if index < block:
-                break
+    bits = pos = 0
+    remaining = w
+    block = math.comb(n - 1, w - 1) if w else 0
+    while remaining:
+        m = n - pos - 1  # block = C(m, remaining - 1)
+        if index < block:  # pick pos: C(m - 1, remaining - 2)
+            bits |= 1 << pos
+            remaining -= 1
+            if remaining:
+                block = block * remaining // m
+        else:  # skip pos: C(m - 1, remaining - 1)
             index -= block
-            pos += 1
-        support.append(pos)
+            block = block * (m - remaining + 1) // m
         pos += 1
-    return BitVector.from_support(n, support)
+    return BitVector(n, bits)
 
 
 def rank_weight_pattern(v: BitVector, w: int) -> int:

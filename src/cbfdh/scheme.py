@@ -42,6 +42,7 @@ from .f2 import (
     mat_vec_mul,
     random_full_rank,
     random_permutation,
+    rank,
     sample,
 )
 
@@ -171,13 +172,14 @@ def keygen(
 ) -> SignatureKeyPair:
     """Draw (h_sec, s, perm) and publish h_pub = s @ h_sec @ P.  Both code
     families return full-rank matrices by construction, so one h_sec is
-    drawn, a rank-deficient one (no frame) is rejected, and the frames the
-    full-rank tests built serve the signer and :func:`inverse`."""
+    drawn and a rank-deficient one is rejected.  Every full-rank test is a
+    row pass, so keygen builds no frame: h_sec's is built when the signer
+    first decodes on it."""
     r = params.n_k
     h_sec = family(rng)
     if h_sec.nrows != r or h_sec.ncols != params.n:
         raise ValueError("family produced a matrix of the wrong shape")
-    if h_sec.frame is None:
+    if rank(h_sec) < r:
         raise ValueError("family produced a rank-deficient matrix")
     scramble = random_full_rank(r, r, rng)
     perm = random_permutation(params.n, rng)
@@ -392,6 +394,8 @@ def load_secret_key(path: str) -> tuple[SchemeParams, SecretKey]:
     perm = Permutation(tuple(int(tok) for tok in tail.split()))
     if h_sec.nrows != params.n_k or h_sec.ncols != params.n:
         raise ValueError("secret matrix shape disagrees with the header")
+    if rank(h_sec) < params.n_k:
+        raise ValueError("secret matrix is rank deficient")
     if mat_mul(scramble, scramble_inv) != BitMatrix.identity(params.n_k):
         raise ValueError("stored scramble inverse is inconsistent")
     if perm.n != params.n:

@@ -234,6 +234,23 @@ def test_secret_key_bad_block_header_exit_2(tmp_path, capsys, header):
     assert "Traceback" not in err
 
 
+def test_secret_key_with_rank_deficient_matrix_exit_2(tmp_path, capsys):
+    # the decoder could never sign on it: without the check, sign spends
+    # its whole budget and exits 3
+    main(keygen_args(tmp_path))
+    head, lines = _key_body_lines(tmp_path / "sk.key")
+    lines[1] = "00" * 3  # h_sec's first row
+    bad = tmp_path / "bad.key"
+    bad.write_bytes(head + ("\n".join(lines) + "\n").encode())
+    capsys.readouterr()
+    code, out, err = run_cli(
+        capsys, "sign", "--secret-key", str(bad),
+        "--signature", str(tmp_path / "m.sig"), "--message", "hello",
+    )
+    assert code == 2 and err == "error: secret matrix is rank deficient\n"
+    assert out == "" and not (tmp_path / "m.sig").exists()
+
+
 def test_secret_key_salt_width_above_the_ceiling_exit_2(tmp_path, capsys):
     main(keygen_args(tmp_path))
     data = bytearray((tmp_path / "sk.key").read_bytes())

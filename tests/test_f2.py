@@ -226,31 +226,68 @@ def test_rank_matches_row_space_enumeration(r, c, rg):
     assert rank(m) == brute_rank(m)
 
 
+def test_rank_on_zero_repeated_and_early_dependent_rows():
+    rng = random.Random(13)
+    for _ in range(200):
+        c = rng.randrange(1, 9)
+        rows = [rng.getrandbits(c) for _ in range(rng.randrange(1, 7))]
+        i = rng.randrange(len(rows))
+        cases = (
+            rows[:i] + [0] + rows[i:],  # a zero row
+            rows[:i + 1] + [rows[i]] + rows[i + 1:],  # a repeated row
+            rows[:2] + [rows[0] ^ rows[1 % len(rows)]] + rows[2:],  # dependent early
+            [0] * len(rows),
+        )
+        for case in cases:
+            m = BitMatrix(len(case), c, tuple(case))
+            assert rank(m) == brute_rank(m), case
+    assert rank(BitMatrix.zeros(0, 5)) == 0 and rank(BitMatrix.zeros(3, 0)) == 0
+
+
 def test_inverse_round_trip():
     rng = random.Random(5)
-    for n in (1, 2, 5, 8):
+    for n in range(41):
         m = random_full_rank(n, n, rng)
-        assert mat_mul(m, inverse(m)) == BitMatrix.identity(n)
+        inv = inverse(m)
+        assert mat_mul(m, inv) == BitMatrix.identity(n) == mat_mul(inv, m), n
+        assert "frame" not in vars(m)
+
+
+def test_inverse_of_every_three_by_three_matrix():
+    nonsingular = 0
+    for bits in range(1 << 9):
+        m = BitMatrix(3, 3, (bits & 7, bits >> 3 & 7, bits >> 6))
+        if brute_rank(m) < 3:
+            with pytest.raises(SingularSelectionError):
+                inverse(m)
+            continue
+        nonsingular += 1
+        inv = inverse(m)
+        assert mat_mul(m, inv) == BitMatrix.identity(3) == mat_mul(inv, m), m
+    assert nonsingular == 168  # |GL(3, 2)|
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
         inverse(BitMatrix.from_dense([[1, 1], [1, 1]]))
+    with pytest.raises(ValueError, match="not square"):
+        inverse(BitMatrix.zeros(2, 3))
 
 
 def test_random_nonsingular_dim_one_is_forced():
     assert random_full_rank(1, 1, random.Random(0)) == BitMatrix.from_dense([[1]])
 
 
-def test_random_full_rank_keeps_the_frame_that_tested_it():
+def test_random_full_rank_draws_as_random_matrix_and_builds_no_frame():
     rng, ref = random.Random(8), random.Random(8)
     for r, n in ((0, 3), (1, 1), (4, 4), (5, 5), (6, 12), (20, 40)):
         m = random_full_rank(r, n, rng)
         expected = random_matrix(r, n, ref)
-        while rank(expected) < r:  # the rejection rule it had with rank
+        while expected.frame is None:  # the rejection rule it had with frames
             expected = random_matrix(r, n, ref)
         assert m == expected
-        assert m.__dict__["frame"] is not None  # built by the test, cached
+        assert "frame" not in vars(m) and "_columns" not in vars(m)
+    assert rng.getstate() == ref.getstate()
     with pytest.raises(ValueError, match="nrows <= ncols"):
         random_full_rank(3, 2, rng)
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -58,3 +59,44 @@ def test_unrank_bounds():
         unrank_weight_pattern(math.comb(6, 2), 6, 2)
     with pytest.raises(ValueError):
         unrank_weight_pattern(-1, 6, 2)
+
+
+def unrank_by_comb(index, n, w):
+    """The stepwise unranking loop that calls math.comb at each step: the
+    reference the incremental binomial is checked against."""
+    support = []
+    pos = 0
+    for picked in range(w):
+        remaining = w - picked
+        while True:
+            block = math.comb(n - pos - 1, remaining - 1)
+            if index < block:
+                break
+            index -= block
+            pos += 1
+        support.append(pos)
+        pos += 1
+    return BitVector.from_support(n, support)
+
+
+def test_unrank_matches_the_comb_loop():
+    for n in range(13):
+        for w in range(n + 1):
+            for i in range(math.comb(n, w)):
+                assert unrank_weight_pattern(i, n, w) == unrank_by_comb(i, n, w), (i, n, w)
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randrange(1, 201)
+        w = rng.randrange(n + 1)
+        i = rng.randrange(math.comb(n, w))
+        v = unrank_weight_pattern(i, n, w)
+        assert v == unrank_by_comb(i, n, w), (i, n, w)
+        assert rank_weight_pattern(v, w) == i
+
+
+def test_unrank_at_the_surf_length():
+    n, w = 13976, 2668
+    total = math.comb(n, w)
+    assert unrank_weight_pattern(0, n, w).support() == tuple(range(w))
+    assert unrank_weight_pattern(total - 1, n, w).support() == tuple(range(n - w, n))
+    assert unrank_weight_pattern(random.Random(15).randrange(total), n, w).weight() == w

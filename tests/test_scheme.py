@@ -89,6 +89,17 @@ def test_keygen_publishes_scrambled_permuted_matrix():
     assert mat_mul(sec.scramble, sec.scramble_inv) == BitMatrix.identity(12)
 
 
+def test_keygen_builds_no_frame_and_the_first_signature_verifies():
+    keypair, rng = toy_keypair(seed=4)
+    sec = keypair.secret
+    for m in (sec.h_sec, sec.scramble, sec.scramble_inv, keypair.public.h_pub):
+        assert "frame" not in vars(m) and "_columns" not in vars(m)
+    hash_fn = FdhHash(keypair.params.n_k)
+    sig = sign(keypair, b"first", hash_fn, rng)
+    assert "frame" in vars(sec.h_sec)  # built by the signer's first decode
+    assert verify(keypair.public, b"first", sig, hash_fn)
+
+
 def test_keygen_deterministic_under_seed():
     a, _ = toy_keypair(seed=7)
     b, _ = toy_keypair(seed=7)
