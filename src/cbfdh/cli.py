@@ -545,7 +545,9 @@ def main(argv: list[str] | None = None) -> int:
 def entry_point() -> None:
     """The ``cbfdh`` command.  SIGINT and SIGTERM end it with one error line
     and exit 128 + the signal number, unwinding through every ``finally``,
-    so a trial pool shuts down; ``main`` installs no handler."""
+    so a trial pool shuts down; ``main`` installs no handler.  A stop that
+    CPython drops in a callback (importlib's module-lock weakref callback)
+    reaches ``sys.unraisablehook``, and a one-shot SIGALRM raises it again."""
     stopped_by = []
 
     def stop(signum: int, frame: object) -> None:
@@ -555,12 +557,22 @@ def entry_point() -> None:
     for signum in (_signal.SIGINT, _signal.SIGTERM):
         if _signal.getsignal(signum) != _signal.SIG_IGN:  # kept, as by nohup
             _signal.signal(signum, stop)
+    if hasattr(_signal, "setitimer"):
+        unraisablehook = sys.unraisablehook
+
+        def dropped(unraisable) -> None:
+            if stopped_by and isinstance(unraisable.exc_value, SystemExit):
+                _signal.setitimer(_signal.ITIMER_REAL, 1e-4)  # once out of the callback
+            else:
+                unraisablehook(unraisable)
+
+        _signal.signal(_signal.SIGALRM, lambda signum, frame: stop(stopped_by[0], frame))
+        sys.unraisablehook = dropped
     try:
         sys.exit(main())
     except BaseException:
         if not stopped_by:
             raise
-        # CPython drops an exception raised while a lazy module loads, and
-        # the next import from that module fails instead
+        # the stop's SystemExit, or an error it caused on its way up
         print("error: interrupted", file=sys.stderr)
         sys.exit(128 + stopped_by[0])

@@ -34,8 +34,7 @@ from __future__ import annotations
 import math
 import random
 from functools import cache, cached_property
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ._record import FrozenRecord, set_field
 
@@ -194,9 +193,6 @@ class BitVector(FrozenRecord):
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
         return BitVector(self.n, self.bits ^ other.bits)
 
-    def __len__(self) -> int:
-        return self.n
-
 
 class BitMatrix(FrozenRecord):
     """Immutable row-major matrix over GF(2); each row is a packed int."""
@@ -256,9 +252,6 @@ class BitMatrix(FrozenRecord):
             return SystematicFrame(self.columns(), self.nrows)
         except SingularSelectionError:
             return None
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.ncols, self.nrows, self.columns())
 
     def permute_cols(self, perm: "Permutation") -> "BitMatrix":
         if perm.n != self.ncols:
@@ -335,12 +328,6 @@ class Permutation(FrozenRecord):
         for i, j in enumerate(self.images):
             inv[j] = i
         return Permutation(tuple(inv))
-
-    def matrix(self) -> BitMatrix:
-        """The matrix P with ``v.apply == v @ P`` for row vectors."""
-        return BitMatrix(
-            self.n, self.n, tuple(1 << j for j in self.images)
-        )
 
 
 def front_permutation(cols: Sequence[int], n: int) -> Permutation:
@@ -651,25 +638,6 @@ class Selection:
             col = reduce(frame.reduce(1 << i))
             tables[i >> 3] += [x ^ col for x in tables[i >> 3]]
         return tables
-
-    def reduce_all(self, syndromes: Iterable[int]) -> Iterator[int]:
-        """``reduce(frame.reduce(s))`` of each syndrome s, lazily: basis walks
-        for the first r, then, once the (r + 1)-th syndrome is reached, one
-        lookup per byte of s in :meth:`byte_tables`.  A caller that knows it
-        has more than r syndromes saves the walks by reading the tables from
-        the first."""
-        frame, reduce = self.frame, self.reduce
-        syndromes = iter(syndromes)
-        yield from map(reduce, map(frame.reduce, islice(syndromes, len(frame.cols))))
-        tables: list[list[int]] = []
-        for s in syndromes:
-            if not tables:
-                tables = self.byte_tables()
-            out = 0
-            for table in tables:
-                out ^= table[s & 255]
-                s >>= 8
-            yield out
 
     def complete(self, front_bits: int, window_word: int) -> int:
         """The error on h's positions: bit i of x goes to the selected column

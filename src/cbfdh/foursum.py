@@ -8,8 +8,8 @@ of :mod:`cbfdh.isd`, mapped through the tails of the reduced window columns
 of a selection of h's :class:`cbfdh.f2.SystematicFrame`, the one
 information-set kernel), while V4 is a set of hash preimages, by default
 DOOM's counter targets, hashed once as :func:`cbfdh.isd.doom_attack`
-hashes them and mapped to the l-bit tail of their reduced syndrome.  A
-quadruple summing to zero means the combined window
+hashes them, reduced by basis walks and mapped to the l-bit tail of their
+reduced syndrome.  A quadruple summing to zero means the combined window
 word solves the subsyndrome for that preimage; the predicate g accepts when
 the completed error vector has full weight w, and then the completion is a
 valid multi-target decoding solution.
@@ -72,10 +72,6 @@ class FourSumInstance(Record):
     @property
     def window(self) -> int:
         return self.h.ncols - len(self.cols)
-
-    @property
-    def set_size(self) -> int:
-        return len(self.v1)
 
     def _reduced_window(self, mask: int) -> int:
         """The XOR of the reduced window columns the window word selects."""
@@ -155,7 +151,8 @@ def build_foursum_instance(
         tuple(mask for _, _, mask in _words(window_columns, range(i, i + third), p3, r))
         for i in (0, third, 2 * third)
     )
-    reduced = selection.reduce_all(_HashedTargets(preimages, hash_fn, r))
+    hashed = _HashedTargets(preimages, hash_fn, r)
+    reduced = map(selection.reduce, map(h.frame.reduce, hashed))
     return FourSumInstance(
         h=h,
         hash_fn=hash_fn,

@@ -70,16 +70,23 @@ def unrank_weight_pattern(index: int, n: int, w: int) -> BitVector:
 
 
 def rank_weight_pattern(v: BitVector, w: int) -> int:
-    """Inverse of :func:`unrank_weight_pattern`."""
+    """Inverse of :func:`unrank_weight_pattern`, carrying the same count
+    from step to step, so a call takes O(n) big-int steps."""
     if v.weight() != w:
         raise ValueError("weight mismatch")
-    index = 0
-    prev = -1
+    n, bits = v.n, v.bits
+    index = pos = 0
     remaining = w
-    for picked, pos in enumerate(v.support()):
-        for skipped in range(prev + 1, pos):
-            index += math.comb(v.n - skipped - 1, remaining - 1)
-        prev = pos
-        remaining -= 1
+    block = math.comb(n - 1, w - 1) if w else 0
+    while remaining:
+        m = n - pos - 1  # block = C(m, remaining - 1)
+        if bits >> pos & 1:  # picked pos: C(m - 1, remaining - 2)
+            remaining -= 1
+            if remaining:
+                block = block * remaining // m
+        else:  # skipped pos, past the block of words that pick it
+            index += block
+            block = block * (m - remaining + 1) // m
+        pos += 1
     return index
 

@@ -14,8 +14,10 @@ target count sets how a trial shares its work.  With q >= 2^l (and at least
 2^l window words) it fills the front syndromes of every tail in one pass and
 fetches a window word only on a hit, else it probes each tail it reaches,
 memoised.  With q > r it reduces every target through the selection's byte
-tables, else by basis walks.  Among several hits in a trial the lowest
-target index wins, then that target's first word in enumerator order.
+tables, else by basis walks.  The selection is the sampler's draw,
+unsorted: the order of its columns moves no solution and no tail.  Among
+several hits in a trial the lowest target index wins, then that target's
+first word in enumerator order.
 Targets are hashed once, in index order, into a list that also records each
 preimage, and the solved preimage is named from that list; the four-sum
 formulation (:mod:`cbfdh.foursum`) builds its sets from the same hashed
@@ -34,10 +36,9 @@ import math
 import os
 import random
 from contextlib import closing
-from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from ._record import FrozenRecord, set_fields
 from .f2 import (
@@ -48,6 +49,9 @@ from .f2 import (
     random_full_rank,
     sample,
 )
+
+if TYPE_CHECKING:  # for annotations only: m_solutions imports it where it builds one
+    from fractions import Fraction
 
 __all__ = [
     "IsdParams",
@@ -142,6 +146,7 @@ class DoomSolution(FrozenRecord):
 
 
 def m_solutions(n: int, k: int, w: int) -> SolutionCount:
+    from fractions import Fraction  # a cold attack or simulate never needs it
     exact = Fraction(math.comb(n, w), 1 << (n - k))
     return SolutionCount(exact, math.log2(math.comb(n, w)) - (n - k))
 
@@ -159,13 +164,14 @@ def isd_success(
     if q < 1:
         raise ValueError("need at least one target")
     IsdParams(p, l).check(n, k, w)
-    hit = Fraction(
-        math.comb(k + l, p) * math.comb(n - k - l, w - p), math.comb(n, w)
-    )
-    expected_log2 = m_solutions(n, k, w).log2 + math.log2(q)
-    hit_f = float(hit)
+    total = math.comb(n, w)
+    expected_log2 = math.log2(total) - (n - k) + math.log2(q)
+    num = math.comb(k + l, p) * math.comb(n - k - l, w - p)
+    g = math.gcd(num, total)
+    num, den = num // g, total // g  # hit in lowest terms, as a Fraction holds it
+    hit_f = num / den
     # the check above keeps hit positive, so its log2 is finite
-    hit_log2 = math.log2(hit.numerator) - math.log2(hit.denominator)
+    hit_log2 = math.log2(num) - math.log2(den)
     surrogate_log2 = min(0.0, expected_log2 + hit_log2)
     surrogate = 2.0**surrogate_log2
     if hit_f >= 1.0 or expected_log2 + hit_log2 > 9:  # certain, or saturated
@@ -297,7 +303,7 @@ def _isd_trial(
     frame, targets, q, w, p, l = payload
     r = len(frame.cols)
     rng = random.Random(child_seed)
-    selection = frame.select(sorted(sample(rng, len(frame.coords), r - l)))
+    selection = frame.select(sample(rng, len(frame.coords), r - l))
     if selection is None:
         return None
     enum = WindowEnumerator(selection.window_columns(), r, p)

@@ -87,10 +87,6 @@ class LazyOracle:
             self.table[key] = self.sampler(self.rng)
         return self.table[key]
 
-    @property
-    def query_count(self) -> int:
-        return len(self.table)
-
     def queries(self) -> tuple[Any, ...]:
         """Distinct keys in first-query order."""
         return tuple(self.table)

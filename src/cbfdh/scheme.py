@@ -102,14 +102,6 @@ class SchemeParams(FrozenRecord):
     def n_k(self) -> int:
         return self.n - self.k
 
-    @classmethod
-    def with_salt_for(
-        cls, n: int, k: int, w: int, lam: int, q_sign: float
-    ) -> "SchemeParams":
-        """Derive the salt width lam + 2*log2(q_sign) from a signing budget."""
-        lam0 = math.ceil(lam + 2 * math.log2(q_sign))
-        return cls(n=n, k=k, w=w, lam=lam, lam0=lam0)
-
 
 class SecretKey(FrozenRecord):
     def __init__(

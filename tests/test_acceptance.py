@@ -318,10 +318,10 @@ def test_criterion_9_mean_j_calls():
     h_pub = random_full_rank(params.n_k, params.n, rng)
     z = ZOracle(h_pub, params.w, params.lam0, rng)
     runs = 10_000
-    before = z.j.query_count
+    before = len(z.j.table)
     for i in range(runs):
         sign_without_secret(z, f"criterion-9 {i}".encode(), rng)
-    mean = (z.j.query_count - before) / runs
+    mean = (len(z.j.table) - before) / runs
     elapsed = time.monotonic() - t0
     ok = 1.9 <= mean <= 2.1 and elapsed < 60
     report(9, ok, f"mean J-calls {mean:.4f} over {runs} runs, {elapsed:.2f}s")

@@ -906,6 +906,46 @@ def test_signal_ends_simulate_without_traceback_or_survivors(signum, code, worke
         proc.wait()
 
 
+# a command whose stop handler runs inside a weakref callback, where CPython
+# drops the SystemExit it raises, then waits 10 s and says it ran on
+DROPPED_STOP = """
+import _signal, sys, time, weakref
+from cbfdh import cli
+
+class Target:
+    pass
+
+def main(argv=None):
+    target = Target()
+    # the reference outlives its referent, so its callback runs
+    ref = weakref.ref(target, lambda ref: _signal.raise_signal(int(sys.argv[1])))
+    del target
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        time.sleep(0.001)
+    print("ran on")
+    return 0
+
+cli.main = main
+cli.entry_point()
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+@pytest.mark.parametrize("signum, code", [
+    (signal.SIGINT, 130), (signal.SIGTERM, 143),
+], ids=("SIGINT", "SIGTERM"))
+def test_a_stop_dropped_in_a_callback_still_ends_the_run(signum, code):
+    """The stop handler's SystemExit, dropped inside a weakref callback as
+    at the end of an import, is raised again from the command's own code:
+    one error line, exit 128 + signum, and nothing else."""
+    proc = subprocess.run(
+        [sys.executable, "-c", DROPPED_STOP, str(int(signum))],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "error: interrupted\n")
+
+
 # --- standard-library runtime ---------------------------------------------------------
 
 NO_SCIPY_PRELUDE = """

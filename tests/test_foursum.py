@@ -87,7 +87,6 @@ def test_set_sizes_and_shapes():
     # window k + l = 12 with p = 3: each third holds C(4,1) = 4 masks
     inst = make_instance(20, 10, 2, 3, 6, rng)
     assert inst.window == 12
-    assert inst.set_size == 4
     assert len(inst.v1) == len(inst.v2) == len(inst.v3) == len(inst.v4) == 4
     third = inst.window // 3
     for mask in inst.v1:

@@ -227,6 +227,40 @@ def test_prange_equals_generalized_at_zero_parameters():
     assert generalized_isd(h, s, 3, IsdParams(0, 0, 200), random.Random(123)).found
 
 
+def success_by_fraction(n, k, w, p, l, q):
+    """isd_success's fields computed through ``Fraction``: the reference
+    its integer path must match bit for bit."""
+    hit = Fraction(math.comb(k + l, p) * math.comb(n - k - l, w - p), math.comb(n, w))
+    expected_log2 = m_solutions(n, k, w).log2 + math.log2(q)
+    hit_f, hit_log2 = float(hit), math.log2(hit.numerator) - math.log2(hit.denominator)
+    surrogate_log2 = min(0.0, expected_log2 + hit_log2)
+    if hit_f >= 1.0 or expected_log2 + hit_log2 > 9:
+        exact = 1.0
+    elif expected_log2 >= 1024 or hit_f == 0.0:
+        exact = -math.expm1(-(2.0 ** (expected_log2 + hit_log2)))
+    else:
+        exact = -math.expm1(2.0**expected_log2 * math.log1p(-hit_f))
+    return hit_f, hit_log2, exact, 2.0**surrogate_log2, surrogate_log2
+
+
+def test_success_matches_the_fraction_path_bit_for_bit():
+    cases = 0
+    for n in (4, 12, 24, 61, 200, 1024, 13976):
+        for k in {n // 4, n // 2, 3 * n // 4} - {0}:
+            for w in {1, (n - k) // 4, (n - k) // 2, n - k, min(n, n - k + 3)} - {0}:
+                for p, l, q in [(0, 0, 1), (1, 0, 3), (2, 2, 1 << 20), (w // 3, (n - k) // 8, 7)]:
+                    try:
+                        IsdParams(p, l).check(n, k, w)
+                    except ValueError:
+                        continue
+                    est = isd_success(n, k, w, p, l, q)
+                    got = (est.hit_prob, est.hit_prob_log2, est.exact,
+                           est.surrogate, est.surrogate_log2)
+                    assert got == success_by_fraction(n, k, w, p, l, q), (n, k, w, p, l, q)
+                    cases += 1
+    assert cases > 200, cases
+
+
 def test_rank_deficient_matrix_raises_before_any_trial():
     rng = random.Random(17)
     full = random_full_rank(6, 12, rng)
@@ -497,15 +531,17 @@ def test_doom_join_matches_per_target_reference(q):
 
 def per_target_trial(frame, targets, w, p, l, child_seed):
     """One trial as a scan of the targets one at a time, without regard to
-    their count: each target reduced through ``reduce_all`` and probed
-    through the memoised ``solutions`` of its tail."""
+    their count: each target reduced by basis walks and probed through the
+    memoised ``solutions`` of its tail.  It sorts its draw, which the attack
+    does not, so a match also shows that column order does not matter."""
     r = len(frame.cols)
     rng = random.Random(child_seed)
     selection = frame.select(sorted(sample(rng, len(frame.coords), r - l)))
     if selection is None:
         return None
     enum = WindowEnumerator(selection.window_columns(), r, p)
-    for ti, reduced in enumerate(selection.reduce_all(targets)):
+    for ti, s in enumerate(targets):
+        reduced = selection.reduce(frame.reduce(s))
         sp = reduced & (1 << r) - 1
         for syn, e2 in enum.solutions(reduced >> r):
             if (sp ^ syn).bit_count() == w - p:
@@ -532,7 +568,7 @@ def test_doom_target_count_switches_match_the_per_target_scan(l, q):
         while True:
             cols = list(random_matrix(12, 24, rng).columns())
             cols[20:] = cols[16:20]
-            h = BitMatrix(24, 12, tuple(cols)).transpose()
+            h = BitMatrix(12, 24, BitMatrix(24, 12, tuple(cols)).columns())
             if h.frame is not None:
                 break
         planted = mat_vec_mul(h, BitVector.from_support(24, sample(rng, 24, w)))

@@ -5,8 +5,9 @@ modules it calls.  Each case below runs in a fresh interpreter and lists
 the ``cbfdh`` submodules that were executed: those whose type is plain
 ``types.ModuleType``, not the lazy stand-in.  It also lists which of the
 slow-to-import standard modules ``dataclasses`` and ``inspect`` were
-loaded, which must be none.  Runnable without pytest; it prints one line
-per case and exits 1 on any mismatch:
+loaded, which must be none, and of ``fractions`` and ``decimal``, which
+the ``attack`` and ``simulate`` cases must not load.  Runnable without
+pytest; it prints one line per case and exits 1 on any mismatch:
 
     PYTHONPATH=src python tests/test_lazy_loading.py
 """
@@ -14,6 +15,7 @@ per case and exits 1 on any mismatch:
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -57,6 +59,15 @@ EXPECTED = {
 # standard modules no command may load: dataclasses pulls in inspect, and
 # the two cost a cold command about 15 ms
 SLOW_IMPORTS = ["dataclasses", "inspect"]
+# fractions pulls in decimal; keygen --family uuv loads both through codes,
+# but the attacks and the game harness need neither
+NUMERIC_IMPORTS = ["fractions", "decimal"]
+NUMERIC_FREE = ["attack-sd", "attack-doom", "simulate"]
+# per case, the watched standard modules it must not load
+FORBIDDEN = {
+    kind: SLOW_IMPORTS + (NUMERIC_IMPORTS if kind in NUMERIC_FREE else [])
+    for kind in CASES
+}
 
 CHILD = """
 import contextlib, io, json, sys, types
@@ -90,8 +101,9 @@ def _child_env() -> dict[str, str]:
 def _child(
     statement: str, argv: list[str], workdir: str, env: dict
 ) -> tuple[list[str], list[str]]:
-    """The library modules the child ran, and the slow imports it loaded."""
-    child = CHILD.format(statement=statement, slow=SLOW_IMPORTS)
+    """The library modules the child ran, and the watched standard modules
+    it loaded."""
+    child = CHILD.format(statement=statement, slow=SLOW_IMPORTS + NUMERIC_IMPORTS)
     proc = subprocess.run(
         [sys.executable, "-c", child, json.dumps(argv)],
         cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
@@ -103,8 +115,8 @@ def _child(
 
 
 def module_sets(workdir: str) -> dict[str, tuple[list[str], list[str]]]:
-    """The library modules each case runs and the slow imports it loads,
-    every case in its own interpreter."""
+    """The library modules each case runs and the watched standard modules
+    it loads, every case in its own interpreter."""
     env = _child_env()
     # keys and a signature for sign and verify, made in a child of their own
     _child("import cbfdh.cli", KEYGEN, workdir, env)
@@ -135,11 +147,63 @@ def check_modules() -> None:
 def test_each_command_runs_only_the_modules_it_calls(tmp_path):
     got = module_sets(str(tmp_path))
     assert {kind: modules for kind, (modules, _) in got.items()} == EXPECTED
-    assert {kind: slow for kind, (_, slow) in got.items()} == {kind: [] for kind in CASES}
+    loaded = {kind: [m for m in slow if m in FORBIDDEN[kind]] for kind, (_, slow) in got.items()}
+    assert loaded == {kind: [] for kind in CASES}
 
 
 def test_package_exports_are_the_submodule_objects():
     check_modules()
+
+
+# A SIGINT raised at the first line of f2, which isd's first run imports,
+# at a point where the import code drops any exception the load raises
+INTERRUPTED_LOAD = """
+import _signal, json, sys, cbfdh
+stops = {_signal.SIGINT, _signal.SIGTERM}
+_signal.pthread_sigmask(_signal.SIG_UNBLOCK, stops)
+
+def blocked():
+    return stops <= _signal.pthread_sigmask(_signal.SIG_BLOCK, [])
+
+seen = []
+
+def probe(frame, event, arg):
+    name = frame.f_globals.get("__name__")
+    if event == "call" and frame.f_code.co_name == "<module>" and name in ("cbfdh.isd", "cbfdh.f2"):
+        seen.append([name, blocked()])
+        if name == "cbfdh.f2":
+            _signal.raise_signal(_signal.SIGINT)
+
+sys.setprofile(probe)
+try:
+    cbfdh.isd.run_trials
+    raised = None
+except BaseException as exc:
+    raised = type(exc).__name__
+sys.setprofile(None)
+print(json.dumps([seen, raised, blocked(), hasattr(cbfdh.f2, "sample"),
+                  hasattr(cbfdh.isd, "run_trials")]))
+"""
+
+
+def test_a_stop_during_a_module_first_run_lands_once_it_is_whole():
+    """Each module's first run blocks SIGINT and SIGTERM and restores the
+    mask after: a ^C during a nested lazy load is raised where the outer
+    load was asked for, and both modules are whole."""
+    if not hasattr(signal, "pthread_sigmask"):
+        import pytest  # the script runs without it
+
+        pytest.skip("the platform cannot block signals")
+    proc = subprocess.run(
+        [sys.executable, "-c", INTERRUPTED_LOAD],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen, raised, blocked_after, f2_whole, isd_whole = json.loads(proc.stdout)
+    assert seen == [["cbfdh.isd", True], ["cbfdh.f2", True]]
+    assert raised == "KeyboardInterrupt"
+    assert not blocked_after
+    assert f2_whole and isd_whole
 
 
 if __name__ == "__main__":
@@ -148,6 +212,7 @@ if __name__ == "__main__":
         got = module_sets(workdir)
     failed = False
     for kind, (modules, slow) in got.items():
+        slow = [m for m in slow if m in FORBIDDEN[kind]]
         ok = modules == EXPECTED[kind] and not slow
         failed |= not ok
         loads = f"; loads {' '.join(slow)}" if slow else ""

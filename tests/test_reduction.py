@@ -48,9 +48,9 @@ def test_oracle_memoization_and_count():
     oracle = LazyOracle.uniform(16, random.Random(0))
     first = oracle.query((b"m", 3))
     assert oracle.query((b"m", 3)) == first
-    assert oracle.query_count == 1
+    assert len(oracle.table) == 1
     assert oracle.query(b"") is not None  # empty key is valid
-    assert oracle.query_count == 2
+    assert len(oracle.table) == 2
     assert oracle.queries() == ((b"m", 3), b"")
 
 
@@ -155,9 +155,9 @@ def test_sign_without_secret_verifies_and_costs_two_calls():
     calls = []
     runs = 10_000
     for i in range(runs):
-        before = z.j.query_count
+        before = len(z.j.table)
         e, r = sign_without_secret(z, f"m{i}".encode(), rng)
-        calls.append(z.j.query_count - before)
+        calls.append(len(z.j.table) - before)
         assert e.weight() == z.w
         assert r.n == z.salt_bits
         assert z.z_query(f"m{i}".encode(), r) == mat_vec_mul(z.h_pub, e)

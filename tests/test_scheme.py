@@ -72,11 +72,6 @@ def test_salt_width_has_a_ceiling():
         SchemeParams(n=24, k=12, w=7, lam0=LAM0_MAX + 1)
 
 
-def test_salt_width_from_signing_budget():
-    params = SchemeParams.with_salt_for(n=3072, k=1536, w=400, lam=128, q_sign=2**64)
-    assert params.lam0 == 128 + 2 * 64
-
-
 # --- keygen -------------------------------------------------------------------
 
 
