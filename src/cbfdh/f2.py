@@ -20,13 +20,17 @@ One kernel solves on a column selection, square or not: the
 :class:`SystematicFrame` of a matrix, its first information set with every
 column written in that basis, built once per matrix on a decoder's first
 read.  Each selection it solves eliminates only its columns outside that
-set, for the signer, ISD/DOOM and four-sum alike, and keeps its basis in
-lists indexed by leading bit.  Full-rank tests, :func:`rank` and
-:func:`inverse` build no frame: one pass over the rows puts them in an XOR
-basis keyed by leading bit, so a fresh key pays no frame until it is
-decoded on.  :func:`systematic_form` is the independent row-reduction
-reference the kernel is checked against, and :func:`sample` draws the
-selections from a plan cached per shape.
+set, for the signer, ISD/DOOM and four-sum alike.  Full-rank tests,
+:func:`rank` and :func:`inverse` build no frame: one pass over the rows
+puts them in an XOR basis, so a fresh key pays no frame until it is
+decoded on.  Every XOR basis here is a list indexed by ``bit_length()``:
+entry b holds the vector whose leading bit is b - 1 (entry 0 is unused),
+so a basis walk indexes by ``v.bit_length()`` as it is.
+:func:`systematic_form` is the independent row-reduction reference the
+kernel is checked against.  :func:`sample` draws the selections as
+``random.sample`` does, from a plan cached per shape
+(:func:`sample_plan`); a caller that draws one shape many times holds the
+plan and draws from it with :func:`sample_from`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import math
 import random
 from functools import cache, cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._record import FrozenRecord, set_field
 
@@ -53,6 +57,8 @@ __all__ = [
     "front_permutation",
     "random_permutation",
     "sample",
+    "sample_plan",
+    "sample_from",
     "random_matrix",
     "random_full_rank",
 ]
@@ -379,10 +385,10 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 
 def _rank(rows: Iterable[int], width: int) -> int:
-    vecs, rk = [0] * width, 0  # [b]: the basis vector with leading bit b
+    vecs, rk = [0] * (width + 1), 0  # [b]: the basis vector of bit length b
     for v in rows:
         while v:
-            top = v.bit_length() - 1
+            top = v.bit_length()
             if not vecs[top]:
                 vecs[top] = v
                 rk += 1
@@ -392,25 +398,24 @@ def _rank(rows: Iterable[int], width: int) -> int:
 
 
 def rank(m: BitMatrix) -> int:
-    """The rank of m: the rows that enter an XOR basis keyed by leading bit,
-    in one pass."""
+    """The rank of m: the rows that enter an XOR basis, in one pass."""
     return _rank(m.rows, m.ncols)
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
     """Inverse of a square matrix by one row pass: m's rows enter an XOR
-    basis keyed by leading bit, each vector tagged with the rows it
-    combines, so reducing ``1 << i`` gathers in its tags the rows of m that
-    sum to unit row i, which is row i of the inverse.  Raises ValueError
+    basis, each vector tagged with the rows it combines, so reducing
+    ``1 << i`` gathers in its tags the rows of m that sum to unit row i,
+    which is row i of the inverse.  Raises ValueError
     (SingularSelectionError) at the first dependent row."""
     n = m.nrows
     if n != m.ncols:
         raise ValueError("matrix is not square")
-    vecs, tags = [0] * n, [0] * n
+    vecs, tags = [0] * (n + 1), [0] * (n + 1)
     for i, v in enumerate(m.rows):
         x = 1 << i
         while v:
-            top = v.bit_length() - 1
+            top = v.bit_length()
             if not vecs[top]:
                 vecs[top], tags[top] = v, x
                 break
@@ -422,47 +427,55 @@ def inverse(m: BitMatrix) -> BitMatrix:
     for i in range(n):
         t, x = 1 << i, 0
         while t:
-            top = t.bit_length() - 1
+            top = t.bit_length()
             t ^= vecs[top]
             x ^= tags[top]
         out.append(x)
     return BitMatrix(n, n, tuple(out))
 
 
-# (n, k) -> the plan of sample(rng, n, k): None for CPython's set branch,
-# else its pool branch's (m, bit width, m - 1) per draw and the pool to copy
-_SAMPLE_PLANS: dict[tuple[int, int], tuple | None] = {}
+# (n, k) -> the plan of sample(rng, n, k), as sample_plan returns it
+_SAMPLE_PLANS: dict[tuple[int, int], tuple] = {}
 
 
-def sample(rng: random.Random, n: int, k: int) -> list[int]:
-    """``rng.sample(range(n), k)`` by the same ``getrandbits`` calls, without
-    its sequence check and per-draw ``_randbelow`` call: CPython's pool
-    branch when n is at most ``setsize``, else its set branch.  The branch,
-    each pool draw's bit width and the pool come from a plan built on the
-    first call per (n, k); a refused (n, k) raises ValueError and keeps no
-    plan."""
-    try:
-        plan = _SAMPLE_PLANS[n, k]
-    except KeyError:
+def sample_plan(n: int, k: int) -> tuple:
+    """The plan of ``sample(rng, n, k)``, built on the first call per (n, k)
+    and cached: CPython's branch for the shape, its pool branch when n is at
+    most ``setsize``, else its set branch.  A pool plan is ``(draws, pool)``,
+    each draw's ``(m, bit width, m - 1)`` and the pool a draw copies; a set
+    plan is ``((n, bit width, k), None)``.  A refused (n, k) raises
+    ValueError and keeps no plan."""
+    plan = _SAMPLE_PLANS.get((n, k))
+    if plan is None:
         size = max(n, 0)  # len(range(n))
         if not 0 <= k <= size:
-            raise ValueError("Sample larger than population or is negative") from None
+            raise ValueError("Sample larger than population or is negative")
         setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
-        plan = None
         if size <= setsize:
             draws = tuple((m, m.bit_length(), m - 1) for m in range(size, size - k, -1))
             plan = draws, list(range(size))
+        else:
+            plan = (n, n.bit_length(), k), None
         _SAMPLE_PLANS[n, k] = plan
-    getrandbits = rng.getrandbits
-    if plan is None:
-        bits, selected = n.bit_length(), {}  # a dict keeps the draw order
+    return plan
+
+
+def sample_from(plan: tuple, getrandbits: Callable[[int], int]) -> list[int]:
+    """One draw of the :func:`sample_plan` ``plan`` from ``getrandbits`` (a
+    generator's bound method), by the ``getrandbits`` calls
+    ``random.sample`` makes for that shape.  The plan is left as it was, so
+    a caller that draws one shape many times fetches its plan and binds
+    ``getrandbits`` once."""
+    draws, pool = plan
+    if pool is None:
+        n, bits, k = draws
+        selected = {}  # a dict keeps the draw order
         for _ in range(k):
             j = getrandbits(bits)
             while j >= n or j in selected:
                 j = getrandbits(bits)
             selected[j] = None
         return list(selected)
-    draws, pool = plan
     pool, out = pool.copy(), []
     for m, bits, last in draws:
         j = getrandbits(bits)
@@ -471,6 +484,13 @@ def sample(rng: random.Random, n: int, k: int) -> list[int]:
         out.append(pool[j])
         pool[j] = pool[last]
     return out
+
+
+def sample(rng: random.Random, n: int, k: int) -> list[int]:
+    """``rng.sample(range(n), k)`` by the same ``getrandbits`` calls, without
+    its sequence check and per-draw ``_randbelow`` call, for one-off
+    callers: the draw of the cached plan of (n, k)."""
+    return sample_from(sample_plan(n, k), rng.getrandbits)
 
 
 def _random_rows(nrows: int, ncols: int, rng: random.Random) -> tuple[int, ...]:
@@ -501,7 +521,7 @@ class SystematicFrame:
     the signer, ISD/DOOM and four-sum.
 
     One greedy pass over h's column syndromes (:meth:`BitMatrix.columns`)
-    builds an XOR basis of I0 keyed by leading bit, each vector tagged with
+    builds an XOR basis of I0 indexed by bit length, each vector tagged with
     the reference columns it combines, so ``reduce(t)`` is h_{I0}^{-1} t.
     The pass also records ``coords[c]``, column c of h_{I0}^{-1} h, which is
     ``units[c] = 1 << i`` for c = ``cols[i]`` (``units`` is 0 off I0).
@@ -514,19 +534,19 @@ class SystematicFrame:
     columns (the free bits).  S is singular exactly when one of them reduces
     to 0.  The l = r - f free bits that no column pivots on complete the
     basis as the tail.  Like the frame's, that basis is two lists indexed by
-    leading bit: keys (free bits) and tags (the x and tail bits they add).
+    bit length: keys (free bits) and tags (the x and tail bits they add).
     """
 
     __slots__ = ("cols", "coords", "units", "vecs", "tags", "positions")
 
     def __init__(self, columns: Sequence[int], r: int):
-        self.vecs = vecs = [0] * r  # [b]: the vector with leading bit b
-        self.tags = tags = [0] * r
+        self.vecs = vecs = [0] * (r + 1)  # [b]: the vector of bit length b
+        self.tags = tags = [0] * (r + 1)
         ref, coords, units = [], [], []
         for c, v in enumerate(columns):
             x = unit = 0  # column c = v + the reference columns of x
             while v:
-                top = v.bit_length() - 1
+                top = v.bit_length()
                 if not vecs[top]:  # c is the next reference column
                     unit = 1 << len(ref)
                     vecs[top], tags[top] = v, x ^ unit
@@ -546,7 +566,7 @@ class SystematicFrame:
         """The coordinates of t: bit i is the coefficient of ``cols[i]``."""
         vecs, tags, x = self.vecs, self.tags, 0
         while t:
-            top = t.bit_length() - 1
+            top = t.bit_length()
             t ^= vecs[top]
             x ^= tags[top]
         return x
@@ -560,20 +580,21 @@ class SystematicFrame:
         for c in cols:
             chosen |= units[c]
         free = chosen ^ (1 << r) - 1
-        # [b]: the basis vector with leading free bit b, as its key (its
-        # free bits) and its tag (its chosen bits, then the free bit its
-        # column pivots on, with the tail above bit r)
-        keys, tags, pivots = [0] * r, [0] * r, []
+        # [b]: the basis vector whose key (its free bits) has bit length b,
+        # and its tag (its chosen bits, then the free bit b - 1 its column
+        # pivots on, with the tail above bit r)
+        keys, tags, pivots = [0] * (r + 1), [0] * (r + 1), []
         for c in cols:
             if units[c]:
                 continue
             a = coords[c]
             key, x = a & free, a & chosen
             while key:
-                top = key.bit_length() - 1
+                top = key.bit_length()
                 if not keys[top]:
-                    keys[top], tags[top] = key, x | 1 << top
-                    pivots.append(top)
+                    bit = top - 1
+                    keys[top], tags[top] = key, x | 1 << bit
+                    pivots.append(bit)
                     break
                 key ^= keys[top]
                 x ^= tags[top]
@@ -582,8 +603,8 @@ class SystematicFrame:
         if len(cols) < r:  # the free bits no column pivots on: tail bits r, r + 1, ...
             tail = r
             for b in range(r):
-                if free >> b & 1 and not keys[b]:
-                    keys[b], tags[b] = 1 << b, 1 << tail
+                if free >> b & 1 and not keys[b + 1]:
+                    keys[b + 1], tags[b + 1] = 1 << b, 1 << tail
                     tail += 1
         window = tuple(sorted(self.positions.difference(cols)))
         return Selection(self, keys, tags, pivots, chosen, free, tuple(cols), window)
@@ -595,8 +616,8 @@ class Selection:
     of S that reduces to ``1 << i``: the reference column ``frame.cols[i]``
     when S holds it, else the column outside I0 that pivots on free bit i
     (``pivots`` lists those bits in the order of S).  ``keys`` and ``tags``
-    hold the basis by leading free bit, as :meth:`SystematicFrame.select`
-    builds it.  The window is the non-selected columns, ascending."""
+    hold the basis by the bit length of its free bits, as
+    :meth:`SystematicFrame.select` builds it.  The window is the non-selected columns, ascending."""
 
     __slots__ = ("frame", "keys", "tags", "pivots", "chosen", "free", "cols", "window", "_front")
 
@@ -617,7 +638,7 @@ class Selection:
         keys, tags = self.keys, self.tags
         key, x = tau & self.free, tau & self.chosen
         while key:
-            top = key.bit_length() - 1
+            top = key.bit_length()
             key ^= keys[top]
             x ^= tags[top]
         return x

@@ -43,7 +43,8 @@ from .f2 import (
     random_full_rank,
     random_permutation,
     rank,
-    sample,
+    sample_from,
+    sample_plan,
 )
 
 if TYPE_CHECKING:  # for annotations only: keygen runs without hashing
@@ -197,36 +198,48 @@ def decode_to_weight(
 
     Each trial picks a random information set (r columns) and sweeps the
     window weight p: p random support bits are seeded on the window and the
-    trial accepts when the forced part has weight w - p.  Targets live in
-    the coordinates of h's :class:`cbfdh.f2.SystematicFrame`, built once
-    per matrix, and each trial solves only on its columns outside the
-    frame's reference set.  A rank-deficient h has no frame: every
-    selection is singular, so its trials draw their columns and nothing
-    else.
+    trial accepts when the forced part has weight w - p.  Seed weight
+    p = 0 draws nothing, and the seed word is built only on a hit.  The
+    draws are those of ``random.sample``, from sampler plans fetched once
+    per call (:func:`cbfdh.f2.sample_plan`): one for the columns and one
+    per seed weight.  Targets live in the coordinates of h's
+    :class:`cbfdh.f2.SystematicFrame`, built once per matrix, and each
+    trial solves only on its columns outside the frame's reference set.  A
+    rank-deficient h has no frame: every selection is singular, so its
+    trials draw their columns and nothing else.
     """
     r, n = h.nrows, h.ncols
     if s.n != r:
         raise ValueError("syndrome length mismatch")
+    if budget <= 0:
+        return None
+    columns, getrandbits = sample_plan(n, r), rng.getrandbits
     frame = h.frame
     if frame is None:
         for _ in range(budget):
-            sample(rng, n, r)
+            sample_from(columns, getrandbits)
         return None
     coords, base, select = frame.coords, frame.reduce(s.bits), frame.select
     window = n - r
-    weights = range(max(0, w - r), min(w, window) + 1)
+    low = max(0, w - r)  # the least seed weight that can reach w
+    seeds = [(p, sample_plan(window, p)) for p in range(max(1, low), min(w, window) + 1)]
     for _ in range(budget):
-        selection = select(sample(rng, n, r))
+        selection = select(sample_from(columns, getrandbits))
         if selection is None:
             continue
-        rest, reduce = selection.window, selection.reduce
-        for p in weights:
-            seed, target = 0, base
-            for t in sample(rng, window, p):
-                seed |= 1 << t
+        reduce = selection.reduce
+        if not low:  # p = 0: no seed, no draw
+            forced = reduce(base)
+            if forced.bit_count() == w:
+                return BitVector(n, selection.complete(forced, 0))
+        rest = selection.window
+        for p, plan in seeds:
+            picks, target = sample_from(plan, getrandbits), base
+            for t in picks:
                 target ^= coords[rest[t]]
             forced = reduce(target)
             if forced.bit_count() == w - p:
+                seed = sum(1 << t for t in picks)
                 return BitVector(n, selection.complete(forced, seed))
     return None
 

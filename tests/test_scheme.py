@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import warnings
@@ -15,6 +16,8 @@ from cbfdh.f2 import (
     random_matrix,
     rank,
     sample,
+    sample_from,
+    sample_plan,
 )
 from cbfdh.hashing import FdhHash
 from cbfdh.scheme import (
@@ -160,10 +163,10 @@ def test_decode_output_always_checks():
         assert mat_vec_mul(h, e) == s
 
 
-def permuting_decoder(h, s, w, budget, rng):
+def permuting_decoder(h, s, w, budget, rng, hits=None):
     """The decoder as it was before the column-syndrome kernel: move the
     information set to the front, eliminate, sweep p, and permute the error
-    back."""
+    back.  The seed weight p of a hit is appended to ``hits`` when given."""
     r, n = h.nrows, h.ncols
     window = n - r
     for _ in range(budget):
@@ -188,6 +191,8 @@ def permuting_decoder(h, s, w, budget, rng):
                 seed = BitVector.from_support(window, rng.sample(range(window), p))
                 forced = base ^ mat_vec_mul(hp, seed)
                 if forced.weight() == w - p:
+                    if hits is not None:
+                        hits.append(p)
                     return perm.inverse().apply(BitVector(n, forced.bits | seed.bits << r))
     return None
 
@@ -222,17 +227,40 @@ def decode_cases():
 def test_decode_matches_permuting_reference():
     seen = Counter()
     for case, h, s, w, budget, seed in decode_cases():
-        ours, theirs = random.Random(seed), random.Random(seed)
+        ours, theirs, hits = random.Random(seed), random.Random(seed), []
         got = decode_to_weight(h, s, w, budget, ours)
-        assert got == permuting_decoder(h, s, w, budget, theirs), case
+        assert got == permuting_decoder(h, s, w, budget, theirs, hits), case
         assert ours.getstate() == theirs.getstate(), case
         r, n = h.nrows, h.ncols
         seen["found" if got is not None else "exhausted"] += 1
+        # p = 0 draws no seed, and a hit at p >= 1 builds its seed word
+        seen["found at p = 0"] += hits == [0]
+        seen["found at p >= 1"] += got is not None and hits != [0]
         seen["rank deficient"] += rank(h) < r
         seen["w > r"] += w > r
         seen["found at r = 20"] += got is not None and r == 20
         seen["found, window >= 22"] += got is not None and n - r >= 22
     assert min(seen.values()) >= 20, seen
+
+
+def sample_shapes(rng):
+    """The (n, k) sweep of the sampler oracles, drawn from rng: both
+    branches, the setsize edges between them and empty ranges."""
+    shapes = []
+    for n in range(301):
+        for k in range(min(n, 64) + 1):
+            if k > 8 and rng.random() < 0.8:
+                continue
+            shapes.append((n, k))
+    # CPython draws from a pool up to setsize and from a set above it
+    for k in range(6, 65):
+        setsize = 21 + 4 ** math.ceil(math.log(k * 3, 4))
+        shapes += [(setsize, k), (setsize + 1, k)]
+    shapes += [(-3, 0), (-1, 0)]  # random.sample(range(-3), 0) is []
+    return shapes
+
+
+REFUSED_SAMPLE_SHAPES = [(0, 1), (5, 6), (300, 301), (-3, 1), (-1, 1), (4, -1)]
 
 
 def test_sample_matches_random_sample():
@@ -245,17 +273,7 @@ def test_sample_matches_random_sample():
         assert ours.getstate() == theirs.getstate(), (n, k)
 
     rng = random.Random(2024)
-    shapes = []
-    for n in range(301):
-        for k in range(min(n, 64) + 1):
-            if k > 8 and rng.random() < 0.8:
-                continue
-            shapes.append((n, k))
-    # CPython draws from a pool up to setsize and from a set above it
-    for k in range(6, 65):
-        setsize = 21 + 4 ** math.ceil(math.log(k * 3, 4))
-        shapes += [(setsize, k), (setsize + 1, k)]
-    shapes += [(-3, 0), (-1, 0)]  # random.sample(range(-3), 0) is []
+    shapes = sample_shapes(rng)
     for n, k in shapes:
         check(n, k, rng.getrandbits(64))  # builds the plan
         assert (n, k) in _SAMPLE_PLANS
@@ -266,7 +284,7 @@ def test_sample_matches_random_sample():
         assert sample(ours, n, k) == theirs.sample(range(n), k), (n, k)
     assert ours.getstate() == theirs.getstate()
     # a refused shape draws nothing and keeps no plan
-    for n, k in [(0, 1), (5, 6), (300, 301), (-3, 1), (-1, 1), (4, -1)]:
+    for n, k in REFUSED_SAMPLE_SHAPES:
         ours, theirs = random.Random(n), random.Random(n)
         with pytest.raises(ValueError):
             theirs.sample(range(n), k)
@@ -275,6 +293,29 @@ def test_sample_matches_random_sample():
                 sample(ours, n, k)
             assert (n, k) not in _SAMPLE_PLANS
         assert ours.getstate() == theirs.getstate()
+
+
+def test_sample_plan_held_by_the_caller_matches_random_sample():
+    """A plan fetched once and drawn three times through one bound
+    getrandbits equals random.sample on a second generator, by result and
+    state, and no draw changes the plan; a refused shape raises from
+    sample_plan and keeps no plan."""
+    rng = random.Random(2025)
+    for n, k in sample_shapes(random.Random(2024)):
+        plan = sample_plan(n, k)
+        before = copy.deepcopy(plan)
+        seed = rng.getrandbits(64)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        getrandbits = ours.getrandbits
+        for _ in range(3):
+            assert sample_from(plan, getrandbits) == theirs.sample(range(n), k), (n, k)
+            assert ours.getstate() == theirs.getstate(), (n, k)
+        assert plan == before, (n, k)
+        assert sample_plan(n, k) is plan
+    for n, k in REFUSED_SAMPLE_SHAPES:
+        with pytest.raises(ValueError):
+            sample_plan(n, k)
+        assert (n, k) not in _SAMPLE_PLANS
 
 
 # --- sign / verify -------------------------------------------------------------
