@@ -32,7 +32,7 @@ import os
 import random
 import sys
 
-from . import exponents, f2, hashing, isd, reduction, scheme
+from . import STOP_SIGNALS, exponents, f2, hashing, isd, reduction, scheme
 
 ATTACK_SIZE_GUARD = 64
 
@@ -554,7 +554,7 @@ def entry_point() -> None:
         stopped_by.append(signum)
         raise SystemExit(128 + signum)
 
-    for signum in (_signal.SIGINT, _signal.SIGTERM):
+    for signum in STOP_SIGNALS:
         if _signal.getsignal(signum) != _signal.SIG_IGN:  # kept, as by nohup
             _signal.signal(signum, stop)
     if hasattr(_signal, "setitimer"):

@@ -1,5 +1,5 @@
-"""The (U, U+V) parity check, exact syndrome-weight distributions, and
-statistical distance on finite distributions.
+"""Exact syndrome-weight distributions and statistical distance on finite
+distributions.
 
 Exact distributions are tallied with integer counts and normalized into
 ``fractions.Fraction`` masses at the end, so equality checks (for example
@@ -13,28 +13,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .f2 import BitMatrix, BitVector, rank
+from .f2 import BitMatrix, BitVector
 
 __all__ = [
     "DiscreteDistribution",
-    "uuv_parity_check",
     "syndrome_weight_distribution",
     "stat_distance",
     "product_distance_bound",
 ]
-
-
-def uuv_parity_check(h_u: BitMatrix, h_v: BitMatrix) -> BitMatrix:
-    """Parity check ``[[H_U, 0], [H_V, H_V]]`` of the code of words (u, u+v)
-    with u in U and v in V, from full-rank parity checks H_U and H_V: the
-    top block forces the left half into U and the bottom block forces the
-    half-sum into V."""
-    if h_u.ncols != h_v.ncols:
-        raise ValueError("U and V must share the same length")
-    if rank(h_u) < h_u.nrows or rank(h_v) < h_v.nrows:
-        raise ValueError("component parity checks must have full rank")
-    top = h_u.hstack(BitMatrix.zeros(h_u.nrows, h_u.ncols))
-    return top.vstack(h_v.hstack(h_v))
 
 
 class DiscreteDistribution:

@@ -61,6 +61,7 @@ __all__ = [
     "sample_from",
     "random_matrix",
     "random_full_rank",
+    "read_matrix",
 ]
 
 
@@ -288,19 +289,30 @@ class BitMatrix(FrozenRecord):
             lines.append(_bits_to_bytes(r, self.ncols).hex())
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "BitMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty matrix text")
-        try:
-            nrows, ncols = (int(tok) for tok in lines[0].split())
-        except Exception as exc:
-            raise ValueError(f"bad matrix header: {lines[0]!r}") from exc
-        if len(lines) != 1 + nrows:
-            raise ValueError(f"expected {nrows} rows, found {len(lines) - 1}")
-        rows = tuple(BitVector.from_hex(ln.strip(), ncols).bits for ln in lines[1:])
-        return cls(nrows, ncols, rows)
+    @staticmethod
+    def from_text(text: str) -> "BitMatrix":
+        """The matrix whose :meth:`to_text` is ``text``, blank lines aside."""
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        matrix, end = read_matrix(lines, 0)
+        if end != len(lines):
+            raise ValueError(f"expected {matrix.nrows} rows, found {len(lines) - 1}")
+        return matrix
+
+
+def read_matrix(lines: list[str], at: int) -> tuple[BitMatrix, int]:
+    """The matrix whose :meth:`BitMatrix.to_text` block starts at
+    ``lines[at]``, in a list of stripped non-blank lines, and the index of
+    the line after the block."""
+    header = lines[at] if at < len(lines) else ""  # "" past the last line
+    fields = header.split()
+    if len(fields) != 2 or not all(field.isdecimal() for field in fields):
+        raise ValueError(f"bad matrix header: {header!r}")
+    nrows, ncols = map(int, fields)
+    end = at + 1 + nrows
+    if end > len(lines):
+        raise ValueError(f"expected {nrows} rows, found {len(lines) - at - 1}")
+    rows = tuple(BitVector.from_hex(ln, ncols).bits for ln in lines[at + 1 : end])
+    return BitMatrix(nrows, ncols, rows), end
 
 
 class Permutation(FrozenRecord):

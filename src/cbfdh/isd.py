@@ -12,8 +12,8 @@ syndromes against one window enumeration per trial, whose two halves are
 built once, and completes every candidate with one XOR and a popcount.  The
 target count sets how a trial shares its work.  With q >= 2^l (and at least
 2^l window words) it fills the front syndromes of every tail in one pass and
-fetches a window word only on a hit, else it probes each tail it reaches,
-memoised.  With q > r it reduces every target through the selection's byte
+fetches a window word only on a hit, else it probes each tail it reaches.
+With q > r it reduces every target through the selection's byte
 tables, else by basis walks.  The selection is the sampler's draw,
 unsorted: the order of its columns moves no solution and no tail.  Among
 several hits in a trial the lowest target index wins, then that target's
@@ -40,6 +40,7 @@ from functools import partial
 from itertools import combinations
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
+from . import STOP_SIGNALS, stops_blocked, unblock_stops
 from ._record import FrozenRecord, set_fields
 from .f2 import (
     BitMatrix,
@@ -210,8 +211,8 @@ class WindowEnumerator:
     (:meth:`cbfdh.f2.Selection.window_columns`), hp's bits below ``front``
     and hpp's above.  Meet-in-the-middle join: both halves are built once,
     the left words keyed by their l-bit tail and the right words listed with
-    theirs.  One tail costs one XOR and one lookup per right word, and its
-    answer is memoised; :meth:`every_tail` instead joins every left word
+    theirs.  One tail costs one XOR and one lookup per right word;
+    :meth:`every_tail` instead joins every left word
     with every right word once, for a caller that expects to reach most of
     the 2^l tails.
     """
@@ -232,15 +233,18 @@ class WindowEnumerator:
             rights = _words(cols, range(half, window), p - p_left, front)
             self.joins.append((table, lefts, rights))
             self.size += len(lefts) * len(rights)
-        self._memo: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def solutions(self, tail: int) -> tuple[tuple[int, int], ...]:
         """(front syndrome, window word) pairs: left weight, then right
         pattern, then left pattern, each in lexicographic order."""
-        got = self._memo.get(tail)
-        if got is None:
-            got = self._memo[tail] = tuple(self._probe(tail))
-        return got
+        out: list[tuple[int, int]] = []
+        for table, _, rights in self.joins:
+            get = table.get
+            for right_tail, right_syn, right in rights:
+                # a left half with the complementary tail completes the word
+                for left_syn, left in get(tail ^ right_tail, ()):
+                    out.append((right_syn ^ left_syn, left | right))
+        return tuple(out)
 
     def every_tail(self, l: int) -> list[list[int]]:
         """The front syndromes of ``solutions(tail)``, in its order, for
@@ -253,16 +257,6 @@ class WindowEnumerator:
                 for left_tail, left_syn, _ in lefts:
                     fronts[left_tail ^ right_tail].append(right_syn ^ left_syn)
         return fronts
-
-    def _probe(self, tail: int) -> list[tuple[int, int]]:
-        out: list[tuple[int, int]] = []
-        for table, _, rights in self.joins:
-            get = table.get
-            for right_tail, right_syn, right in rights:
-                # a left half with the complementary tail completes the word
-                for left_syn, left in get(tail ^ right_tail, ()):
-                    out.append((right_syn ^ left_syn, left | right))
-        return out
 
 
 # --- attack driver ----------------------------------------------------------------
@@ -336,16 +330,25 @@ def _isd_trial(
     return None
 
 
-_STOP_SIGNALS = {_signal.SIGINT, _signal.SIGTERM}
-
-
 def _worker_signals() -> None:
     """Pool initializer: a terminal's ^C is for the pool's owner to handle,
-    and SIGTERM ends a worker at once, whatever handler fork passed on.
-    Forked with both blocked, the worker unblocks them under these handlers."""
-    _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
-    _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
-    _signal.pthread_sigmask(_signal.SIG_UNBLOCK, _STOP_SIGNALS)
+    SIGTERM ends a worker at once, whatever handler fork passed on, and a
+    worker whose owner died (say, by SIGKILL) exits.  Forked with the stops
+    blocked, the worker unblocks them under these handlers."""
+    import threading
+    import time
+
+    interrupt, terminate = STOP_SIGNALS
+    _signal.signal(interrupt, _signal.SIG_IGN)
+    _signal.signal(terminate, _signal.SIG_DFL)
+    unblock_stops()
+
+    def exit_when_orphaned(owner: int) -> None:
+        while os.getppid() == owner:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=exit_when_orphaned, args=(os.getppid(),), daemon=True).start()
 
 
 def run_trials(
@@ -374,11 +377,8 @@ def run_trials(
             chunk = max(16, len(seeds) // (4 * workers))
             # the pool runs this block while the caller reads the one before;
             # no stop handler may run while a map forks workers or threads
-            blocked = _signal.pthread_sigmask(_signal.SIG_BLOCK, _STOP_SIGNALS)
-            try:
-                current, ahead = ahead, pool.map(trial, seeds, chunksize=chunk)
-            finally:
-                _signal.pthread_sigmask(_signal.SIG_SETMASK, blocked)
+            current, ahead = ahead, stops_blocked(
+                partial(pool.map, chunksize=chunk), trial, seeds)
             yield from current
             block = min(2 * block, 1024)
         yield from ahead

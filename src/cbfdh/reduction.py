@@ -193,22 +193,27 @@ class Adversary(Protocol):
     ) -> tuple[bytes, BitVector, BitVector] | None: ...
 
 
-class NullAdversary(Record):
+class _Forger(Record):
+    """An adversary on the scheme parameters, its budgets class attributes."""
+
+    def __init__(self, params: SchemeParams) -> None:
+        self.params = params
+
+
+class NullAdversary(_Forger):
     """Outputs a fixed garbage triple without querying anything."""
 
-    def __init__(self, params: SchemeParams, q_hash: int = 0, q_sign: int = 0) -> None:
-        self.params, self.q_hash, self.q_sign = params, q_hash, q_sign
+    q_hash, q_sign = 0, 0
 
     def run(self, pk, hash_query, sign_query, rng):
         return b"junk", BitVector.zeros(self.params.n), BitVector.zeros(self.params.lam0)
 
 
-class ReplayAdversary(Record):
+class ReplayAdversary(_Forger):
     """Asks for one signature and resubmits it verbatim; the freshness
     requirement on the forged message makes this lose every game."""
 
-    def __init__(self, params: SchemeParams, q_hash: int = 0, q_sign: int = 1) -> None:
-        self.params, self.q_hash, self.q_sign = params, q_hash, q_sign
+    q_hash, q_sign = 0, 1
 
     def run(self, pk, hash_query, sign_query, rng):
         sig = sign_query(b"replayed message")
@@ -217,7 +222,7 @@ class ReplayAdversary(Record):
         return b"replayed message", sig.e, sig.salt
 
 
-class OmniscientAdversary(Record):
+class OmniscientAdversary(_Forger):
     """Unbounded-computation stand-in: decodes the public matrix directly.
 
     First exercises the signing oracle on one benign message (twice, so the
@@ -227,8 +232,7 @@ class OmniscientAdversary(Record):
     never needs the planted key, only desk-scale decoding.
     """
 
-    def __init__(self, params: SchemeParams, q_hash: int = 8, q_sign: int = 2) -> None:
-        self.params, self.q_hash, self.q_sign = params, q_hash, q_sign
+    q_hash, q_sign = 8, 2
 
     def run(self, pk, hash_query, sign_query, rng):
         for _ in range(self.q_sign):
@@ -266,10 +270,9 @@ class GameTranscript(FrozenRecord):
         set_fields(self, locals())
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = 1.959963984540054
-) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial frequency."""
+    z = 1.959963984540054  # the normal distribution's 97.5% quantile
     if trials <= 0:
         return 0.0, 1.0
     phat = successes / trials

@@ -43,6 +43,7 @@ from .f2 import (
     random_full_rank,
     random_permutation,
     rank,
+    read_matrix,
     sample_from,
     sample_plan,
 )
@@ -141,7 +142,9 @@ def random_code_family(n: int, k: int) -> CodeFamily:
 
 
 def uuv_code_family(n: int, k_u: int, k_v: int) -> CodeFamily:
-    """Family of (u, u+v) block parity checks on random component codes."""
+    """Family of (u, u+v) codes with parity check ``[[H_U, 0], [H_V, H_V]]``:
+    the top block forces the left half into U, the bottom one the half-sum
+    into V, and random full-rank H_U and H_V make the whole check full rank."""
     if n % 2:
         raise ValueError("length must be even")
     half = n // 2
@@ -149,11 +152,9 @@ def uuv_code_family(n: int, k_u: int, k_v: int) -> CodeFamily:
         raise ValueError("component dimensions must lie in (0, n/2)")
 
     def family(rng: random.Random) -> BitMatrix:
-        from .codes import uuv_parity_check
-
         h_u = random_full_rank(half - k_u, half, rng)
         h_v = random_full_rank(half - k_v, half, rng)
-        return uuv_parity_check(h_u, h_v)
+        return h_u.hstack(BitMatrix.zeros(h_u.nrows, half)).vstack(h_v.hstack(h_v))
 
     return family
 
@@ -254,7 +255,8 @@ def sign(
     """Sign: draw a fresh salt, hash, unscramble, decode, permute.
 
     Decoder failure raises :class:`SigningFailure`, and so does a signature
-    that fails the public key's check (a faulty key or signer).
+    that :func:`verify` rejects on the key pair's public key (a faulty key
+    or signer).
     """
     params, secret = keypair.params, keypair.secret
     salt = BitVector.random(params.lam0, rng)
@@ -267,10 +269,10 @@ def sign(
         raise SigningFailure(
             f"decoder exhausted {decoder_budget} information sets"
         )
-    e = secret.perm.apply(e_sec)
-    if e.weight() != params.w or mat_vec_mul(keypair.public.h_pub, e) != target:
+    sig = Signature(secret.perm.apply(e_sec), salt)
+    if not verify(keypair.public, message, sig, hash_fn):
         raise SigningFailure("signature fails the public key's check")
-    return Signature(e, salt)
+    return sig
 
 
 def verify(
@@ -298,10 +300,10 @@ def measure_decoder_distance(
     w: int,
     samples: int,
     rng: random.Random,
-    decoder_budget: int = 300,
 ) -> tuple[float, float]:
     """Plug-in estimate of the total-variation gap between the decoder's
-    output law on uniform syndromes and uniform on S_w.
+    output law on uniform syndromes and uniform on S_w, each decode given
+    300 information sets.
 
     Returns (rho_hat, failure_rate).  The estimate includes the usual
     plug-in upward bias of order sqrt(|S_w| / samples); it is meant as a
@@ -315,7 +317,7 @@ def measure_decoder_distance(
     failures = 0
     for _ in range(samples):
         s = BitVector.random(h.nrows, rng)
-        e = decode_to_weight(h, s, w, decoder_budget, rng)
+        e = decode_to_weight(h, s, w, 300, rng)
         if e is None:
             failures += 1
         else:
@@ -346,25 +348,6 @@ def _parse_header(data: bytes) -> tuple[SchemeParams, bytes]:
     return SchemeParams(n=n, k=k, w=w, lam0=lam0), data[fixed + 1 :]
 
 
-def _split_matrix_blocks(text: str, count: int) -> list[str]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    blocks: list[str] = []
-    pos = 0
-    for _ in range(count):
-        if pos >= len(lines):
-            raise ValueError("truncated key body")
-        try:
-            nrows = int(lines[pos].split()[0])
-        except ValueError as exc:
-            raise ValueError(f"bad matrix header: {lines[pos]!r}") from exc
-        if nrows < 0:
-            raise ValueError(f"bad matrix header: {lines[pos]!r}")
-        blocks.append("\n".join(lines[pos : pos + 1 + nrows]))
-        pos += 1 + nrows
-    blocks.append("\n".join(lines[pos:]))
-    return blocks
-
-
 def save_public_key(path: str, params: SchemeParams, public: PublicKey) -> None:
     with open(path, "wb") as fh:
         fh.write(_header(params))
@@ -392,11 +375,11 @@ def save_secret_key(path: str, params: SchemeParams, secret: SecretKey) -> None:
 def load_secret_key(path: str) -> tuple[SchemeParams, SecretKey]:
     with open(path, "rb") as fh:
         params, body = _parse_header(fh.read())
-    h_block, s_block, si_block, tail = _split_matrix_blocks(body.decode(), 3)
-    h_sec = BitMatrix.from_text(h_block)
-    scramble = BitMatrix.from_text(s_block)
-    scramble_inv = BitMatrix.from_text(si_block)
-    perm = Permutation(tuple(int(tok) for tok in tail.split()))
+    lines = [ln.strip() for ln in body.decode().splitlines() if ln.strip()]
+    h_sec, at = read_matrix(lines, 0)
+    scramble, at = read_matrix(lines, at)
+    scramble_inv, at = read_matrix(lines, at)
+    perm = Permutation(tuple(int(tok) for ln in lines[at:] for tok in ln.split()))
     if h_sec.nrows != params.n_k or h_sec.ncols != params.n:
         raise ValueError("secret matrix shape disagrees with the header")
     if rank(h_sec) < params.n_k:

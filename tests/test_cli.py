@@ -218,15 +218,18 @@ def test_secret_key_with_blank_line_signs(tmp_path, capsys):
     assert code == 0 and "result=ACCEPT" in out
 
 
-@pytest.mark.parametrize("header", ["x 24", "-1 24"])
-def test_secret_key_bad_block_header_exit_2(tmp_path, capsys, header):
+@pytest.mark.parametrize("command, key, header", [
+    ("sign", "secret", "x 24"), ("sign", "secret", "-1 24"), ("verify", "public", "-1 24"),
+], ids=("x 24", "-1 24", "public -1 24"))
+def test_secret_key_bad_block_header_exit_2(tmp_path, capsys, command, key, header):
+    # both key files read their matrices through one block reader
     main(keygen_args(tmp_path))
-    head, lines = _key_body_lines(tmp_path / "sk.key")
+    head, lines = _key_body_lines(tmp_path / f"{key[0]}k.key")
     lines[0] = header
     bad = tmp_path / "bad.key"
     bad.write_bytes(head + ("\n".join(lines) + "\n").encode())
     code, _, err = run_cli(
-        capsys, "sign", "--secret-key", str(bad),
+        capsys, command, f"--{key}-key", str(bad),
         "--signature", str(tmp_path / "m.sig"), "--message", "hello",
     )
     assert code == 2
@@ -899,6 +902,38 @@ def test_signal_ends_simulate_without_traceback_or_survivors(signum, code, worke
         deadline = time.monotonic() + 10
         while _live_group(proc.pid):
             assert time.monotonic() < deadline, "a pool process outlived the command"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads processes from /proc")
+def test_pool_workers_exit_once_their_parent_is_killed():
+    """SIGKILL leaves the parent no ``finally`` to shut its pool down: each
+    worker sees that its parent is gone and exits within 5 s."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cbfdh", "simulate", "--trials", "2^20", "--workers", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    pool_size = min(2, os.cpu_count() or 1)
+    try:
+        # every worker has run its initializer once it ignores SIGINT
+        deadline = time.monotonic() + 60
+        while True:
+            assert proc.poll() is None and time.monotonic() < deadline
+            family = [pid for pid in _live_group(proc.pid) if pid != proc.pid]
+            ignored = [_proc_status(pid).get("SigIgn", "0") for pid in family]
+            if len(family) >= pool_size and all(_signal_bit(m, signal.SIGINT) for m in ignored):
+                break
+            time.sleep(0.05)
+        time.sleep(0.2)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while _live_group(proc.pid):
+            assert time.monotonic() < deadline, "a pool worker outlived its killed parent"
             time.sleep(0.05)
     finally:
         with contextlib.suppress(ProcessLookupError):

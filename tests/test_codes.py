@@ -11,9 +11,9 @@ from cbfdh.codes import (
     product_distance_bound,
     stat_distance,
     syndrome_weight_distribution,
-    uuv_parity_check,
 )
 from cbfdh.f2 import BitMatrix, BitVector, mat_vec_mul, random_full_rank, rank
+from cbfdh.scheme import uuv_code_family
 
 
 def enumerate_words(h: BitMatrix, predicate) -> list[BitVector]:
@@ -28,33 +28,33 @@ def enumerate_words(h: BitMatrix, predicate) -> list[BitVector]:
 # --- code constructions ----------------------------------------------------
 
 
-def test_parity_check_code_requires_full_rank():
-    deficient = BitMatrix.from_dense([[1, 1, 0], [1, 1, 0]])
-    full = BitMatrix.from_dense([[1, 0, 1]])
-    for h_u, h_v in ((deficient, full), (full, deficient)):
-        with pytest.raises(ValueError, match="full rank"):
-            uuv_parity_check(h_u, h_v)
-
-
 def test_uuv_block_layout_frozen_example():
-    h_u = BitMatrix.from_dense([[1, 1]])
-    h_v = BitMatrix.from_dense([[1, 0]])
-    h = uuv_parity_check(h_u, h_v)
+    # the family draws H_U, then H_V, each full rank; at seed 0 they are
+    # [1 1] and [1 0]
+    h = uuv_code_family(4, 1, 1)(random.Random(0))
     assert h == BitMatrix.from_dense(
         [[1, 1, 0, 0], [1, 0, 1, 0]]
     )
     assert mat_vec_mul(h, BitVector.from_bits([1, 1, 1, 0])).weight() == 0
     assert mat_vec_mul(h, BitVector.from_bits([1, 0, 0, 0])).weight() != 0
+    rng = random.Random(21)
+    h_u, h_v = random_full_rank(2, 6, rng), random_full_rank(3, 6, rng)
+    assert uuv_code_family(12, 4, 3)(random.Random(21)) == (
+        h_u.hstack(BitMatrix.zeros(2, 6)).vstack(h_v.hstack(h_v))
+    )
 
 
 def test_uuv_membership_matches_definition():
     rng = random.Random(21)
+    family = uuv_code_family(12, 4, 3)
+    half, left = 6, (1 << 6) - 1
     for _ in range(10):
-        half = 6
-        h_u = random_full_rank(2, half, rng)
-        h_v = random_full_rank(3, half, rng)
-        h = uuv_parity_check(h_u, h_v)
+        h = family(rng)
         assert rank(h) == 5
+        # the components, read off the left half of each block
+        h_u = BitMatrix(2, half, tuple(row & left for row in h.rows[:2]))
+        h_v = BitMatrix(3, half, tuple(row & left for row in h.rows[2:]))
+        assert rank(h_u) == 2 and rank(h_v) == 3
         for bits in range(1 << (2 * half)):
             word = BitVector(2 * half, bits)
             a = word.slice(0, half)
@@ -67,10 +67,10 @@ def test_uuv_membership_matches_definition():
 
 
 def test_uuv_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        uuv_parity_check(
-            BitMatrix.from_dense([[1, 1]]), BitMatrix.from_dense([[1, 0, 1]])
-        )
+    # an odd length has no halves; a component dimension lies in (0, n/2)
+    for n, k_u, k_v in ((13, 2, 2), (12, 0, 2), (12, 2, 6)):
+        with pytest.raises(ValueError):
+            uuv_code_family(n, k_u, k_v)
 
 
 # --- syndrome weight distribution -------------------------------------------

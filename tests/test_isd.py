@@ -1,7 +1,10 @@
+import json
 import math
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -179,7 +182,6 @@ def test_window_enumerator_matches_filtered_enumeration():
                         if mat_vec_mul(hpp, e).bits == tail
                     )
                     assert enum.solutions(tail) == expect
-                    assert enum.solutions(tail) is enum.solutions(tail)  # memoised
                     assert fronts[tail] == [syn for syn, _ in expect]
                     for syn, word in expect:
                         first = next(e for s, e in expect if s == syn)
@@ -367,6 +369,25 @@ def test_run_trials_draws_at_most_one_block_ahead(monkeypatch, workers):
     assert multiprocessing.active_children() == []
 
 
+# run_trials with workers, where the platform has no signal mask
+MASKLESS = """
+import _signal, json, os, random
+del _signal.pthread_sigmask
+os.cpu_count = lambda: 2  # a pool, even on one CPU
+from cbfdh.isd import run_trials
+print(json.dumps([list(run_trials(abs, 40, random.Random(7), workers=w)) for w in (2, 1)]))
+"""
+
+
+def test_run_trials_with_workers_runs_without_a_signal_mask():
+    proc = subprocess.run(
+        [sys.executable, "-c", MASKLESS], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-400:]
+    pooled, sequential = json.loads(proc.stdout)
+    assert pooled == sequential and len(pooled) == 40
+
+
 # --- multi-target attacks -----------------------------------------------------------
 
 
@@ -532,7 +553,7 @@ def test_doom_join_matches_per_target_reference(q):
 def per_target_trial(frame, targets, w, p, l, child_seed):
     """One trial as a scan of the targets one at a time, without regard to
     their count: each target reduced by basis walks and probed through the
-    memoised ``solutions`` of its tail.  It sorts its draw, which the attack
+    ``solutions`` of its tail.  It sorts its draw, which the attack
     does not, so a match also shows that column order does not matter."""
     r = len(frame.cols)
     rng = random.Random(child_seed)

@@ -47,7 +47,7 @@ EXPECTED = {
     "import cbfdh": [],
     "import cbfdh.cli": ["cli"],
     "keygen": ["_record", "cli", "f2", "scheme"],
-    "keygen-uuv": ["_record", "cli", "codes", "f2", "scheme"],
+    "keygen-uuv": ["_record", "cli", "f2", "scheme"],
     "sign": SCHEME,
     "verify": SCHEME,
     "attack-sd": ["_record", "cli", "f2", "isd"],
@@ -59,10 +59,10 @@ EXPECTED = {
 # standard modules no command may load: dataclasses pulls in inspect, and
 # the two cost a cold command about 15 ms
 SLOW_IMPORTS = ["dataclasses", "inspect"]
-# fractions pulls in decimal; keygen --family uuv loads both through codes,
-# but the attacks and the game harness need neither
+# fractions pulls in decimal; codes loads both, but the uuv family, the
+# attacks and the game harness need neither
 NUMERIC_IMPORTS = ["fractions", "decimal"]
-NUMERIC_FREE = ["attack-sd", "attack-doom", "simulate"]
+NUMERIC_FREE = ["keygen-uuv", "attack-sd", "attack-doom", "simulate"]
 # per case, the watched standard modules it must not load
 FORBIDDEN = {
     kind: SLOW_IMPORTS + (NUMERIC_IMPORTS if kind in NUMERIC_FREE else [])
@@ -205,6 +205,47 @@ def test_a_stop_during_a_module_first_run_lands_once_it_is_whole():
     assert not blocked_after
     assert f2_whole and isd_whole
 
+
+# A SIGINT raised at the first line of f2, whose first run the import code
+# starts while it looks up ``cbfdh.f2.__spec__`` for a from-import; with the
+# package already imported, CPython before 3.13 clears any exception the
+# lookup raises
+FROM_IMPORT_STOPPED = """
+import _signal, sys, cbfdh
+_signal.signal(_signal.SIGINT, _signal.default_int_handler)
+_signal.pthread_sigmask(_signal.SIG_UNBLOCK, {_signal.SIGINT})
+
+def probe(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "<module>" and (
+        frame.f_globals.get("__name__") == "cbfdh.f2"
+    ):
+        sys.setprofile(None)
+        _signal.raise_signal(_signal.SIGINT)
+
+sys.setprofile(probe)
+from cbfdh.f2 import sample
+print("bound", sample.__name__)
+"""
+
+
+try:
+    import pytest
+except ImportError:  # run as a script, which runs no test function
+    pass
+else:
+    @pytest.mark.xfail(
+        sys.version_info < (3, 13), strict=True,
+        reason="the import code drops a stop raised in a lazy module's first "
+        "run started by its __spec__ lookup; ordinary imports propagate it",
+    )
+    def test_a_stop_during_a_from_import_first_run_interrupts_the_script():
+        if not hasattr(signal, "pthread_sigmask"):
+            pytest.skip("the platform cannot block signals")
+        proc = subprocess.run(
+            [sys.executable, "-c", FROM_IMPORT_STOPPED],
+            env=_child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0 and "KeyboardInterrupt" in proc.stderr, proc.stdout
 
 if __name__ == "__main__":
     check_modules()

@@ -22,6 +22,7 @@ from cbfdh.f2 import (
 from cbfdh.hashing import FdhHash
 from cbfdh.scheme import (
     LAM0_MAX,
+    PublicKey,
     SchemeParams,
     Signature,
     SignatureKeyPair,
@@ -322,12 +323,16 @@ def test_sample_plan_held_by_the_caller_matches_random_sample():
 
 
 def test_sign_refuses_a_signature_its_public_key_rejects():
-    keypair, rng = toy_keypair(seed=3)
-    other, _ = toy_keypair(seed=4)
-    mismatched = SignatureKeyPair(keypair.params, keypair.secret, other.public)
+    keypair, rng = toy_keypair(seed=3, lam0=24)
+    other, _ = toy_keypair(seed=4, lam0=24)
     hash_fn = FdhHash(keypair.params.n_k)
-    with pytest.raises(SigningFailure, match="public key"):
-        sign(mismatched, b"message", hash_fn, rng)
+    # another key's matrix; and this key's matrix with 32-bit salts where
+    # the signer's params draw 24-bit ones: weight and syndrome check out,
+    # and verify still says no
+    for public in (other.public, PublicKey(keypair.public.h_pub, keypair.public.w, 32)):
+        mismatched = SignatureKeyPair(keypair.params, keypair.secret, public)
+        with pytest.raises(SigningFailure, match="public key"):
+            sign(mismatched, b"message", hash_fn, rng)
     # the matching pair signs, and the signature verifies
     sig = sign(keypair, b"message", hash_fn, rng)
     assert verify(keypair.public, b"message", sig, hash_fn)
