@@ -204,6 +204,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if args.q is not None and args.mode != "doom":
         raise ValueError("--q needs --mode doom")
     q = 1 if args.q is None else args.q
+    if args.workers > 1 and q > isd.DOOM_WORKERS_MAX_Q:  # each target is hashed up front
+        raise ValueError(f"--q above {isd.DOOM_WORKERS_MAX_Q} needs --workers 1")
     if args.n > ATTACK_SIZE_GUARD and not args.force:
         raise ValueError(
             f"n={args.n} exceeds the toy-scale guard "
@@ -493,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", default=None)
     p.add_argument(
         "--workers", type=parse_workers, default=1,
-        help="trial processes; above 1, all q DOOM targets are hashed up front",
+        help="trial processes; above 1, all q DOOM targets are hashed up front, "
+        "so --q is at most 2^16",
     )
 
     p = subs["exponents"]

@@ -22,6 +22,9 @@ __all__ = [
     "product_distance_bound",
 ]
 
+# the most weight-w supports syndrome_weight_distribution enumerates
+MAX_PATTERNS = 1 << 24
+
 
 class DiscreteDistribution:
     """Probability distribution on m-bit outcomes with exact rational mass."""
@@ -102,20 +105,16 @@ class DiscreteDistribution:
         return f"DiscreteDistribution(bits={self.bits}, support={len(self.mass)})"
 
 
-def syndrome_weight_distribution(
-    matrix: BitMatrix,
-    w: int,
-    max_patterns: int = 1 << 24,
-) -> DiscreteDistribution:
+def syndrome_weight_distribution(matrix: BitMatrix, w: int) -> DiscreteDistribution:
     """Exact distribution of ``H e^T`` over uniform weight-w words ``e``.
 
-    Enumerates all C(n, w) supports, so the guard ``max_patterns`` refuses
+    Enumerates all C(n, w) supports, so the guard ``MAX_PATTERNS`` refuses
     jobs that would not finish at desk scale.
     """
     n = matrix.ncols
     if not 0 <= w <= n:
         raise ValueError("weight outside [0, n]")
-    if math.comb(n, w) > max_patterns:
+    if math.comb(n, w) > MAX_PATTERNS:
         raise ValueError(
             f"C({n}, {w}) = {math.comb(n, w)} exceeds the enumeration guard"
         )

@@ -5,7 +5,7 @@ payload is coordinate ``i`` (0-based).  All row operations are therefore
 single wide XORs.  Hex and byte conversions at the wire boundary use
 big-endian bit order within bytes, so coordinate 0 is the most significant
 bit of byte 0 and rows pad on the right up to a whole byte with zero bits;
-:meth:`BitVector.from_hex` refuses a hex field padded any other way.
+:meth:`BitVector.from_hex` reads back only :meth:`BitVector.to_hex`'s spelling.
 
 Values are immutable after construction: vectors, matrices and
 permutations are :class:`cbfdh._record.FrozenRecord` classes, whose
@@ -20,10 +20,10 @@ One kernel solves on a column selection, square or not: the
 :class:`SystematicFrame` of a matrix, its first information set with every
 column written in that basis, built once per matrix on a decoder's first
 read.  Each selection it solves eliminates only its columns outside that
-set, for the signer, ISD/DOOM and four-sum alike.  Full-rank tests,
-:func:`rank` and :func:`inverse` build no frame: one pass over the rows
-puts them in an XOR basis, so a fresh key pays no frame until it is
-decoded on.  Every XOR basis here is a list indexed by ``bit_length()``:
+set, for the signer, ISD/DOOM and four-sum alike, and :func:`inverse` on
+a frame of the rows.  Full-rank tests and :func:`rank` build no frame,
+and no frame is cached on a fresh key until it is decoded on.  Every XOR
+basis here is a list indexed by ``bit_length()``:
 entry b holds the vector whose leading bit is b - 1 (entry 0 is unused),
 so a basis walk indexes by ``v.bit_length()`` as it is.
 :func:`systematic_form` is the independent row-reduction reference the
@@ -99,13 +99,6 @@ def _bits_to_bytes(bits: int, n: int) -> bytes:
     return (bits & ((1 << n) - 1)).to_bytes(nbytes, "little").translate(_REV)
 
 
-def _bytes_to_bits(data: bytes, n: int) -> int:
-    nbytes = (n + 7) // 8
-    if len(data) < nbytes:
-        raise ValueError(f"{len(data)} bytes cannot hold {n} bits")
-    return int.from_bytes(data[:nbytes].translate(_REV), "little") & ((1 << n) - 1)
-
-
 class BitVector(FrozenRecord):
     """Immutable vector over GF(2), length ``n``, payload ``bits``."""
 
@@ -116,16 +109,6 @@ class BitVector(FrozenRecord):
             raise ValueError("payload does not fit the stated length")
         set_field(self, "n", n)
         set_field(self, "bits", bits)
-
-    @classmethod
-    def _unchecked(cls, n: int, bits: int) -> "BitVector":
-        """``cls(n, bits)`` without the checks, for bits that fit n by
-        construction: it writes the fields straight into ``__dict__``."""
-        v = object.__new__(cls)
-        fields = v.__dict__
-        fields["n"] = n
-        fields["bits"] = bits
-        return v
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -157,20 +140,15 @@ class BitVector(FrozenRecord):
         return cls(n, rng.getrandbits(n) if n else 0)
 
     @classmethod
-    def from_bytes(cls, data: bytes, n: int) -> "BitVector":
-        return cls(n, _bytes_to_bits(data, n))
-
-    @classmethod
     def from_hex(cls, text: str, n: int) -> "BitVector":
-        """An ``n``-bit hex field, read strictly: exactly ceil(n/8) bytes
-        whose padding bits are 0."""
-        data, nbytes = bytes.fromhex(text), (n + 7) // 8
-        if len(data) != nbytes:
-            raise ValueError(f"a {n}-bit field takes {nbytes} bytes, not {len(data)}")
-        bits = _bytes_to_bits(data, n)
-        if _bits_to_bytes(bits, n) != data:
-            raise ValueError("nonzero padding bits in a field")
-        return cls(n, bits)
+        """The ``n``-bit vector whose :meth:`to_hex` is ``text``.  One round
+        trip refuses every other spelling: a wrong byte count, a padding
+        bit set, uppercase digits or whitespace."""
+        bits = int.from_bytes(bytes.fromhex(text).translate(_REV), "little")
+        v = cls(n, bits & ((1 << n) - 1))
+        if v.to_hex() != text:
+            raise ValueError(f"not a {n}-bit field in bare lowercase hex, padding bits 0")
+        return v
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -415,35 +393,16 @@ def rank(m: BitMatrix) -> int:
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix by one row pass: m's rows enter an XOR
-    basis, each vector tagged with the rows it combines, so reducing
-    ``1 << i`` gathers in its tags the rows of m that sum to unit row i,
-    which is row i of the inverse.  Raises ValueError
-    (SingularSelectionError) at the first dependent row."""
+    """Inverse of a square matrix through the :class:`SystematicFrame` of
+    its rows, built for the call and not cached on m: ``reduce(1 << i)``
+    is the combination of m's rows that sums to unit row i, which is row i
+    of the inverse.  Raises ValueError (SingularSelectionError) when m is
+    singular."""
     n = m.nrows
     if n != m.ncols:
         raise ValueError("matrix is not square")
-    vecs, tags = [0] * (n + 1), [0] * (n + 1)
-    for i, v in enumerate(m.rows):
-        x = 1 << i
-        while v:
-            top = v.bit_length()
-            if not vecs[top]:
-                vecs[top], tags[top] = v, x
-                break
-            v ^= vecs[top]
-            x ^= tags[top]
-        else:
-            raise SingularSelectionError("the matrix is singular")
-    out = []
-    for i in range(n):
-        t, x = 1 << i, 0
-        while t:
-            top = t.bit_length()
-            t ^= vecs[top]
-            x ^= tags[top]
-        out.append(x)
-    return BitMatrix(n, n, tuple(out))
+    reduce = SystematicFrame(m.rows, n).reduce
+    return BitMatrix(n, n, tuple(reduce(1 << i) for i in range(n)))
 
 
 # (n, k) -> the plan of sample(rng, n, k), as sample_plan returns it

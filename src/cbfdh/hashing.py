@@ -26,9 +26,9 @@ SYNDROME_PREFIX = b"\x01"
 def syndrome_hash(payload: bytes, out_bits: int) -> BitVector:
     """First ``out_bits`` bits of SHAKE-256 over the syndrome-domain input."""
     data = hashlib.shake_256(SYNDROME_PREFIX + payload).digest((out_bits + 7) // 8)
-    # the digest is exactly as long as needed and the mask fits out_bits
+    # the mask drops the padding bits of the digest's last byte
     bits = int.from_bytes(data.translate(_REV), "little") & ((1 << out_bits) - 1)
-    return BitVector._unchecked(out_bits, bits)
+    return BitVector(out_bits, bits)
 
 
 class FdhHash:

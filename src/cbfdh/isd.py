@@ -70,6 +70,10 @@ __all__ = [
     "run_trials",
 ]
 
+# the most DOOM targets a run with workers takes: it hashes them all up
+# front into the workers' payload, and 2^16 hashes take well under a second
+DOOM_WORKERS_MAX_Q = 1 << 16
+
 
 class IsdParams(FrozenRecord):
     """Window weight p, window extension l, and the trial budget."""
@@ -355,17 +359,18 @@ def run_trials(
     trial: Callable[[int], Any], count: int, rng: random.Random, workers: int = 1
 ) -> Iterator[Any]:
     """Yield ``trial(seed)`` for ``count`` seeds ``rng.getrandbits(64)`` in
-    trial order, each drawn as its trial starts.  With workers, a pool of at
-    most the CPU count maps blocks of seeds, from max(8 * workers, 16) up to
-    1024, one block ahead of the block being read, so the outputs do not
-    depend on ``workers`` and a caller that stops early has drawn at most
-    one block ahead.  Closing the generator shuts its pool down."""
+    trial order, each drawn as its trial starts.  Capped at the CPU count,
+    two or more workers make a pool that maps blocks of seeds, from
+    max(8 * workers, 16) up to 1024, one block ahead of the block being
+    read, so the outputs do not depend on ``workers`` and a caller that
+    stops early has drawn at most one block ahead.  Closing the generator
+    shuts its pool down."""
+    workers = min(workers, os.cpu_count() or 1) if workers > 1 else 1
     if workers <= 1:
         for _ in range(count):
             yield trial(rng.getrandbits(64))
         return
     from concurrent.futures import ProcessPoolExecutor
-    workers = min(workers, os.cpu_count() or 1)  # a pool forks all its workers
     block, ahead = max(8 * workers, 16), iter(())
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_signals)
     try:
@@ -457,7 +462,8 @@ def doom_attack(
     target's first window word in enumerator order, exactly as a scan of the
     targets one at a time would.  With one worker, targets are hashed in
     index order as the trials reach them, so a hash of the wrong width
-    raises ValueError when it is first reached, not before the first trial.
+    raises ValueError when it is first reached, not before the first trial;
+    more workers hash all q up front, and refuse q > ``DOOM_WORKERS_MAX_Q``.
     """
     n, k = h.ncols, h.ncols - h.nrows
     params.check(n, k, w)
@@ -466,6 +472,8 @@ def doom_attack(
     else:
         targets = list(targets)[:q_limit]
         q_limit = len(targets)
+    if workers > 1 and q_limit > DOOM_WORKERS_MAX_Q:
+        raise ValueError(f"q = {q_limit} exceeds {DOOM_WORKERS_MAX_Q}, the most for workers")
     hashed = _HashedTargets(targets, hash_fn, h.nrows)
     # the workers' payload carries every syndrome
     syndromes = tuple(hashed) if workers > 1 else hashed

@@ -57,6 +57,9 @@ __all__ = [
 # decoder budget of the real signer in games 0..2 and of the omniscient forger
 GAME_SIGN_BUDGET = 400
 
+# salts sign_without_secret draws, each on b = 1 with probability 1/2
+SALT_ATTEMPTS = 512
+
 
 class HarnessError(RuntimeError):
     """An adversary broke the game contract (query budget, machine misuse)."""
@@ -154,19 +157,19 @@ class ZOracle:
 
 
 def sign_without_secret(
-    z: ZOracle, m: bytes, rng: random.Random, max_attempts: int = 512
+    z: ZOracle, m: bytes, rng: random.Random
 ) -> tuple[BitVector, BitVector]:
     """Produce (e, r) with Z(m, r) equal to the public syndrome of e.
 
-    Draws fresh uniform salts until J lands on its b = 1 branch, a
-    geometric wait with mean two attempts.  No secret key is involved.
+    Draws up to ``SALT_ATTEMPTS`` fresh uniform salts until J lands on its
+    b = 1 branch, a geometric wait with mean two.  No secret key is involved.
     """
-    for _ in range(max_attempts):
+    for _ in range(SALT_ATTEMPTS):
         r = BitVector.random(z.salt_bits, rng)
         b, e = z.j_query(m, r)
         if b == 1:
             return e, r
-    raise SigningFailure(f"no b = 1 salt within {max_attempts} attempts")
+    raise SigningFailure(f"no b = 1 salt within {SALT_ATTEMPTS} attempts")
 
 
 # --- adversaries ------------------------------------------------------------------

@@ -22,7 +22,8 @@ Key files start with magic ``CBFDH1``, then n, k, w, lambda0 as little-endian
 secret file carries h_sec, s, s^{-1} and the permutation as a line of
 0-based image indices.  Signature files are two lines: salt hex, then the
 error row in hex.  Key rows and signature fields alike are read strictly
-by :meth:`cbfdh.f2.BitVector.from_hex`: no extra byte, no padding bit set.
+by :meth:`cbfdh.f2.BitVector.from_hex`: as written, in lowercase and with
+no whitespace inside, no byte missing or extra and no padding bit set.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cbfdh.cli
+import cbfdh.hashing
+import cbfdh.isd
 import cbfdh.reduction
 from cbfdh.cli import main, parse_count, parse_level_log2
 from cbfdh.exponents import gv_relative_weight
@@ -151,13 +153,17 @@ def test_signature_with_nonzero_padding_exit_2(tmp_path, capsys, line):
     code, out, _ = run_cli(capsys, *verify, "--signature", str(tmp_path / "m.sig"))
     assert code == 0 and "result=ACCEPT" in out
     lines = (tmp_path / "m.sig").read_text().split()
-    assert lines[line][-1] == "0"
-    lines[line] = lines[line][:-1] + "f"
-    padded = tmp_path / "padded.sig"
-    padded.write_text("\n".join(lines) + "\n")
-    code, out, err = run_cli(capsys, *verify, "--signature", str(padded))
-    assert code == 2 and "error: nonzero padding bits" in err
-    assert "result=" not in out
+    field = lines[line]
+    assert field[-1] == "0"
+    # a padding bit set, a space inside, uppercase hex digits (field 0 has some)
+    spellings = [field[:-1] + "f", field[:2] + " " + field[2:], field.upper()]
+    for spelling in [s for s in spellings if s != field]:
+        lines[line] = spelling
+        edited = tmp_path / "edited.sig"
+        edited.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, *verify, "--signature", str(edited))
+        assert code == 2 and "error: not a 12-bit field in bare lowercase hex" in err, spelling
+        assert out == ""
 
 
 def _key_body_lines(path):
@@ -166,11 +172,12 @@ def _key_body_lines(path):
     return data[:fixed], data[fixed:].decode().splitlines()
 
 
-@pytest.mark.parametrize("key, row_edit, message", [
-    ("pk.key", lambda row: row[:-1] + "1", "nonzero padding bits"),
-    ("sk.key", lambda row: row + "00", "takes 2 bytes, not 3"),
-], ids=("public-padding-bit", "secret-extra-byte"))
-def test_key_rows_are_read_strictly(tmp_path, capsys, key, row_edit, message):
+@pytest.mark.parametrize("key, row_edit", [
+    ("pk.key", lambda row: row[:-1] + "1"),
+    ("sk.key", lambda row: row + "00"),
+    ("pk.key", lambda row: row[:2] + " " + row[2:]),
+], ids=("public-padding-bit", "secret-extra-byte", "public-space"))
+def test_key_rows_are_read_strictly(tmp_path, capsys, key, row_edit):
     # n = 12: each row is two bytes whose last four bits are padding
     assert main([
         "keygen", "--n", "12", "--k", "6", "--w", "3", "--lambda", "16",
@@ -190,7 +197,7 @@ def test_key_rows_are_read_strictly(tmp_path, capsys, key, row_edit, message):
         code, out, err = run_cli(capsys, *verify, "--public-key", str(edited))
     else:
         code, out, err = run_cli(capsys, *sign, "--secret-key", str(edited))
-    assert code == 2 and err.startswith("error: ") and message in err
+    assert code == 2 and err.startswith("error: not a 12-bit field in bare lowercase hex")
     assert out == ""
 
 
@@ -402,6 +409,25 @@ def test_attack_budget_exhaustion_exit_3(capsys):
     assert code == 3
     assert "found=0" in out
     assert "exhausted" in err
+
+
+def test_attack_doom_with_workers_refuses_q_above_the_bound(capsys, monkeypatch):
+    hashed = []
+    syndrome_hash = cbfdh.hashing.syndrome_hash
+
+    def counted(payload, out_bits):
+        hashed.append(payload)
+        assert len(hashed) <= cbfdh.isd.DOOM_WORKERS_MAX_Q, "hashed past the bound"
+        return syndrome_hash(payload, out_bits)
+
+    monkeypatch.setattr(cbfdh.hashing, "syndrome_hash", counted)
+    argv = ["attack", "--mode", "doom", "--q", "2^40"]
+    code, out, err = run_cli(capsys, *argv, "--workers", "2")
+    assert (code, out, hashed) == (2, "", [])
+    assert err == "error: --q above 65536 needs --workers 1\n"
+    # one worker hashes the targets as the trials reach them
+    code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+    assert code == 0 and "target_index=" in out and len(hashed) < 1000
 
 
 # the child caps its address space, so building all q targets up front
@@ -869,7 +895,8 @@ def test_signal_ends_simulate_without_traceback_or_survivors(signum, code, worke
         # would inherit
         preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
     )
-    pool_size = 0 if workers == "1" else min(2, os.cpu_count() or 1)
+    # a pool holds two workers, and a cap of one CPU runs in process
+    pool_size = 2 if workers == "2" and (os.cpu_count() or 1) >= 2 else 0
     try:
         # wait until the command has installed its SIGTERM handler; a
         # settled run also waits until it plays its games: every pool
@@ -917,7 +944,7 @@ def test_pool_workers_exit_once_their_parent_is_killed():
         [sys.executable, "-m", "cbfdh", "simulate", "--trials", "2^20", "--workers", "2"],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
     )
-    pool_size = min(2, os.cpu_count() or 1)
+    pool_size = 2 if (os.cpu_count() or 1) >= 2 else 0
     try:
         # every worker has run its initializer once it ignores SIGINT
         deadline = time.monotonic() + 60

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbfdh import codes
 from cbfdh.codes import (
     DiscreteDistribution,
     product_distance_bound,
@@ -120,11 +121,12 @@ def test_distribution_monte_carlo_consistency():
         assert abs(freq - p) <= 3 * sigma + 1e-9
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     rng = random.Random(3)
     h = random_full_rank(6, 12, rng)
-    with pytest.raises(ValueError):
-        syndrome_weight_distribution(h, 3, max_patterns=10)
+    monkeypatch.setattr(codes, "MAX_PATTERNS", 10)
+    with pytest.raises(ValueError, match="enumeration guard"):
+        syndrome_weight_distribution(h, 3)
 
 
 # --- discrete distributions and distances ------------------------------------

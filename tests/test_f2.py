@@ -47,7 +47,7 @@ def test_vector_wire_order_is_msb_first():
 def test_vector_pads_to_whole_bytes():
     v = BitVector.from_bits([1, 0, 1, 0])
     assert v.to_bytes() == bytes([0b10100000])
-    assert BitVector.from_bytes(v.to_bytes(), 4) == v
+    assert BitVector.from_hex(v.to_hex(), 4) == v
 
 
 def bitwise_to_bytes(bits: int, n: int) -> bytes:
@@ -67,13 +67,20 @@ def bitwise_from_bytes(data: bytes, n: int) -> int:
 def test_byte_conversions_match_bitwise_reference(n, data):
     bits = data.draw(st.integers(0, (1 << n) - 1))
     assert BitVector(n, bits).to_bytes() == bitwise_to_bytes(bits, n)
-    # trailing bytes and the padding bits past n are ignored on the way in
+    # the hex of any ceil(n/8) bytes reads back bit for bit when its
+    # padding bits past n are 0, and is refused otherwise
     nbytes = (n + 7) // 8
-    raw = data.draw(st.binary(min_size=nbytes, max_size=nbytes + 3))
-    assert BitVector.from_bytes(raw, n).bits == bitwise_from_bytes(raw, n)
-    if nbytes:
-        with pytest.raises(ValueError, match="cannot hold"):
-            BitVector.from_bytes(raw[: nbytes - 1], n)
+    raw = data.draw(st.binary(min_size=nbytes, max_size=nbytes))
+    expected = bitwise_from_bytes(raw, n)
+    if bitwise_to_bytes(expected, n) == raw:
+        assert BitVector.from_hex(raw.hex(), n).bits == expected
+    else:
+        with pytest.raises(ValueError, match="in bare lowercase hex"):
+            BitVector.from_hex(raw.hex(), n)
+    extra = data.draw(st.binary(min_size=1, max_size=3))
+    for wrong in ([raw + extra, raw[:-1]] if nbytes else [extra]):
+        with pytest.raises(ValueError, match="in bare lowercase hex"):
+            BitVector.from_hex(wrong.hex(), n)
 
 
 def test_vector_basics():
@@ -131,16 +138,19 @@ def test_matrix_text_rejects_bad_header():
         BitMatrix.from_text("2 4\na0\n")
 
 
-@pytest.mark.parametrize("row, message", [
-    ("a1", "nonzero padding bits"), ("a000", "takes 1 bytes, not 2"),
-])
-def test_hex_fields_are_read_strictly(row, message):
-    # a 4-bit row is one byte whose low four bits are padding
-    with pytest.raises(ValueError, match=message):
-        BitMatrix.from_text(f"2 4\n{row}\n50\n")
-    with pytest.raises(ValueError, match=message):
-        BitVector.from_hex(row, 4)
-    assert BitVector.from_hex("a0", 4) == BitVector.from_bits([1, 0, 1, 0])
+@pytest.mark.parametrize("row", [
+    "c3a1", "c3a000", "c3", "C3A0", "c3 a0", "c3\ta0", "c 3a0",
+], ids=("padding-bit", "extra-byte", "short", "uppercase", "space", "tab", "split-byte"))
+def test_hex_fields_are_read_strictly(row):
+    # a 12-bit row is two bytes whose low four bits are padding: only the
+    # spelling to_hex writes is read back
+    with pytest.raises(ValueError, match="not a 12-bit field in bare|non-hexadecimal"):
+        BitMatrix.from_text(f"2 12\n{row}\n5050\n")
+    with pytest.raises(ValueError, match="not a 12-bit field in bare|non-hexadecimal"):
+        BitVector.from_hex(row, 12)
+    v = BitVector.from_hex("c3a0", 12)
+    assert v == BitVector.from_bits([1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0])
+    assert v.to_hex() == "c3a0"
 
 
 def test_columns_and_transpose():
@@ -266,6 +276,20 @@ def test_inverse_of_every_three_by_three_matrix():
         inv = inverse(m)
         assert mat_mul(m, inv) == BitMatrix.identity(3) == mat_mul(inv, m), m
     assert nonsingular == 168  # |GL(3, 2)|
+
+
+def test_inverse_matches_gauss_jordan_reference():
+    # systematic_form on every column of m reduces m to I, so its U is m^-1
+    rng = random.Random(15)
+    for r in range(1, 25):
+        for _ in range(6):
+            m = random_full_rank(r, r, rng)
+            assert inverse(m) == systematic_form(m, range(r))[0], m
+        rows = random_matrix(r, r, rng).rows  # its first row repeated last
+        singular = BitMatrix(r, r, rows[:-1] + rows[:1] if r > 1 else (0,))
+        for solve in (inverse, lambda m: systematic_form(m, range(r))):
+            with pytest.raises(SingularSelectionError):
+                solve(singular)
 
 
 def test_inverse_rejects_singular():

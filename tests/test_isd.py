@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -11,6 +12,7 @@ from itertools import combinations
 
 import pytest
 
+from cbfdh import isd
 from cbfdh.f2 import (
     BitMatrix,
     BitVector,
@@ -369,6 +371,17 @@ def test_run_trials_draws_at_most_one_block_ahead(monkeypatch, workers):
     assert multiprocessing.active_children() == []
 
 
+def test_run_trials_on_one_cpu_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool, raising=False)
+    ref = random.Random(11)
+    expected = [ref.getrandbits(64) for _ in range(40)]
+    assert list(run_trials(abs, 40, random.Random(11), workers=4)) == expected
+
+
 # run_trials with workers, where the platform has no signal mask
 MASKLESS = """
 import _signal, json, os, random
@@ -408,6 +421,29 @@ def test_doom_single_target_degenerates_to_isd():
     assert res_doom.solution.e == res_isd.solution
     assert res_doom.iterations == res_isd.iterations
     assert res_doom.target_index == 0
+
+
+def test_doom_with_workers_bounds_q_before_hashing(monkeypatch):
+    monkeypatch.setattr(isd, "DOOM_WORKERS_MAX_Q", 8)
+    h = random_full_rank(8, 16, random.Random(23))
+    hashed = []
+
+    def hash_fn(t):
+        hashed.append(t)
+        return syndrome_hash(t, h.nrows)
+
+    params = IsdParams(1, 2, 500)
+    with pytest.raises(ValueError, match="exceeds 8"):
+        doom_attack(h, hash_fn, 5, params, 9, random.Random(5), workers=2)
+    with pytest.raises(ValueError, match="exceeds 8"):
+        doom_attack(h, hash_fn, 5, params, 2**40, random.Random(5),
+                    targets=default_doom_targets(9), workers=2)
+    assert hashed == []
+    # up to the bound, the workers return what one process does
+    pooled = doom_attack(h, hash_fn, 5, params, 8, random.Random(5), workers=2)
+    assert pooled == doom_attack(h, hash_fn, 5, params, 8, random.Random(5))
+    # one process hashes as the trials reach the targets, with no bound
+    assert doom_attack(h, hash_fn, 5, params, 2**40, random.Random(5)).found
 
 
 def test_doom_solution_validates_on_construction():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from scipy import stats as scipy_stats
 
+from cbfdh import reduction
 from cbfdh.codes import (
     DiscreteDistribution,
     stat_distance,
@@ -178,10 +179,11 @@ def test_sign_without_secret_e_marginal_is_uniform():
     assert scipy_stats.chisquare(counts).pvalue > 0.01
 
 
-def test_sign_without_secret_cap():
+def test_sign_without_secret_cap(monkeypatch):
     z = make_z()
-    with pytest.raises(SigningFailure):
-        sign_without_secret(z, b"m", random.Random(0), max_attempts=0)
+    monkeypatch.setattr(reduction, "SALT_ATTEMPTS", 0)
+    with pytest.raises(SigningFailure, match="within 0 attempts"):
+        sign_without_secret(z, b"m", random.Random(0))
 
 
 # --- game harness ------------------------------------------------------------------

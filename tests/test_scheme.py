@@ -368,7 +368,7 @@ def test_verify_rejects_a_salt_of_the_wrong_width():
     hash_fn = FdhHash(keypair.params.n_k)
     sig = sign(keypair, b"ab", hash_fn, rng)
     assert verify(keypair.public, b"ab", sig, hash_fn)
-    longer = BitVector.from_bytes(b"b" + sig.salt.to_bytes(), 32)
+    longer = BitVector.from_hex(b"b".hex() + sig.salt.to_hex(), 32)
     assert hash_fn(b"a", longer) == hash_fn(b"ab", sig.salt)
     assert not verify(keypair.public, b"a", Signature(sig.e, longer), hash_fn)
 
