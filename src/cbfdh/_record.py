@@ -1,14 +1,15 @@
-"""Value records: the equality, hash, repr and pickling of a dataclass,
-without the start-up cost of the standard dataclass module, whose import
-pulls in ``inspect``, ``ast`` and ``dis``, and of the methods it compiles.
+"""Value records: the equality, hash, repr and pickling of a frozen
+dataclass, without the start-up cost of the standard dataclass module,
+whose import pulls in ``inspect``, ``ast`` and ``dis``, and of the methods
+it compiles.
 
 A record's fields are the parameters of its own ``__init__``, in order, kept
-as ``_fields``.  Instances compare equal when they are of the same class
-with equal fields, print as ``Name(field=value, ...)`` and pickle as a call
-of the constructor on the fields.  A :class:`FrozenRecord` also hashes its
-fields and refuses attribute assignment; its ``__init__`` checks the fields
-and writes them with ``set_fields(self, locals())``, or, where a record is
-made in an inner loop, each with :func:`set_field`.
+as ``_fields``.  Instances of one class compare and hash by their fields,
+print as ``Name(field=value, ...)``, pickle as a call of the constructor on
+the fields and refuse attribute assignment.  ``__init__`` checks the fields
+and writes them with ``set_fields(self, locals())``, or, in an inner loop,
+each with :func:`set_field`.  A record with a dict field that a method
+changes in place is unhashable, as such a frozen dataclass is.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ def set_fields(record: FrozenRecord, values: dict[str, object]) -> None:
         set_field(record, name, values[name])
 
 
-class Record:
-    """A mutable record: unhashable (it defines ``__eq__`` only), like a
-    non-frozen dataclass."""
+class FrozenRecord:
+    """An immutable, hashable record, like a frozen dataclass."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -46,6 +46,9 @@ class Record:
             return NotImplemented
         return self._astuple() == other._astuple()
 
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
@@ -53,15 +56,6 @@ class Record:
     def __reduce__(self):
         # pickle and copy the fields only: a cached value is rebuilt on use
         return type(self), self._astuple()
-
-
-class FrozenRecord(Record):
-    """An immutable, hashable record, like a frozen dataclass."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

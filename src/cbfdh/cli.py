@@ -48,18 +48,17 @@ _ECHO_NAMES = {"lam": "lambda", "lam0": "lambda0"}
 
 
 def parse_count(text: str) -> int:
-    """Non-negative integer, given as decimal or a 2^x literal up to 2^64."""
+    """Non-negative integer up to 2^64, given as decimal or a 2^x literal."""
     text = text.strip()
     if text.startswith("2^"):
-        exp = int(text[2:])
-        if exp < 0:
-            raise ValueError(f"count {text!r} is not an integer")
-        if exp > 64:
-            raise ValueError(f"count {text!r} exceeds 2^64")
-        return 1 << exp
-    value = int(text)
+        # a negative exponent fails the shift; one above 64 fails below
+        value = 1 << min(int(text[2:]), 65)
+    else:
+        value = int(text)
     if value < 0:
         raise ValueError(f"count {text!r} must be non-negative")
+    if value > 1 << 64:
+        raise ValueError(f"count {text!r} exceeds 2^64")
     return value
 
 
@@ -393,9 +392,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             keep_transcripts=keep,
             workers=args.workers,
         )
-        for line in stats.lines():
-            print(line)
         freq[game_id] = stats.frequency(game_id)
+        if args.trials:
+            successes = stats.successes[game_id]
+            lo, hi = reduction.wilson_interval(successes, args.trials)
+            report.record(
+                ("game", game_id), ("trials", args.trials), ("successes", successes),
+                ("frequency", f"{freq[game_id]:.6f}"),
+                ("wilson_low", f"{lo:.6f}"), ("wilson_high", f"{hi:.6f}"),
+            )
         if keep:
             wins = [t for t in stats.transcripts if t.win]
             extracted = sum(

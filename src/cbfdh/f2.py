@@ -137,7 +137,7 @@ class BitVector(FrozenRecord):
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "BitVector":
-        return cls(n, rng.getrandbits(n) if n else 0)
+        return cls(n, rng.getrandbits(n))
 
     @classmethod
     def from_hex(cls, text: str, n: int) -> "BitVector":
@@ -466,7 +466,7 @@ def sample(rng: random.Random, n: int, k: int) -> list[int]:
 
 def _random_rows(nrows: int, ncols: int, rng: random.Random) -> tuple[int, ...]:
     getrandbits = rng.getrandbits
-    return tuple(getrandbits(ncols) if ncols else 0 for _ in range(nrows))
+    return tuple(getrandbits(ncols) for _ in range(nrows))
 
 
 def random_matrix(nrows: int, ncols: int, rng: random.Random) -> BitMatrix:

@@ -24,7 +24,7 @@ import math
 from itertools import product
 from typing import Any, Callable, Sequence
 
-from ._record import Record
+from ._record import FrozenRecord, set_fields
 from .f2 import BitMatrix, BitVector, Selection, SingularSelectionError
 from .isd import DoomSolution, _HashedTargets, _words, default_doom_targets
 
@@ -54,7 +54,7 @@ def snap_foursum_params(k: int, l: int, p: int) -> tuple[int, int]:
     return best_l, best_p
 
 
-class FourSumInstance(Record):
+class FourSumInstance(FrozenRecord):
     """The four sets with their maps into F_2^l, plus completion data:
     the selection, its reduced window columns and the reduced syndrome of
     each preimage (front in the low r bits, tail above)."""
@@ -65,9 +65,7 @@ class FourSumInstance(Record):
         v1: tuple[int, ...], v2: tuple[int, ...], v3: tuple[int, ...],
         v4: tuple[Any, ...], targets: dict[Any, int],
     ) -> None:
-        self.h, self.hash_fn, self.cols, self.p, self.l, self.w = h, hash_fn, cols, p, l, w
-        self.selection, self.window_columns = selection, window_columns
-        self.v1, self.v2, self.v3, self.v4, self.targets = v1, v2, v3, v4, targets
+        set_fields(self, locals())
 
     @property
     def window(self) -> int:

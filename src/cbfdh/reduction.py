@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
-from ._record import FrozenRecord, Record, set_fields
+from ._record import FrozenRecord, set_fields
 from .f2 import BitMatrix, BitVector, mat_vec_mul, random_matrix
 from .hashing import unrank_weight_pattern
 from .isd import DoomSolution, run_trials
@@ -175,35 +175,31 @@ def sign_without_secret(
 # --- adversaries ------------------------------------------------------------------
 
 
-class Adversary(Protocol):
-    """Forger interface: declared budgets plus a run method.
+class Adversary(FrozenRecord):
+    """A forger on the scheme parameters.
 
-    ``run`` receives the public key, a hash-query callback (m, r) -> s, a
-    sign-query callback m -> Signature or None, and an rng; it returns a
-    forgery triple (m', e', r') or None.  The harness enforces the declared
-    q_hash / q_sign budgets by counting callback invocations.
+    Subclasses set the budgets q_hash and q_sign as class attributes and
+    define ``run``, which receives the public key, a hash-query callback
+    (m, r) -> s, a sign-query callback m -> Signature or None, and an rng;
+    it returns a forgery triple (m', e', r') or None.  The harness enforces
+    the declared budgets by counting callback invocations.  Any object with
+    ``q_hash``, ``q_sign`` and ``run`` plays the games as well.
     """
 
     q_hash: int
     q_sign: int
 
-    def run(
-        self,
-        pk: PublicKey,
-        hash_query: Callable[[bytes, BitVector], BitVector],
-        sign_query: Callable[[bytes], Signature | None],
-        rng: random.Random,
-    ) -> tuple[bytes, BitVector, BitVector] | None: ...
-
-
-class _Forger(Record):
-    """An adversary on the scheme parameters, its budgets class attributes."""
-
     def __init__(self, params: SchemeParams) -> None:
-        self.params = params
+        set_fields(self, locals())
+
+    def run(
+        self, pk: PublicKey, hash_query: Callable[[bytes, BitVector], BitVector],
+        sign_query: Callable[[bytes], Signature | None], rng: random.Random,
+    ) -> tuple[bytes, BitVector, BitVector] | None:
+        raise NotImplementedError
 
 
-class NullAdversary(_Forger):
+class NullAdversary(Adversary):
     """Outputs a fixed garbage triple without querying anything."""
 
     q_hash, q_sign = 0, 0
@@ -212,7 +208,7 @@ class NullAdversary(_Forger):
         return b"junk", BitVector.zeros(self.params.n), BitVector.zeros(self.params.lam0)
 
 
-class ReplayAdversary(_Forger):
+class ReplayAdversary(Adversary):
     """Asks for one signature and resubmits it verbatim; the freshness
     requirement on the forged message makes this lose every game."""
 
@@ -225,7 +221,7 @@ class ReplayAdversary(_Forger):
         return b"replayed message", sig.e, sig.salt
 
 
-class OmniscientAdversary(_Forger):
+class OmniscientAdversary(Adversary):
     """Unbounded-computation stand-in: decodes the public matrix directly.
 
     First exercises the signing oracle on one benign message (twice, so the
@@ -291,18 +287,14 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-class GameStats(Record):
+class GameStats(FrozenRecord):
     """Success and trial counts per game, plus any kept transcripts."""
 
     def __init__(
-        self,
-        successes: dict[int, int] | None = None,
-        trials: dict[int, int] | None = None,
-        transcripts: list[GameTranscript] | None = None,
+        self, successes: dict[int, int], trials: dict[int, int],
+        transcripts: list[GameTranscript],
     ) -> None:
-        self.successes = {} if successes is None else successes
-        self.trials = {} if trials is None else trials
-        self.transcripts = [] if transcripts is None else transcripts
+        set_fields(self, locals())
 
     def record(self, game_id: int, win: bool) -> None:
         self.trials[game_id] = self.trials.get(game_id, 0) + 1
@@ -311,22 +303,6 @@ class GameStats(Record):
     def frequency(self, game_id: int) -> float:
         t = self.trials.get(game_id, 0)
         return self.successes.get(game_id, 0) / t if t else 0.0
-
-    def wilson(self, game_id: int) -> tuple[float, float]:
-        return wilson_interval(
-            self.successes.get(game_id, 0), self.trials.get(game_id, 0)
-        )
-
-    def lines(self) -> list[str]:
-        out = []
-        for g in sorted(self.trials):
-            lo, hi = self.wilson(g)
-            out.append(
-                f"game={g} trials={self.trials[g]} successes={self.successes[g]} "
-                f"frequency={self.frequency(g):.6f} "
-                f"wilson_low={lo:.6f} wilson_high={hi:.6f}"
-            )
-        return out
 
 
 def _run_trial(
@@ -453,7 +429,7 @@ def run_game(
     trial = partial(
         _run_trial, game_id, adversary, config, keep_transcript=keep_transcripts
     )
-    stats = GameStats()
+    stats = GameStats({}, {}, [])
     for win, transcript in run_trials(trial, trials, rng, workers):
         stats.record(game_id, win)
         if transcript is not None:

@@ -343,14 +343,6 @@ def test_wilson_interval_behaves():
     assert wilson_interval(0, 0) == (0.0, 1.0)
     lo0, hi0 = wilson_interval(0, 100)
     assert lo0 == 0.0 and hi0 < 0.05
-    stats_lines = run_game(
-        0,
-        NullAdversary(toy_params()),
-        GameConfig(toy_params()),
-        5,
-        random.Random(0),
-    ).lines()
-    assert stats_lines[0].startswith("game=0 trials=5 successes=0 ")
 
 
 # --- bound calculators --------------------------------------------------------------
