@@ -1,11 +1,12 @@
 """Workbench for code-based hash-and-sign signatures.
 
-The package splits into three layers: GF(2) linear algebra and code
-constructions (f2, codes, hashing), the signature scheme plus the decoding
-attacks against it (scheme, isd, foursum), and the security analysis tools
-(exponents for the asymptotic attack-cost and loss-bound calculators,
-reduction for the oracle-game harness).  The cli module ties them together
-for reproducible batch runs.
+The package splits into three layers: GF(2) linear algebra and hashing
+into syndrome space (f2, hashing), the signature scheme with its code
+families plus the decoding attacks against it (scheme, isd, foursum), and
+the security analysis tools (exponents for the asymptotic attack-cost and
+loss-bound calculators, codes for exact syndrome laws and their distance
+from uniform, reduction for the oracle-game harness).  The cli module ties
+them together for reproducible batch runs.
 
 Each library submodule loads on first use: importing the package binds
 ``cbfdh.f2`` and its siblings as lazy modules (also in ``sys.modules``),

@@ -5,7 +5,8 @@ payload is coordinate ``i`` (0-based).  All row operations are therefore
 single wide XORs.  Hex and byte conversions at the wire boundary use
 big-endian bit order within bytes, so coordinate 0 is the most significant
 bit of byte 0 and rows pad on the right up to a whole byte with zero bits;
-:meth:`BitVector.from_hex` reads back only :meth:`BitVector.to_hex`'s spelling.
+:meth:`BitVector.from_hex` reads back only :meth:`BitVector.to_hex`'s spelling,
+and :func:`read_naturals` only ``" ".join(map(str, numbers))``.
 
 Values are immutable after construction: vectors, matrices and
 permutations are :class:`cbfdh._record.FrozenRecord` classes, whose
@@ -62,6 +63,7 @@ __all__ = [
     "random_matrix",
     "random_full_rank",
     "read_matrix",
+    "read_naturals",
 ]
 
 
@@ -143,10 +145,11 @@ class BitVector(FrozenRecord):
     def from_hex(cls, text: str, n: int) -> "BitVector":
         """The ``n``-bit vector whose :meth:`to_hex` is ``text``.  One round
         trip refuses every other spelling: a wrong byte count, a padding
-        bit set, uppercase digits or whitespace."""
+        bit set, uppercase digits or whitespace.  The byte count comes first,
+        so a declared width builds no n-bit mask."""
         bits = int.from_bytes(bytes.fromhex(text).translate(_REV), "little")
-        v = cls(n, bits & ((1 << n) - 1))
-        if v.to_hex() != text:
+        v = cls(n, bits & ((1 << n) - 1)) if len(text) == (n + 7) // 8 * 2 else None
+        if v is None or v.to_hex() != text:
             raise ValueError(f"not a {n}-bit field in bare lowercase hex, padding bits 0")
         return v
 
@@ -187,9 +190,8 @@ class BitMatrix(FrozenRecord):
             raise ValueError("negative shape")
         if len(rows) != nrows:
             raise ValueError("row count does not match shape")
-        limit = 1 << ncols
         for r in rows:
-            if not 0 <= r < limit:
+            if r >> ncols:  # also true for a negative row
                 raise ValueError("row payload does not fit the stated width")
         set_field(self, "nrows", nrows)
         set_field(self, "ncols", ncols)
@@ -282,15 +284,24 @@ def read_matrix(lines: list[str], at: int) -> tuple[BitMatrix, int]:
     ``lines[at]``, in a list of stripped non-blank lines, and the index of
     the line after the block."""
     header = lines[at] if at < len(lines) else ""  # "" past the last line
-    fields = header.split()
-    if len(fields) != 2 or not all(field.isdecimal() for field in fields):
+    shape = read_naturals(header, "matrix header")
+    if len(shape) != 2:
         raise ValueError(f"bad matrix header: {header!r}")
-    nrows, ncols = map(int, fields)
+    nrows, ncols = shape
     end = at + 1 + nrows
     if end > len(lines):
         raise ValueError(f"expected {nrows} rows, found {len(lines) - at - 1}")
     rows = tuple(BitVector.from_hex(ln, ncols).bits for ln in lines[at + 1 : end])
     return BitMatrix(nrows, ncols, rows), end
+
+
+def read_naturals(line: str, what: str) -> tuple[int, ...]:
+    """The numbers whose ``" ".join(map(str, ...))`` is ``line``: signs,
+    leading zeros, non-ASCII digits and other spacing are refused."""
+    tokens = line.split(" ")
+    if not all(token.isdecimal() and str(int(token)) == token for token in tokens):
+        raise ValueError(f"bad {what}: {line!r}")
+    return tuple(map(int, tokens))
 
 
 class Permutation(FrozenRecord):

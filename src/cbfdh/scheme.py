@@ -23,7 +23,8 @@ secret file carries h_sec, s, s^{-1} and the permutation as a line of
 0-based image indices.  Signature files are two lines: salt hex, then the
 error row in hex.  Key rows and signature fields alike are read strictly
 by :meth:`cbfdh.f2.BitVector.from_hex`: as written, in lowercase and with
-no whitespace inside, no byte missing or extra and no padding bit set.
+no whitespace inside, no byte missing or extra and no padding bit set; the
+matrix headers and the one permutation line by :func:`cbfdh.f2.read_naturals`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .f2 import (
     random_permutation,
     rank,
     read_matrix,
+    read_naturals,
     sample_from,
     sample_plan,
 )
@@ -380,7 +382,7 @@ def load_secret_key(path: str) -> tuple[SchemeParams, SecretKey]:
     h_sec, at = read_matrix(lines, 0)
     scramble, at = read_matrix(lines, at)
     scramble_inv, at = read_matrix(lines, at)
-    perm = Permutation(tuple(int(tok) for ln in lines[at:] for tok in ln.split()))
+    perm = Permutation(read_naturals("\n".join(lines[at:]), "permutation line"))
     if h_sec.nrows != params.n_k or h_sec.ncols != params.n:
         raise ValueError("secret matrix shape disagrees with the header")
     if rank(h_sec) < params.n_k:

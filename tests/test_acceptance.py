@@ -9,10 +9,9 @@ import itertools
 import math
 import random
 import time
-from fractions import Fraction
 
 from cbfdh.cli import main
-from cbfdh.codes import stat_distance, syndrome_weight_distribution
+from cbfdh.codes import distance_from_uniform, syndrome_counts
 from cbfdh.exponents import (
     RatePoint,
     doom_quantum_exponent,
@@ -288,13 +287,12 @@ def test_criterion_8_z_oracle_distance_and_surf_report(capsys):
     n, k, w = 10, 5, 3
     rng = random.Random(800)
     h_pub = random_full_rank(n - k, n, rng)
-    from cbfdh.codes import DiscreteDistribution
-
-    uniform = DiscreteDistribution.uniform(n - k)
-    d_w = syndrome_weight_distribution(h_pub, w)
-    mixture = uniform.mixture(d_w, Fraction(1, 2))
-    rho = stat_distance(d_w, uniform)
-    exact_identity = stat_distance(mixture, uniform) == rho / 2
+    counts = syndrome_counts(h_pub, w)
+    total, size = sum(counts), 1 << (n - k)
+    rho = distance_from_uniform(counts)
+    # the Z oracle's half mixture of uniform and the key's law
+    mixture = [total + size * c for c in counts]
+    exact_identity = distance_from_uniform(mixture) == rho / 2
 
     code = main(["bound", "--preset", "surf"])
     out = capsys.readouterr().out

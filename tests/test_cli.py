@@ -230,7 +230,14 @@ def test_secret_key_with_blank_line_signs(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, key, header", [
     ("sign", "secret", "x 24"), ("sign", "secret", "-1 24"), ("verify", "public", "-1 24"),
-], ids=("x 24", "-1 24", "public -1 24"))
+    ("sign", "secret", "012 024"), ("verify", "public", "012 024"),
+    ("sign", "secret", "\u0661\u0662 \u0662\u0664"),
+    ("verify", "public", "\u0661\u0662 \u0662\u0664"),
+    ("verify", "public", "12  24"),
+], ids=(
+    "x 24", "-1 24", "public -1 24", "leading zeros", "public leading zeros",
+    "arabic-indic digits", "public arabic-indic digits", "public two spaces",
+))
 def test_secret_key_bad_block_header_exit_2(tmp_path, capsys, command, key, header):
     # both key files read their matrices through one block reader
     main(keygen_args(tmp_path))
@@ -245,6 +252,27 @@ def test_secret_key_bad_block_header_exit_2(tmp_path, capsys, command, key, head
     assert code == 2
     assert "error: bad matrix header" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda perm: " ".join(f"{int(tok):02d}" for tok in perm.split()),
+    lambda perm: perm.replace(" ", "\n", 1),
+    lambda perm: perm.replace(" ", "  ", 1),
+], ids=("leading zeros", "two lines", "two spaces"))
+def test_secret_key_permutation_line_is_read_strictly(tmp_path, capsys, edit):
+    # the permutation is one line, spelled as save_secret_key writes it
+    main(keygen_args(tmp_path))
+    head, lines = _key_body_lines(tmp_path / "sk.key")
+    lines[-1] = edit(lines[-1])
+    bad = tmp_path / "bad.key"
+    bad.write_bytes(head + ("\n".join(lines) + "\n").encode())
+    capsys.readouterr()
+    code, out, err = run_cli(
+        capsys, "sign", "--secret-key", str(bad),
+        "--signature", str(tmp_path / "m.sig"), "--message", "hello",
+    )
+    assert code == 2 and out == "" and "permutation" in err
+    assert not (tmp_path / "m.sig").exists()
 
 
 def test_secret_key_with_rank_deficient_matrix_exit_2(tmp_path, capsys):
@@ -454,6 +482,32 @@ def test_attack_doom_q_runs_in_bounded_memory(q, code):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key, header", [
+    ("pk.key", "0 99999999999"), ("pk.key", "1 99999999999"), ("sk.key", "0 99999999999"),
+])
+def test_huge_declared_matrix_width_exit_2(tmp_path, key, header):
+    # no n-bit mask is built for a declared width: the child caps its
+    # address space, so such an allocation would end in a MemoryError
+    main(keygen_args(tmp_path))
+    sign = ["sign", "--message", "hello", "--secret-key", str(tmp_path / "sk.key"),
+            "--signature", str(tmp_path / "m.sig")]
+    assert main(sign) == 0
+    head, lines = _key_body_lines(tmp_path / key)
+    lines[0] = header
+    bad = tmp_path / f"wide-{key}"
+    bad.write_bytes(head + ("\n".join(lines) + "\n").encode())
+    argv = (["verify", "--public-key", str(bad), "--signature", str(tmp_path / "m.sig"),
+             "--message", "hello"] if key == "pk.key" else
+            ["sign", "--message", "hello", "--secret-key", str(bad),
+             "--signature", str(tmp_path / "wide.sig")])
+    proc = subprocess.run(
+        [sys.executable, "-c", BOUNDED_MEMORY_PRELUDE, *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

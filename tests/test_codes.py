@@ -1,29 +1,25 @@
+import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from cbfdh import codes
-from cbfdh.codes import (
-    DiscreteDistribution,
-    product_distance_bound,
-    stat_distance,
-    syndrome_weight_distribution,
-)
+from cbfdh.codes import distance_from_uniform, syndrome_counts
 from cbfdh.f2 import BitMatrix, BitVector, mat_vec_mul, random_full_rank, rank
 from cbfdh.scheme import uuv_code_family
 
 
-def enumerate_words(h: BitMatrix, predicate) -> list[BitVector]:
-    return [
-        v
-        for bits in range(1 << h.ncols)
-        for v in [BitVector(h.ncols, bits)]
-        if predicate(v)
-    ]
+def brute_counts(h: BitMatrix, w: int) -> list[int]:
+    """The count vector by enumerating every weight-w support: the oracle
+    the column DP is checked against."""
+    cols, counts = h.columns(), [0] * (1 << h.nrows)
+    for support in combinations(range(h.ncols), w):
+        s = 0
+        for i in support:
+            s ^= cols[i]
+        counts[s] += 1
+    return counts
 
 
 # --- code constructions ----------------------------------------------------
@@ -74,135 +70,104 @@ def test_uuv_rejects_length_mismatch():
             uuv_code_family(n, k_u, k_v)
 
 
-# --- syndrome weight distribution -------------------------------------------
+# --- syndrome counts ------------------------------------------------------
 
 
 def test_weight_one_distribution_frozen_example():
     h = BitMatrix.from_dense([[1, 0, 1, 0], [0, 1, 0, 1]])
-    dist = syndrome_weight_distribution(h, 1)
-    assert dist == DiscreteDistribution(
-        2, {0b01: Fraction(1, 2), 0b10: Fraction(1, 2)}
-    )
+    assert syndrome_counts(h, 1) == [0, 2, 2, 0]
 
 
 def test_weight_zero_is_point_mass():
     h = BitMatrix.from_dense([[1, 0, 1, 0], [0, 1, 0, 1]])
-    dist = syndrome_weight_distribution(h, 0)
-    assert dist == DiscreteDistribution.point(2, 0)
+    assert syndrome_counts(h, 0) == [1, 0, 0, 0]
+    assert distance_from_uniform(syndrome_counts(h, 0)) == Fraction(3, 4)
 
 
 def test_distribution_matches_direct_enumeration():
     rng = random.Random(7)
     h = random_full_rank(5, 10, rng)
-    w = 3
-    dist = syndrome_weight_distribution(h, w)
-    counts: dict[int, int] = {}
-    for supp in combinations(range(10), w):
-        s = mat_vec_mul(h, BitVector.from_support(10, supp)).bits
-        counts[s] = counts.get(s, 0) + 1
-    assert dist == DiscreteDistribution.from_counts(5, counts)
-    assert sum(dist.mass.values()) == 1
+    for w in range(11):
+        counts = syndrome_counts(h, w)
+        assert counts == brute_counts(h, w)
+        # the same count, syndrome by syndrome, through mat_vec_mul
+        for support in combinations(range(10), w):
+            counts[mat_vec_mul(h, BitVector.from_support(10, support)).bits] -= 1
+        assert not any(counts)
+
+
+@pytest.mark.parametrize("family, w", [
+    (lambda rng: random_full_rank(6, 12, rng), 4),
+    (lambda rng: random_full_rank(8, 16, rng), 3),
+    (lambda rng: random_full_rank(10, 20, rng), 5),
+    (lambda rng: random_full_rank(12, 24, rng), 4),
+    (uuv_code_family(12, 3, 3), 4),
+    (uuv_code_family(16, 4, 3), 3),
+    (uuv_code_family(20, 5, 4), 4),
+    (uuv_code_family(24, 6, 5), 4),
+], ids=(
+    "random-12-6-4", "random-16-8-3", "random-20-10-5", "random-24-12-4",
+    "uuv-12-3-3-4", "uuv-16-4-3-3", "uuv-20-5-4-4", "uuv-24-6-5-4",
+))
+def test_column_dp_equals_enumeration(family, w):
+    # every shape has C(n, w) <= 2^20; the exact distances agree as well
+    h = family(random.Random(31))
+    counts = syndrome_counts(h, w)
+    assert counts == brute_counts(h, w)
+    total, size = math.comb(h.ncols, w), 1 << h.nrows
+    brute = sum(abs(Fraction(c, total) - Fraction(1, size)) for c in counts) / 2
+    assert distance_from_uniform(counts) == brute
+
+
+def test_distance_past_enumeration_lies_under_the_collision_bound():
+    # C(48, 9) = 1.7e9 supports; the distance obeys
+    # rho <= sqrt(2^r * CP - 1) / 2 with CP the collision probability
+    h = random_full_rank(14, 48, random.Random(48))
+    counts = syndrome_counts(h, 9)
+    total = sum(counts)
+    assert total == math.comb(48, 9)
+    rho = distance_from_uniform(counts)
+    excess = Fraction(sum(c * c for c in counts) << 14, total * total) - 1
+    assert 0 < rho and 4 * rho * rho <= excess
 
 
 def test_distribution_monte_carlo_consistency():
     rng = random.Random(2024)
     h = random_full_rank(5, 10, rng)
-    exact = syndrome_weight_distribution(h, 2)
+    exact = syndrome_counts(h, 2)
     draws = 100_000
-    counts: dict[int, int] = {}
+    counts = [0] * (1 << 5)
     for _ in range(draws):
         supp = rng.sample(range(10), 2)
-        s = mat_vec_mul(h, BitVector.from_support(10, supp)).bits
-        counts[s] = counts.get(s, 0) + 1
+        counts[mat_vec_mul(h, BitVector.from_support(10, supp)).bits] += 1
     for outcome in range(1 << 5):
-        p = float(exact.prob(outcome))
-        freq = counts.get(outcome, 0) / draws
+        p = exact[outcome] / math.comb(10, 2)
         sigma = (p * (1 - p) / draws) ** 0.5
-        assert abs(freq - p) <= 3 * sigma + 1e-9
+        assert abs(counts[outcome] / draws - p) <= 3 * sigma + 1e-9
 
 
-def test_enumeration_guard(monkeypatch):
+def test_table_size_guard():
+    # (w + 1) * 2^r entries are refused before any is allocated
     rng = random.Random(3)
-    h = random_full_rank(6, 12, rng)
-    monkeypatch.setattr(codes, "MAX_PATTERNS", 10)
-    with pytest.raises(ValueError, match="enumeration guard"):
-        syndrome_weight_distribution(h, 3)
+    with pytest.raises(ValueError, match="2\\^21-entry guard"):
+        syndrome_counts(random_full_rank(20, 24, rng), 2)
+    with pytest.raises(ValueError, match="weight outside"):
+        syndrome_counts(random_full_rank(6, 12, rng), 13)
 
 
-# --- discrete distributions and distances ------------------------------------
-
-
-def test_distribution_validation():
-    with pytest.raises(ValueError):
-        DiscreteDistribution(1, {0: Fraction(1, 2)})
-    with pytest.raises(ValueError):
-        DiscreteDistribution(1, {0: Fraction(3, 2), 1: Fraction(-1, 2)})
-    with pytest.raises(ValueError):
-        DiscreteDistribution(1, {2: Fraction(1)})
+# --- distance from uniform --------------------------------------------------
 
 
 def test_stat_distance_frozen_examples():
-    d0 = DiscreteDistribution(1, {0: Fraction(1, 2), 1: Fraction(1, 2)})
-    d1 = DiscreteDistribution(1, {0: Fraction(1, 4), 1: Fraction(3, 4)})
-    assert stat_distance(d0, d1) == Fraction(1, 4)
-    assert stat_distance(d0, d0) == 0
-    a = DiscreteDistribution.point(2, 0)
-    b = DiscreteDistribution.point(2, 3)
-    assert stat_distance(a, b) == 1
-
-
-def test_stat_distance_domain_mismatch():
-    with pytest.raises(ValueError):
-        stat_distance(DiscreteDistribution.point(1, 0), DiscreteDistribution.point(2, 0))
+    assert distance_from_uniform([1, 3]) == Fraction(1, 4)
+    assert distance_from_uniform([5, 5]) == 0
+    assert distance_from_uniform([0, 0, 0, 7]) == Fraction(3, 4)
 
 
 def test_stat_distance_brute_force_large_support():
     rng = random.Random(17)
-    bits = 16
-    n = 1 << bits
-    counts0 = {x: rng.randrange(1, 8) for x in range(n)}
-    counts1 = {x: rng.randrange(1, 8) for x in range(n)}
-    d0 = DiscreteDistribution.from_counts(bits, counts0)
-    d1 = DiscreteDistribution.from_counts(bits, counts1)
-    t0, t1 = sum(counts0.values()), sum(counts1.values())
-    brute = (
-        sum(abs(Fraction(counts0[x], t0) - Fraction(counts1[x], t1)) for x in range(n))
-        / 2
-    )
-    assert stat_distance(d0, d1) == brute
-
-
-@settings(max_examples=30)
-@given(
-    st.lists(st.integers(1, 9), min_size=2, max_size=2),
-    st.lists(st.integers(1, 9), min_size=2, max_size=2),
-    st.lists(st.integers(1, 9), min_size=4, max_size=4),
-    st.lists(st.integers(1, 9), min_size=4, max_size=4),
-)
-def test_product_bound_dominates_true_product_distance(c0, c1, d0, d1):
-    p0 = DiscreteDistribution.from_counts(1, dict(enumerate(c0)))
-    p1 = DiscreteDistribution.from_counts(1, dict(enumerate(c1)))
-    q0 = DiscreteDistribution.from_counts(2, dict(enumerate(d0)))
-    q1 = DiscreteDistribution.from_counts(2, dict(enumerate(d1)))
-    true = (
-        sum(
-            abs(p0.prob(x) * q0.prob(y) - p1.prob(x) * q1.prob(y))
-            for x, y in product(range(2), range(4))
-        )
-        / 2
-    )
-    assert true <= product_distance_bound([(p0, p1), (q0, q1)])
-
-
-def test_mixture_and_export():
-    u = DiscreteDistribution.uniform(2)
-    p = DiscreteDistribution.point(2, 1)
-    mix = p.mixture(u, Fraction(1, 2))
-    assert mix.prob(1) == Fraction(1, 2) + Fraction(1, 8)
-    assert mix.prob(0) == Fraction(1, 8)
-    text = mix.to_text()
-    lines = text.strip().splitlines()
-    assert len(lines) == 4
-    head, prob = lines[0].split()
-    assert head == "00"
-    assert float(prob) == 0.125
+    size = 1 << 16
+    counts = [rng.randrange(1, 8) for _ in range(size)]
+    total = sum(counts)
+    brute = sum(abs(Fraction(c, total) - Fraction(1, size)) for c in counts) / 2
+    assert distance_from_uniform(counts) == brute

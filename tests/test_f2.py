@@ -136,6 +136,21 @@ def test_matrix_text_rejects_bad_header():
         BitMatrix.from_text("two four\nf0\n")
     with pytest.raises(ValueError):
         BitMatrix.from_text("2 4\na0\n")
+    # only the header to_text writes: no leading zero, sign, other digits
+    # or spacing
+    for header in ("02 4", "2 04", "+2 4", "\u0662 \u0664", "2  4", "2\t4", "2 4 1"):
+        with pytest.raises(ValueError, match="bad matrix header"):
+            BitMatrix.from_text(f"{header}\na0\n50\n")
+    assert BitMatrix.from_text("2 4\na0\n50\n").to_text() == "2 4\na0\n50\n"
+
+
+def test_declared_width_allocates_nothing():
+    # a row is checked with one shift, a hex field by its length first
+    assert BitMatrix(0, 1 << 60, ()).ncols == 1 << 60
+    with pytest.raises(ValueError, match="does not fit"):
+        BitMatrix(1, 4, (-1,))
+    with pytest.raises(ValueError, match="not a 1152921504606846976-bit field"):
+        BitVector.from_hex("a0", 1 << 60)
 
 
 @pytest.mark.parametrize("row", [

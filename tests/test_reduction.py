@@ -1,17 +1,12 @@
 import dataclasses
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from scipy import stats as scipy_stats
 
 from cbfdh import reduction
-from cbfdh.codes import (
-    DiscreteDistribution,
-    stat_distance,
-    syndrome_weight_distribution,
-)
+from cbfdh.codes import distance_from_uniform, syndrome_counts
 from cbfdh.exponents import ZHANDRY_CONSTANT, condition_check, theorem1_bound_log2
 from cbfdh.f2 import BitMatrix, BitVector, mat_vec_mul, random_full_rank
 from cbfdh.reduction import (
@@ -132,18 +127,18 @@ def test_z_output_distribution_is_the_exact_half_mixture():
     n, k, w = 8, 4, 2
     rng = random.Random(9)
     h_pub = random_full_rank(n - k, n, rng)
-    uniform = DiscreteDistribution.uniform(n - k)
-    d_w = syndrome_weight_distribution(h_pub, w)
-    mixture = uniform.mixture(d_w, Fraction(1, 2))
-    rho = stat_distance(d_w, uniform)
-    assert stat_distance(mixture, uniform) == rho / 2
+    counts = syndrome_counts(h_pub, w)
+    total, size = sum(counts), 1 << (n - k)
+    # half uniform, half the key's law: (1/size + c/total) / 2 per syndrome
+    mixture = [total + size * c for c in counts]
+    assert distance_from_uniform(mixture) == distance_from_uniform(counts) / 2
 
     z = ZOracle(h_pub, w, 16, rng)
     counts = [0] * (1 << (n - k))
     draws = 12_000
     for i in range(draws):
         counts[z.z_query(i.to_bytes(4, "big"), BitVector.zeros(16)).bits] += 1
-    expected = [float(mixture.prob(s)) * draws for s in range(1 << (n - k))]
+    expected = [m * draws / (2 * total * size) for m in mixture]
     assert scipy_stats.chisquare(counts, expected).pvalue > 0.01
 
 
