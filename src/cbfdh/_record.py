@@ -8,8 +8,9 @@ as ``_fields``.  Instances of one class compare and hash by their fields,
 print as ``Name(field=value, ...)``, pickle as a call of the constructor on
 the fields and refuse attribute assignment.  ``__init__`` checks the fields
 and writes them with ``set_fields(self, locals())``, or, in an inner loop,
-each with :func:`set_field`.  A record with a dict field that a method
-changes in place is unhashable, as such a frozen dataclass is.
+each with :func:`set_field`.  No method changes a field after ``__init__``;
+a record with a dict or list field is unhashable, as such a frozen
+dataclass is.
 """
 
 from __future__ import annotations

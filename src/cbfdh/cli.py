@@ -73,7 +73,9 @@ def parse_workers(text: str) -> int:
 def parse_level_log2(text: str) -> float:
     """Non-negative quantity, given as decimal or a 2^x literal, in log2.
 
-    Zero maps to -inf so downstream sums can drop the term exactly.
+    Zero maps to -inf so downstream sums can drop the term exactly.  A
+    decimal that a float cannot hold, rounding to 0 or to infinity, is
+    refused rather than read as another value.
     """
     text = text.strip()
     if text.startswith("2^"):
@@ -81,6 +83,9 @@ def parse_level_log2(text: str) -> float:
     value = float(text)
     if value < 0:
         raise ValueError(f"quantity {text!r} must be non-negative")
+    nonzero = any(c in "123456789" for c in text.lower().partition("e")[0])
+    if value == math.inf or (value == 0 and nonzero):
+        raise ValueError(f"quantity {text!r} lies outside float range; give it as 2^x")
     if value == 0:
         return -math.inf
     return math.log2(value)
@@ -213,7 +218,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     isd_params = isd.IsdParams(args.p, args.l, args.budget)
     est = isd.isd_success(args.n, args.k, args.w, args.p, args.l, q=q)
     if args.mode == "doom":
-        # the first of the q targets; q above 2^64 fails here
+        # the first of the q targets
         planted_target = next(isd.default_doom_targets(q))
     rng = random.Random(args.seed)
     h, s, planted = isd.plant_instance(args.n, args.k, args.w, rng)
@@ -555,7 +560,9 @@ def entry_point() -> None:
     and exit 128 + the signal number, unwinding through every ``finally``,
     so a trial pool shuts down; ``main`` installs no handler.  A stop that
     CPython drops in a callback (importlib's module-lock weakref callback)
-    reaches ``sys.unraisablehook``, and a one-shot SIGALRM raises it again."""
+    reaches ``sys.unraisablehook``, which only then handles SIGALRM and arms
+    a one-shot timer to raise the stop again; any other SIGALRM ends the
+    command as it ends a process that has no handler for it."""
     stopped_by = []
 
     def stop(signum: int, frame: object) -> None:
@@ -570,11 +577,11 @@ def entry_point() -> None:
 
         def dropped(unraisable) -> None:
             if stopped_by and isinstance(unraisable.exc_value, SystemExit):
+                _signal.signal(_signal.SIGALRM, lambda _, f: stop(stopped_by[0], f))
                 _signal.setitimer(_signal.ITIMER_REAL, 1e-4)  # once out of the callback
             else:
                 unraisablehook(unraisable)
 
-        _signal.signal(_signal.SIGALRM, lambda signum, frame: stop(stopped_by[0], frame))
         sys.unraisablehook = dropped
     try:
         sys.exit(main())

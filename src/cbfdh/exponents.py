@@ -337,7 +337,8 @@ def theorem1_bound_log2(
     sqrt(E[rho_pub]) + q_sign*rho_sign + 2^-lam, reported term by term.
 
     Raises ValueError unless each probability is at most 2^0, each query
-    count is finite and lam is nonnegative; NaN fails every check.
+    count is 0 or a finite count of at least 1 and lam is nonnegative; NaN
+    fails every check.
     """
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
@@ -350,8 +351,10 @@ def theorem1_bound_log2(
         if not value <= 0.0:
             raise ValueError(f"{name} must be a probability, got 2^{value}")
     for name, value in (("q_hash", log2_q_hash), ("q_sign", log2_q_sign)):
-        if not value < math.inf:
-            raise ValueError(f"{name} must be a finite count, got 2^{value}")
+        if not (value == -math.inf or 0.0 <= value < math.inf):
+            raise ValueError(
+                f"{name} must be 0 or a finite count of at least 1, got 2^{value}"
+            )
     doom = 1.0 + log2_eps_doom
     dist = log2_dist
     zhandry = (

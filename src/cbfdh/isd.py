@@ -84,6 +84,8 @@ class IsdParams(FrozenRecord):
         set_fields(self, locals())
 
     def check(self, n: int, k: int, w: int) -> None:
+        if not 0 <= k <= n:
+            raise ValueError(f"k = {k} must lie in 0..n = {n}")
         if self.l > n - k:
             raise ValueError(f"l = {self.l} exceeds n - k = {n - k}")
         if self.p > w:

@@ -121,27 +121,23 @@ class LazyOracle:
 
 
 class ZOracle:
-    """Hash oracle that secretly branches on a hidden coin per input.
+    """The hash procedure from game 2 on: the trial's H, reprogrammed.
 
-    For each fresh (m, r) the inner oracle J draws (b, e); the visible
-    value is a fresh uniform syndrome when b = 0 and the syndrome of e
-    under the public matrix when b = 1.  Over the oracle randomness the
-    output law is the exact half/half mixture of those two distributions,
+    For each fresh (m, r) the inner oracle J, seeded from ``rng``, draws a
+    hidden coin b and a weight-w word e; Z keeps H's answer when b = 0 and
+    programs the public syndrome of e when b = 1.  Its output law is the
+    exact half/half mixture of the uniform and the weight-w syndrome laws,
     so its distance to uniform is half the weight-w syndrome distance.
     """
 
     def __init__(
-        self,
-        h_pub: BitMatrix,
-        w: int,
-        salt_bits: int,
+        self, h_pub: BitMatrix, h: LazyOracle, w: int, salt_bits: int,
         rng: random.Random,
     ):
         self.h_pub = h_pub
+        self.h = h
         self.w = w
         self.salt_bits = salt_bits
-        self.h_seed = rng.getrandbits(64)
-        self.h = LazyOracle.uniform(h_pub.nrows, random.Random(self.h_seed))
         self.j = LazyOracle.coin_and_pattern(
             h_pub.ncols, w, random.Random(rng.getrandbits(64))
         )
@@ -296,22 +292,17 @@ class GameStats(FrozenRecord):
     ) -> None:
         set_fields(self, locals())
 
-    def record(self, game_id: int, win: bool) -> None:
-        self.trials[game_id] = self.trials.get(game_id, 0) + 1
-        self.successes[game_id] = self.successes.get(game_id, 0) + bool(win)
-
     def frequency(self, game_id: int) -> float:
         t = self.trials.get(game_id, 0)
         return self.successes.get(game_id, 0) / t if t else 0.0
 
 
 def _run_trial(
-    game_id: int,
-    adversary: Adversary,
-    config: GameConfig,
-    child_seed: int,
+    game_id: int, adversary: Adversary, config: GameConfig, child_seed: int,
     keep_transcript: bool,
 ) -> tuple[bool, GameTranscript | None]:
+    """One trial of game ``game_id``: whether it was won, and its transcript
+    if kept.  The trial draws one H; from game 2 on, Z reprograms it."""
     params = config.params
     trial_rng = random.Random(child_seed)
     keygen_seed, oracle_seed, signer_seed, adv_seed, h0_seed = (
@@ -328,21 +319,20 @@ def _run_trial(
         keypair = keygen(params, family, random.Random(keygen_seed))
         pk = keypair.public
 
-    # hash procedure: plain lazy oracle up to game 1, Z afterwards
+    # hash procedure: the trial's H up to game 1, Z reprogramming it afterwards
     oracle_rng = random.Random(oracle_seed)
+    h_seed = oracle_rng.getrandbits(64)
+    h = LazyOracle.uniform(params.n_k, random.Random(h_seed))
     if game_id >= 2:
-        z = ZOracle(pk.h_pub, params.w, params.lam0, oracle_rng)
+        z = ZOracle(pk.h_pub, h, params.w, params.lam0, oracle_rng)
         hash_fn = z.z_query
-        h_oracle, h_seed = z.h, z.h_seed
     else:
         z = None
-        h_seed = oracle_rng.getrandbits(64)
-        h_oracle = LazyOracle.uniform(params.n_k, random.Random(h_seed))
-        hash_fn = lambda m, r: h_oracle.query((m, r))
+        hash_fn = lambda m, r: h.query((m, r))
 
     signer_rng = random.Random(signer_seed)
     signed_messages: set[bytes] = set()
-    salts_seen: dict[bytes, set[BitVector]] = {}
+    signed_pairs: set[tuple[bytes, BitVector]] = set()
     counts = {"hash": 0, "sign": 0}
     collision = False
 
@@ -370,10 +360,9 @@ def _run_trial(
                 sig = sign(keypair, m, hash_fn, signer_rng, GAME_SIGN_BUDGET)
         except SigningFailure:
             return None
-        seen = salts_seen.setdefault(m, set())
-        if sig.salt in seen:
+        if (m, sig.salt) in signed_pairs:
             collision = True
-        seen.add(sig.salt)
+        signed_pairs.add((m, sig.salt))
         return sig
 
     forgery = adversary.run(pk, hash_query, sign_query, random.Random(adv_seed))
@@ -394,13 +383,8 @@ def _run_trial(
     transcript = None
     if keep_transcript:
         transcript = GameTranscript(
-            game_id=game_id,
-            params=params,
-            h_pub=pk.h_pub,
-            h_seed=h_seed,
-            h_keys=h_oracle.queries(),
-            forgery=forgery,
-            win=win,
+            game_id=game_id, params=params, h_pub=pk.h_pub, h_seed=h_seed,
+            h_keys=h.queries(), forgery=forgery, win=win,
         )
     return win, transcript
 
@@ -429,12 +413,12 @@ def run_game(
     trial = partial(
         _run_trial, game_id, adversary, config, keep_transcript=keep_transcripts
     )
-    stats = GameStats({}, {}, [])
+    wins, transcripts = 0, []
     for win, transcript in run_trials(trial, trials, rng, workers):
-        stats.record(game_id, win)
+        wins += win
         if transcript is not None:
-            stats.transcripts.append(transcript)
-    return stats
+            transcripts.append(transcript)
+    return GameStats({game_id: wins}, {game_id: trials}, transcripts)
 
 
 def extract_doom_solution(transcript: GameTranscript) -> DoomSolution | None:
@@ -457,13 +441,10 @@ def extract_doom_solution(transcript: GameTranscript) -> DoomSolution | None:
         replay.query(key)
     if (m_f, r_f) not in replay.table:
         raise ReductionError("forgery point never reached the hash oracle")
-
-    def hash_fn(preimage: tuple[bytes, BitVector]) -> BitVector:
-        return replay.table[preimage]
-
     try:
         return DoomSolution.checked(
-            transcript.h_pub, hash_fn, transcript.params.w, e_f, (m_f, r_f)
+            transcript.h_pub, replay.table.__getitem__, transcript.params.w,
+            e_f, (m_f, r_f),
         )
     except ValueError as exc:
         raise ReductionError(f"winning transcript failed validation: {exc}") from exc

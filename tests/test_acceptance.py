@@ -27,6 +27,7 @@ from cbfdh.hashing import FdhHash, syndrome_hash
 from cbfdh.isd import IsdParams, generalized_isd, isd_success, plant_instance
 from cbfdh.reduction import (
     GameConfig,
+    LazyOracle,
     OmniscientAdversary,
     ZOracle,
     extract_doom_solution,
@@ -314,7 +315,8 @@ def test_criterion_9_mean_j_calls():
     params = toy_params()
     rng = random.Random(900)
     h_pub = random_full_rank(params.n_k, params.n, rng)
-    z = ZOracle(h_pub, params.w, params.lam0, rng)
+    h = LazyOracle.uniform(params.n_k, random.Random(rng.getrandbits(64)))
+    z = ZOracle(h_pub, h, params.w, params.lam0, rng)
     runs = 10_000
     before = len(z.j.table)
     for i in range(runs):

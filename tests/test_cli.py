@@ -531,6 +531,13 @@ def test_attack_q_needs_doom_mode(capsys, mode):
     assert out == ""
 
 
+@pytest.mark.parametrize("n, k", [("10", "12"), ("24", "-1")])
+def test_attack_refuses_k_outside_the_length(capsys, n, k):
+    code, out, err = run_cli(capsys, "attack", "--n", n, "--k", k)
+    assert (code, out) == (2, "")
+    assert err == f"error: k = {k} must lie in 0..n = {n}\n"
+
+
 def test_attack_size_guard(capsys):
     code, _, err = run_cli(capsys, "attack", "--n", "128", "--k", "64", "--w", "8")
     assert code == 2
@@ -672,6 +679,8 @@ def test_bound_rejects_bad_values(capsys):
     ["--q-hash", "inf"],
     ["--q-sign", "2^nan"],
     ["--lambda", "-5"],
+    ["--eps-doom", "1e-400"],  # below float range, not zero
+    ["--q-hash", "0.001", "--exp-rho-pub", "2^-10"],  # a thousandth of a query
 ])
 def test_bound_rejects_out_of_range_values(capsys, argv):
     code, out, err = run_cli(capsys, "bound", *argv)
@@ -1067,6 +1076,25 @@ def test_a_stop_dropped_in_a_callback_still_ends_the_run(signum, code):
         capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "error: interrupted\n")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+def test_a_sigalrm_ends_the_command_as_it_ends_any_process():
+    """No stop was dropped, so the command has no SIGALRM handler: the
+    signal ends it by its default action, with nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cbfdh", "simulate", "--game", "0", "--trials", "2^30"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        # the command runs its games once its first line is out
+        assert proc.stdout.readline().startswith("command=simulate")
+        proc.send_signal(signal.SIGALRM)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (-signal.SIGALRM, "")
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 # --- standard-library runtime ---------------------------------------------------------

@@ -124,6 +124,9 @@ def test_success_estimates_ordering_and_validation():
         isd_success(20, 10, 11, 0, 0)  # w - p > n - k - l
     with pytest.raises(ValueError):
         isd_success(20, 10, 3, 1, 2, q=0)
+    for k in (12, -1):  # k outside 0..n, named before l or p is checked
+        with pytest.raises(ValueError, match=f"k = {k} must lie in 0..n = 10"):
+            isd_success(10, k, 3)
 
 
 def test_doom_success_scales_with_targets():

@@ -6,10 +6,7 @@ the ``cbfdh`` submodules that were executed: those whose type is plain
 ``types.ModuleType``, not the lazy stand-in.  It also lists which of the
 slow-to-import standard modules ``dataclasses`` and ``inspect`` were
 loaded, which must be none, and of ``fractions`` and ``decimal``, which
-the ``attack`` and ``simulate`` cases must not load.  Runnable without
-pytest; it prints one line per case and exits 1 on any mismatch:
-
-    PYTHONPATH=src python tests/test_lazy_loading.py
+the ``attack`` and ``simulate`` cases must not load.
 """
 
 import importlib.util
@@ -18,7 +15,8 @@ import os
 import signal
 import subprocess
 import sys
-import tempfile
+
+import pytest
 
 # the pinned command kinds of the cli-cold benchmark, plus the uuv family
 ISD = ["--n", "24", "--k", "12", "--w", "4", "--p", "1", "--l", "2"]
@@ -114,21 +112,24 @@ def _child(
     return modules, slow
 
 
-def module_sets(workdir: str) -> dict[str, tuple[list[str], list[str]]]:
-    """The library modules each case runs and the watched standard modules
-    it loads, every case in its own interpreter."""
-    env = _child_env()
+def test_each_command_runs_only_the_modules_it_calls(tmp_path):
+    """Each case in its own interpreter: the library modules it runs and the
+    watched standard modules it loads."""
+    workdir, env = str(tmp_path), _child_env()
     # keys and a signature for sign and verify, made in a child of their own
     _child("import cbfdh.cli", KEYGEN, workdir, env)
     _child("import cbfdh.cli", CASES["sign"], workdir, env)
-    return {
+    got = {
         kind: _child(kind if kind.startswith("import") else "import cbfdh.cli",
                      argv, workdir, env)
         for kind, argv in CASES.items()
     }
+    assert {kind: modules for kind, (modules, _) in got.items()} == EXPECTED
+    loaded = {kind: [m for m in slow if m in FORBIDDEN[kind]] for kind, (_, slow) in got.items()}
+    assert loaded == {kind: [] for kind in CASES}
 
 
-def check_modules() -> None:
+def test_package_exports_are_the_submodule_objects():
     import cbfdh
 
     assert cbfdh.__all__ == MODULES
@@ -136,23 +137,8 @@ def check_modules() -> None:
         owner = importlib.import_module(f"cbfdh.{module}")
         assert getattr(cbfdh, module) is owner, module
     assert cbfdh.__version__ == "0.1.0"
-    try:
+    with pytest.raises(AttributeError, match="no_such_name"):
         cbfdh.no_such_name
-    except AttributeError as exc:
-        assert "no_such_name" in str(exc)
-    else:
-        raise AssertionError("unknown attribute did not raise AttributeError")
-
-
-def test_each_command_runs_only_the_modules_it_calls(tmp_path):
-    got = module_sets(str(tmp_path))
-    assert {kind: modules for kind, (modules, _) in got.items()} == EXPECTED
-    loaded = {kind: [m for m in slow if m in FORBIDDEN[kind]] for kind, (_, slow) in got.items()}
-    assert loaded == {kind: [] for kind in CASES}
-
-
-def test_package_exports_are_the_submodule_objects():
-    check_modules()
 
 
 # A SIGINT raised at the first line of f2, which isd's first run imports,
@@ -191,8 +177,6 @@ def test_a_stop_during_a_module_first_run_lands_once_it_is_whole():
     mask after: a ^C during a nested lazy load is raised where the outer
     load was asked for, and both modules are whole."""
     if not hasattr(signal, "pthread_sigmask"):
-        import pytest  # the script runs without it
-
         pytest.skip("the platform cannot block signals")
     proc = subprocess.run(
         [sys.executable, "-c", INTERRUPTED_LOAD],
@@ -228,34 +212,16 @@ print("bound", sample.__name__)
 """
 
 
-try:
-    import pytest
-except ImportError:  # run as a script, which runs no test function
-    pass
-else:
-    @pytest.mark.xfail(
-        sys.version_info < (3, 13), strict=True,
-        reason="the import code drops a stop raised in a lazy module's first "
-        "run started by its __spec__ lookup; ordinary imports propagate it",
+@pytest.mark.xfail(
+    sys.version_info < (3, 13), strict=True,
+    reason="the import code drops a stop raised in a lazy module's first "
+    "run started by its __spec__ lookup; ordinary imports propagate it",
+)
+def test_a_stop_during_a_from_import_first_run_interrupts_the_script():
+    if not hasattr(signal, "pthread_sigmask"):
+        pytest.skip("the platform cannot block signals")
+    proc = subprocess.run(
+        [sys.executable, "-c", FROM_IMPORT_STOPPED],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
-    def test_a_stop_during_a_from_import_first_run_interrupts_the_script():
-        if not hasattr(signal, "pthread_sigmask"):
-            pytest.skip("the platform cannot block signals")
-        proc = subprocess.run(
-            [sys.executable, "-c", FROM_IMPORT_STOPPED],
-            env=_child_env(), capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode != 0 and "KeyboardInterrupt" in proc.stderr, proc.stdout
-
-if __name__ == "__main__":
-    check_modules()
-    with tempfile.TemporaryDirectory() as workdir:
-        got = module_sets(workdir)
-    failed = False
-    for kind, (modules, slow) in got.items():
-        slow = [m for m in slow if m in FORBIDDEN[kind]]
-        ok = modules == EXPECTED[kind] and not slow
-        failed |= not ok
-        loads = f"; loads {' '.join(slow)}" if slow else ""
-        print(f"{'ok  ' if ok else 'FAIL'} {kind}: {' '.join(modules) or '-'}{loads}")
-    sys.exit(1 if failed else 0)
+    assert proc.returncode != 0 and "KeyboardInterrupt" in proc.stderr, proc.stdout

@@ -83,18 +83,23 @@ def test_coin_and_pattern_refuses_a_weight_above_the_length():
     # C(n, w) = 0 leaves no index to accept, so sampling would never end
     with pytest.raises(ValueError, match="no weight-5 words"):
         LazyOracle.coin_and_pattern(4, 5, random.Random(0))
-    rng = random.Random(1)
     with pytest.raises(ValueError, match="no weight-13 words"):
-        ZOracle(random_full_rank(6, 12, rng), 13, 24, rng)
+        make_z(n=12, k=6, w=13)
 
 
 # --- the reprogrammed oracle -----------------------------------------------------
 
 
+def z_over_fresh_h(h_pub, w, salt_bits, rng):
+    """Z over a fresh H, seeded from ``rng`` in the order a game trial seeds them."""
+    h = LazyOracle.uniform(h_pub.nrows, random.Random(rng.getrandbits(64)))
+    return ZOracle(h_pub, h, w, salt_bits, rng)
+
+
 def make_z(seed=5, n=12, k=6, w=4, salt_bits=24):
     rng = random.Random(seed)
     h_pub = random_full_rank(n - k, n, rng)
-    return ZOracle(h_pub, w, salt_bits, rng)
+    return z_over_fresh_h(h_pub, w, salt_bits, rng)
 
 
 def test_z_query_follows_the_hidden_coin():
@@ -133,7 +138,7 @@ def test_z_output_distribution_is_the_exact_half_mixture():
     mixture = [total + size * c for c in counts]
     assert distance_from_uniform(mixture) == distance_from_uniform(counts) / 2
 
-    z = ZOracle(h_pub, w, 16, rng)
+    z = z_over_fresh_h(h_pub, w, 16, rng)
     counts = [0] * (1 << (n - k))
     draws = 12_000
     for i in range(draws):
@@ -164,7 +169,7 @@ def test_sign_without_secret_verifies_and_costs_two_calls():
 def test_sign_without_secret_e_marginal_is_uniform():
     n, k, w = 8, 4, 2
     rng = random.Random(13)
-    z = ZOracle(random_full_rank(n - k, n, rng), w, 16, rng)
+    z = z_over_fresh_h(random_full_rank(n - k, n, rng), w, 16, rng)
     counts = [0] * math.comb(n, w)
     from cbfdh.hashing import rank_weight_pattern
 
@@ -225,6 +230,31 @@ def test_harness_is_deterministic_and_worker_independent():
     c = run_game(3, adv, config, 30, random.Random(5), keep_transcripts=True, workers=2)
     assert c.successes == a.successes and c.trials == a.trials
     assert c.transcripts == a.transcripts
+
+
+def test_each_game_of_a_trial_answers_from_the_same_h():
+    """H belongs to the trial: every game draws it from the same seed, and
+    from game 2 on Z answers its b = 0 inputs from that H."""
+    params = toy_params()
+    config = GameConfig(params)
+    adv = OmniscientAdversary(params)
+    transcripts = [
+        reduction._run_trial(game_id, adv, config, 7, True)[1] for game_id in range(6)
+    ]
+    assert len({t.h_seed for t in transcripts}) == 1
+    h = LazyOracle.uniform(params.n_k, random.Random(0))
+    z = ZOracle(random_full_rank(params.n_k, params.n, random.Random(1)), h,
+                params.w, params.lam0, random.Random(2))
+    m, r = b"kept", BitVector.zeros(params.lam0)
+    z.j.table[(m, r)] = (0, None)
+    assert z.z_query(m, r) is h.table[(m, r)]
+
+
+def test_run_game_tallies_a_game_with_no_trials():
+    params = toy_params()
+    stats = run_game(2, NullAdversary(params), GameConfig(params), 0, random.Random(0))
+    assert (stats.successes, stats.trials, stats.transcripts) == ({2: 0}, {2: 0}, [])
+    assert stats.frequency(2) == 0.0
 
 
 def test_run_game_draws_each_seed_as_its_trial_starts():
@@ -437,6 +467,7 @@ def test_theorem1_bound_validates_inputs():
         dict(log2_dist=math.nan),
         dict(log2_rho_sign=math.inf, log2_q_sign=zero),
         dict(log2_q_hash=math.inf),
+        dict(log2_q_hash=-1.0),  # half a query
         dict(log2_q_sign=math.nan),
         dict(lam=-1),
     ):
