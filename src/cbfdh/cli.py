@@ -83,7 +83,7 @@ def parse_level_log2(text: str) -> float:
     value = float(text)
     if value < 0:
         raise ValueError(f"quantity {text!r} must be non-negative")
-    nonzero = any(c in "123456789" for c in text.lower().partition("e")[0])
+    nonzero = any(c.isdecimal() and int(c) for c in text.lower().partition("e")[0])
     if value == math.inf or (value == 0 and nonzero):
         raise ValueError(f"quantity {text!r} lies outside float range; give it as 2^x")
     if value == 0:

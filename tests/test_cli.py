@@ -681,6 +681,7 @@ def test_bound_rejects_bad_values(capsys):
     ["--lambda", "-5"],
     ["--eps-doom", "1e-400"],  # below float range, not zero
     ["--q-hash", "0.001", "--exp-rho-pub", "2^-10"],  # a thousandth of a query
+    ["--eps-doom", "\u0661e-400"],  # an Arabic-Indic one, below float range
 ])
 def test_bound_rejects_out_of_range_values(capsys, argv):
     code, out, err = run_cli(capsys, "bound", *argv)
@@ -1085,6 +1086,7 @@ def test_a_sigalrm_ends_the_command_as_it_ends_any_process():
     proc = subprocess.Popen(
         [sys.executable, "-m", "cbfdh", "simulate", "--game", "0", "--trials", "2^30"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"},
     )
     try:
         # the command runs its games once its first line is out
