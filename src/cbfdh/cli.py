@@ -468,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = {}
     for name, (_, help_text, _) in COMMANDS.items():
         p = subs[name] = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=parse_count, default=0)
         p.add_argument(
             "--format", dest="fmt", choices=("text", "structured"), default="text"
         )

@@ -23,7 +23,8 @@ column written in that basis, built once per matrix on a decoder's first
 read.  Each selection it solves eliminates only its columns outside that
 set, for the signer, ISD/DOOM and four-sum alike, and :func:`inverse` on
 a frame of the rows.  Full-rank tests and :func:`rank` build no frame,
-and no frame is cached on a fresh key until it is decoded on.  Every XOR
+and no frame is cached on a fresh key until it is decoded on, but a
+loaded secret key carries the one its load check built.  Every XOR
 basis here is a list indexed by ``bit_length()``:
 entry b holds the vector whose leading bit is b - 1 (entry 0 is unused),
 so a basis walk indexes by ``v.bit_length()`` as it is.

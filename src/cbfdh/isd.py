@@ -86,6 +86,8 @@ class IsdParams(FrozenRecord):
     def check(self, n: int, k: int, w: int) -> None:
         if not 0 <= k <= n:
             raise ValueError(f"k = {k} must lie in 0..n = {n}")
+        if not 0 <= w <= n:
+            raise ValueError(f"w = {w} must lie in 0..n = {n}")
         if self.l > n - k:
             raise ValueError(f"l = {self.l} exceeds n - k = {n - k}")
         if self.p > w:
@@ -403,10 +405,12 @@ def _search(
     workers: int,
 ) -> tuple[tuple[int, int] | None, int]:
     """Run trials until one hits or the budget is spent; h's frame is built
-    once, and a rank-deficient h, which has none, is refused, as a trial
-    cannot tell it from a singular selection."""
+    once, and a rank-deficient h, which has none, is refused before any
+    target is hashed, as a trial cannot tell it from a singular selection."""
     if h.frame is None:
         raise ValueError("parity-check matrix is rank deficient")
+    if workers > 1:  # the workers' payload carries every syndrome
+        targets = tuple(targets)
     trial = partial(_isd_trial, (h.frame, targets, q, w, params.p, params.l))
     budget = params.max_iterations
     with closing(run_trials(trial, budget, rng, workers)) as trials:
@@ -472,14 +476,14 @@ def doom_attack(
     if targets is None:
         targets = default_doom_targets(q_limit)
     else:
-        targets = list(targets)[:q_limit]
+        targets = list(targets)[:max(q_limit, 0)]
         q_limit = len(targets)
+    if q_limit < 1:
+        raise ValueError("need at least one target")
     if workers > 1 and q_limit > DOOM_WORKERS_MAX_Q:
         raise ValueError(f"q = {q_limit} exceeds {DOOM_WORKERS_MAX_Q}, the most for workers")
     hashed = _HashedTargets(targets, hash_fn, h.nrows)
-    # the workers' payload carries every syndrome
-    syndromes = tuple(hashed) if workers > 1 else hashed
-    got, used = _search(h, syndromes, q_limit, w, params, rng, workers)
+    got, used = _search(h, hashed, q_limit, w, params, rng, workers)
     if got is None:
         return SearchResult(None, used)
     ti, e_bits = got

@@ -209,19 +209,14 @@ def decode_to_weight(
     per seed weight.  Targets live in the coordinates of h's
     :class:`cbfdh.f2.SystematicFrame`, built once per matrix, and each
     trial solves only on its columns outside the frame's reference set.  A
-    rank-deficient h has no frame: every selection is singular, so its
-    trials draw their columns and nothing else.
+    rank-deficient h has no frame: it returns None and draws nothing.
     """
     r, n = h.nrows, h.ncols
     if s.n != r:
         raise ValueError("syndrome length mismatch")
-    if budget <= 0:
-        return None
     columns, getrandbits = sample_plan(n, r), rng.getrandbits
     frame = h.frame
     if frame is None:
-        for _ in range(budget):
-            sample_from(columns, getrandbits)
         return None
     coords, base, select = frame.coords, frame.reduce(s.bits), frame.select
     window = n - r
@@ -385,7 +380,7 @@ def load_secret_key(path: str) -> tuple[SchemeParams, SecretKey]:
     perm = Permutation(read_naturals("\n".join(lines[at:]), "permutation line"))
     if h_sec.nrows != params.n_k or h_sec.ncols != params.n:
         raise ValueError("secret matrix shape disagrees with the header")
-    if rank(h_sec) < params.n_k:
+    if h_sec.frame is None:  # cached for the signer, which decodes on it
         raise ValueError("secret matrix is rank deficient")
     if mat_mul(scramble, scramble_inv) != BitMatrix.identity(params.n_k):
         raise ValueError("stored scramble inverse is inconsistent")

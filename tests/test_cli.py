@@ -276,8 +276,8 @@ def test_secret_key_permutation_line_is_read_strictly(tmp_path, capsys, edit):
 
 
 def test_secret_key_with_rank_deficient_matrix_exit_2(tmp_path, capsys):
-    # the decoder could never sign on it: without the check, sign spends
-    # its whole budget and exits 3
+    # the decoder could never sign on it: without the check, sign's decoder
+    # would return None at once and the command exit 3
     main(keygen_args(tmp_path))
     head, lines = _key_body_lines(tmp_path / "sk.key")
     lines[1] = "00" * 3  # h_sec's first row
@@ -524,6 +524,19 @@ def test_huge_power_of_two_counts_exit_2(capsys, argv):
         assert out == "" and "invalid parse_count value" in err
 
 
+@pytest.mark.parametrize("command", ["keygen", "attack", "simulate"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    # random.Random(-s) draws what Random(s) draws, so a negative seed would
+    # replay seed s under another echo
+    argv = keygen_args(tmp_path) if command == "keygen" else [command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-7"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid parse_count value" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("mode", [[], ["--mode", "sd"]], ids=("default", "sd"))
 def test_attack_q_needs_doom_mode(capsys, mode):
     code, out, err = run_cli(capsys, "attack", *mode, "--q", "1000", *ATTACK_ARGS)
@@ -531,11 +544,17 @@ def test_attack_q_needs_doom_mode(capsys, mode):
     assert out == ""
 
 
-@pytest.mark.parametrize("n, k", [("10", "12"), ("24", "-1")])
-def test_attack_refuses_k_outside_the_length(capsys, n, k):
-    code, out, err = run_cli(capsys, "attack", "--n", n, "--k", k)
+@pytest.mark.parametrize("argv, named", [
+    (["--n", "10", "--k", "12"], "k = 12 must lie in 0..n = 10"),
+    (["--k", "-1"], "k = -1 must lie in 0..n = 24"),
+    # named before p (w = -1) or the selection (w = 25) is blamed
+    (["--w", "-1"], "w = -1 must lie in 0..n = 24"),
+    (["--w", "25"], "w = 25 must lie in 0..n = 24"),
+], ids=["10-12", "24--1", "w=-1", "w=25"])
+def test_attack_refuses_k_outside_the_length(capsys, argv, named):
+    code, out, err = run_cli(capsys, "attack", *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: k = {k} must lie in 0..n = {n}\n"
+    assert err == f"error: {named}\n"
 
 
 def test_attack_size_guard(capsys):

@@ -127,6 +127,9 @@ def test_success_estimates_ordering_and_validation():
     for k in (12, -1):  # k outside 0..n, named before l or p is checked
         with pytest.raises(ValueError, match=f"k = {k} must lie in 0..n = 10"):
             isd_success(10, k, 3)
+    for w in (11, -1):  # and w, named before p or the selection is
+        with pytest.raises(ValueError, match=f"w = {w} must lie in 0..n = 10"):
+            isd_success(10, 5, w)
 
 
 def test_doom_success_scales_with_targets():
@@ -282,6 +285,28 @@ def test_rank_deficient_matrix_raises_before_any_trial():
             doom_attack(
                 h, lambda t: syndrome_hash(t, 6), 2, IsdParams(1, l, 50), 4, random.Random(0)
             )
+    # workers hash every target up front, but only once h has a frame
+    hashed = []
+
+    def counting_hash(t):
+        hashed.append(t)
+        return syndrome_hash(t, 6)
+
+    trial_rng = random.Random(0)
+    with pytest.raises(ValueError, match="rank deficient"):
+        doom_attack(h, counting_hash, 2, IsdParams(1, 2, 50), 4, trial_rng, workers=2)
+    assert hashed == [] and trial_rng.getstate() == random.Random(0).getstate()
+
+
+@pytest.mark.parametrize("q_limit, targets", [(0, None), (4, []), (-1, [b"a", b"b"])],
+                         ids=["q_limit=0", "no targets", "q_limit=-1"])
+def test_doom_refuses_an_empty_target_set_before_any_trial(q_limit, targets):
+    h = random_full_rank(6, 12, random.Random(17))
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="need at least one target"):
+        doom_attack(h, lambda t: syndrome_hash(t, 6), 2, IsdParams(1, 2, 50), q_limit, rng,
+                    targets=targets)
+    assert rng.getstate() == random.Random(0).getstate()
 
 
 def test_unsolvable_budget_exhaustion_returns_none():

@@ -230,9 +230,12 @@ def test_decode_matches_permuting_reference():
     for case, h, s, w, budget, seed in decode_cases():
         ours, theirs, hits = random.Random(seed), random.Random(seed), []
         got = decode_to_weight(h, s, w, budget, ours)
-        assert got == permuting_decoder(h, s, w, budget, theirs, hits), case
-        assert ours.getstate() == theirs.getstate(), case
         r, n = h.nrows, h.ncols
+        if rank(h) < r:  # no information set: None at once, with no draw
+            assert got is None, case
+        else:
+            assert got == permuting_decoder(h, s, w, budget, theirs, hits), case
+        assert ours.getstate() == theirs.getstate(), case
         seen["found" if got is not None else "exhausted"] += 1
         # p = 0 draws no seed, and a hit at p >= 1 builds its seed word
         seen["found at p = 0"] += hits == [0]
@@ -429,6 +432,7 @@ def test_key_files_round_trip(tmp_path):
     assert public == keypair.public
     assert params_s == params_p
     assert secret == keypair.secret
+    assert "frame" in vars(secret.h_sec)  # the load check's, kept for the signer
     # the secret key alone rebuilds the published matrix
     assert keypair_from_secret(params_s, secret).public == public
 
