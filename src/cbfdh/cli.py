@@ -35,6 +35,7 @@ import sys
 from . import STOP_SIGNALS, exponents, f2, hashing, isd, reduction, scheme
 
 ATTACK_SIZE_GUARD = 64
+RHO_SAMPLES = 500  # the decoder outputs simulate measures rho_hat over
 
 # the inputs of the Theorem 1 loss bound, each given as a decimal or 2^x
 # literal; theorem1_bound_log2 takes each as log2_<name>
@@ -346,16 +347,17 @@ def cmd_bound(args: argparse.Namespace) -> int:
     )
 
     if preset:
-        pre_constant = 1.5 * logs["q_hash"] + 0.5 * logs["exp_rho_pub"]
+        reference = preset["zhandry_reference_log2"]
         report.record(
-            ("zhandry_reference_log2", "-235"),
-            ("zhandry_preconstant_log2", f"{pre_constant:.2f}"),
+            ("zhandry_reference_log2", reference),
+            ("zhandry_preconstant_log2", f"{bound.zhandry_preconstant:.2f}"),
             ("zhandry_term_log2", _fmt_log2(bound.zhandry_term)),
         )
         report.note(
-            "the published surf estimate quotes 2^-235 for the oracle-swap "
-            "term; direct evaluation gives 2^-227.3 before the 8*pi/sqrt(3) "
-            "factor and 2^-223.4 with it; this report keeps the computed value"
+            f"the published surf estimate quotes 2^{reference} for the oracle-swap "
+            f"term; direct evaluation gives 2^{bound.zhandry_preconstant:.1f} before "
+            f"the 8*pi/sqrt(3) factor and 2^{bound.zhandry_term:.1f} with it; this "
+            "report keeps the computed value"
         )
     return 0
 
@@ -381,7 +383,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # makes an S_w too large to tally fail before any game is played
     rng = random.Random(args.seed * 1_000_003 + 97)
     h = f2.random_full_rank(params.n_k, params.n, rng)
-    rho_hat, fail_rate = scheme.measure_decoder_distance(h, params.w, 500, rng)
+    rho_hat, fail_rate = scheme.measure_decoder_distance(h, params.w, RHO_SAMPLES, rng)
     report = Report(args, games=",".join(map(str, games)))
     report.header("per-game win statistics")
     freq: dict[int, float] = {}
@@ -425,7 +427,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report.record(
         ("rho_hat", f"{rho_hat:.6f}"),
         ("decoder_failure_rate", f"{fail_rate:.6f}"),
-        ("rho_samples", 500),
+        ("rho_samples", RHO_SAMPLES),
     )
     return 0
 

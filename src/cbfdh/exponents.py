@@ -234,7 +234,7 @@ def doom_quantum_exponent(pt: RatePoint) -> ExponentResult:
 
 ZHANDRY_CONSTANT = 8 * math.pi / math.sqrt(3)
 
-# SURF's parameters at lambda = 128 and the bound inputs its estimate assumes
+# SURF's parameters at lambda = 128, its estimate's bound inputs and oracle-swap term
 SURF_PRESET = {
     "n": 13976,
     "k": 6988,
@@ -248,6 +248,7 @@ SURF_PRESET = {
     "rho_sign": "0",
     "q_hash": "2^128",
     "q_sign": "2^64",
+    "zhandry_reference_log2": -235,
 }
 
 
@@ -277,11 +278,11 @@ class ReductionBound(FrozenRecord):
     """The master forgery bound as five log2-domain terms plus their sum.
 
     Terms: doubled multi-target decoding success, key-distinguishing
-    advantage, the q^(3/2) oracle-swap cost, accumulated signing leakage,
-    and the salt-birthday floor.  ``condition_item`` tags each term with
-    the side-condition item it must satisfy (None: hardness assumption or
-    parameter choice, not a side condition).
-    """
+    advantage, the q^(3/2) oracle-swap cost (``zhandry_preconstant`` before
+    its 8 pi / sqrt 3 factor), accumulated signing leakage and the
+    salt-birthday floor.  ``condition_item`` tags each term with the
+    side-condition item it must satisfy (None: hardness assumption or
+    parameter choice, not a side condition)."""
 
     CONDITION_ITEMS: dict[str, int | None] = {
         "doom_term": None,
@@ -292,8 +293,9 @@ class ReductionBound(FrozenRecord):
     }
 
     def __init__(
-        self, doom_term: float, distinguisher_term: float, zhandry_term: float,
-        signing_term: float, birthday_term: float, total: float,
+        self, doom_term: float, distinguisher_term: float,
+        zhandry_preconstant: float, zhandry_term: float, signing_term: float,
+        birthday_term: float, total: float,
     ) -> None:
         set_fields(self, locals())
 
@@ -304,12 +306,10 @@ class ReductionBound(FrozenRecord):
             for name, item in self.CONDITION_ITEMS.items()
         ]
 
-    def side_conditions(
-        self, threshold_log2: float | None = None
-    ) -> tuple[ConditionItem, ConditionItem]:
-        """Items 1 and 2: the oracle-swap and signing terms against the
-        threshold, default 2^(-lam/2) (half the birthday term's exponent)."""
-        thr = self.birthday_term / 2 if threshold_log2 is None else threshold_log2
+    def side_conditions(self) -> tuple[ConditionItem, ConditionItem]:
+        """Items 1 and 2: the oracle-swap and signing terms against Theorem
+        1's threshold 2^(-lam/2), half the birthday term's exponent."""
+        thr = self.birthday_term / 2
         return (
             ConditionItem(
                 1, "oracle-swap term small", self.zhandry_term, thr,
@@ -334,7 +334,8 @@ def theorem1_bound_log2(
     """Master bound on forgery success from its five ingredients, each
     given in log2 form (-inf for an exact zero) so that cryptographic sizes
     do not underflow: 2*eps_doom + dist + (8 pi / sqrt 3) q_hash^(3/2)
-    sqrt(E[rho_pub]) + q_sign*rho_sign + 2^-lam, reported term by term.
+    sqrt(E[rho_pub]) + q_sign*rho_sign + 2^-lam, term by term, and the
+    oracle-swap pre-constant q_hash^(3/2) sqrt(E[rho_pub]) evaluated once.
 
     Raises ValueError unless each probability is at most 2^0, each query
     count is 0 or a finite count of at least 1 and lam is nonnegative; NaN
@@ -357,15 +358,13 @@ def theorem1_bound_log2(
             )
     doom = 1.0 + log2_eps_doom
     dist = log2_dist
-    zhandry = (
-        -math.inf
-        if log2_q_hash == -math.inf or log2_exp_rho_pub == -math.inf
-        else math.log2(ZHANDRY_CONSTANT) + 1.5 * log2_q_hash + 0.5 * log2_exp_rho_pub
-    )
+    # -inf when q_hash or E[rho_pub] is 0: the checks above leave no +inf
+    pre_constant = 1.5 * log2_q_hash + 0.5 * log2_exp_rho_pub
+    zhandry = math.log2(ZHANDRY_CONSTANT) + pre_constant
     signing = log2_q_sign + log2_rho_sign
     birthday = -float(lam)
     total = _log2_sum([doom, dist, zhandry, signing, birthday])
-    return ReductionBound(doom, dist, zhandry, signing, birthday, total)
+    return ReductionBound(doom, dist, pre_constant, zhandry, signing, birthday, total)
 
 
 class ConditionReport(FrozenRecord):
@@ -380,19 +379,15 @@ class ConditionReport(FrozenRecord):
 
 
 def condition_check(
-    measured: dict[str, object],
-    q_hash: float,
-    q_sign: float,
-    lam: float,
-    threshold_log2: float | None = None,
+    measured: dict[str, object], q_hash: float, q_sign: float, lam: float
 ) -> ConditionReport:
     """Check the three side conditions against measured desk-scale inputs.
 
     ``measured`` carries ``exp_rho_pub`` (mean weight-w syndrome distance
     over keys), ``rho_sign`` (decoder output distance), and optionally
     ``dist_profile``, a sequence of (t, advantage) points for the key
-    distinguisher.  Items 1 and 2 compare their bound term against the
-    threshold, default 2^(-lam/2).  Item 3 checks every profile point for
+    distinguisher.  Items 1 and 2 compare their bound term against Theorem
+    1's threshold 2^(-lam/2).  Item 3 checks every profile point for
     advantage <= t * 2^-lam, a finite-sample proxy for the required decay;
     an empty profile passes vacuously.
     """
@@ -413,7 +408,7 @@ def condition_check(
             raise ValueError("profile times must be positive")
         margin3 = max(margin3, _log2(float(adv)) + float(lam) - math.log2(t))
     items = (
-        *bound.side_conditions(threshold_log2),
+        *bound.side_conditions(),
         ConditionItem(
             3,
             "key distinguisher decays (advantage <= t / 2^lam)",

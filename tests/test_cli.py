@@ -666,6 +666,21 @@ def test_bound_surf_preset(capsys):
     assert "condition3=accepted-as-input" in out
 
 
+def test_bound_surf_note_quotes_the_printed_evaluation(capsys):
+    # the note's two figures are the run's own records, rounded to 0.1
+    for override in (["--q-hash", "2^100"], ["--exp-rho-pub", "0"], []):
+        code, out, _ = run_cli(capsys, "bound", "--preset", "surf", *override)
+        assert code == 0
+        (row,) = [r for r in kv_lines(out) if "zhandry_reference_log2" in r]
+        note = out.splitlines()[-1]
+        before, after = note.split("direct evaluation gives 2^")[1].split(
+            " before the 8*pi/sqrt(3) factor and 2^"
+        )
+        assert float(before) == round(float(row["zhandry_preconstant_log2"]), 1)
+        assert float(after.split(" ")[0]) == round(float(row["zhandry_term_log2"]), 1)
+        assert f"quotes 2^{row['zhandry_reference_log2']} for" in note
+
+
 def test_bound_all_zero_inputs(capsys):
     code, out, _ = run_cli(capsys, "bound", "--lambda", "128")
     assert code == 0

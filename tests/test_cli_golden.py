@@ -76,6 +76,7 @@ COMMANDS = [
     ["simulate", "--game", "4,5", "--trials", "40", "--seed", "2"],
     ["simulate", "--game", "9"],
     ["simulate", "--n", "40", "--k", "20", "--w", "9", "--trials", "1"],
+    ["bound", "--preset", "surf", "--exp-rho-pub", "0"],
 ]
 
 

@@ -151,6 +151,39 @@ def test_isd_success_is_finite_at_surf_size():
     assert abs(est.exact - est.surrogate) <= 1e-9 * est.surrogate
 
 
+@pytest.mark.parametrize("n, k, w, instances, seed", [
+    (12, 6, 2, 150, 1), (12, 6, 3, 150, 2), (14, 7, 3, 60, 3),
+])
+def test_plain_trial_law_matches_exact_enumeration(n, k, w, instances, seed):
+    """The per-trial law of a p = l = 0 trial on a planted instance, by
+    solving every (n - k)-subset of columns: a subset counts when its
+    selection is nonsingular and its one solution has weight w.  A nonsingular
+    selection (P_ns) either covers the planted support (hit) or solves to a
+    weight-w word by chance, about C(r, w) / 2^r."""
+    r = n - k
+    p_ns = math.prod(1 - 2.0**-i for i in range(1, r + 1))
+    hit = math.comb(r, w) / math.comb(n, w)
+    model = p_ns * (hit + (1 - hit) * math.comb(r, w) / 2**r)
+    rng = random.Random(seed)
+    fractions = []
+    for _ in range(instances):
+        h, s, _ = plant_instance(n, k, w, rng)
+        tau = h.frame.reduce(s.bits)
+        accepted = 0
+        for cols in combinations(range(n), r):
+            selection = h.frame.select(cols)
+            if selection is not None:
+                x = selection.reduce(tau)
+                if x.bit_count() == w:
+                    e = BitVector(n, selection.complete(x, 0))
+                    assert mat_vec_mul(h, e) == s
+                    accepted += 1
+        fractions.append(accepted / math.comb(n, r))
+    mean = sum(fractions) / instances
+    var = sum((f - mean) ** 2 for f in fractions) / (instances - 1)
+    assert abs(mean - model) <= 4 * math.sqrt(var / instances)
+
+
 # --- window enumeration -----------------------------------------------------------
 
 

@@ -412,7 +412,7 @@ def test_theorem1_bound_surf_scale():
     assert bound.zhandry_term == pytest.approx(expected, abs=1e-9)
     assert bound.zhandry_term == pytest.approx(-223.42, abs=0.01)
     # pre-constant exponent: the 3/2-power and root alone give about -227.3
-    assert 1.5 * 128 + 0.5 * (-0.06 * 13976) == pytest.approx(-227.28, abs=0.01)
+    assert bound.zhandry_preconstant == pytest.approx(-227.28, abs=0.01)
     assert bound.total == pytest.approx(math.log2(2**-127 + 2**-128), abs=1e-6)
     tags = {name: item for name, _, item in bound.terms()}
     assert tags == {
@@ -425,7 +425,21 @@ def test_theorem1_bound_surf_scale():
     swap, signing = bound.side_conditions()
     assert (swap.index, swap.value_log2, swap.threshold_log2) == (1, bound.zhandry_term, -64.0)
     assert swap.passed and signing.passed and signing.value_log2 == -math.inf
-    assert not bound.side_conditions(threshold_log2=-230.0)[0].passed
+
+
+def test_theorem1_bound_carries_the_oracle_swap_preconstant():
+    # one evaluation of q_hash^(3/2) sqrt(E[rho_pub]), which the term scales
+    for log2_q_hash, log2_exp_rho_pub in ((128.0, -838.56), (0.0, 0.0), (60.0, -300.0)):
+        bound = theorem1_bound_log2(
+            ZERO, ZERO, log2_exp_rho_pub, ZERO, log2_q_hash, ZERO, 128
+        )
+        assert bound.zhandry_preconstant == 1.5 * log2_q_hash + 0.5 * log2_exp_rho_pub
+        assert bound.zhandry_term == math.log2(ZHANDRY_CONSTANT) + bound.zhandry_preconstant
+    for log2_q_hash, log2_exp_rho_pub in ((ZERO, -838.56), (128.0, ZERO), (ZERO, ZERO)):
+        bound = theorem1_bound_log2(
+            ZERO, ZERO, log2_exp_rho_pub, ZERO, log2_q_hash, ZERO, 128
+        )
+        assert bound.zhandry_preconstant == bound.zhandry_term == -math.inf
 
 
 def test_theorem1_bound_validates_inputs():
@@ -465,9 +479,7 @@ def test_condition_check_items():
     report = condition_check({"exp_rho_pub": 1.0, "rho_sign": 0.0}, 1, 2**64, 128)
     assert not report.items[0].passed
     assert report.items[1].passed  # rho_sign = 0 passes at any q_sign
-    report = condition_check(
-        {"exp_rho_pub": 0.0, "rho_sign": 1e-30}, 0, 4, 16, threshold_log2=-8.0
-    )
+    report = condition_check({"exp_rho_pub": 0.0, "rho_sign": 1e-30}, 0, 4, 16)
     assert report.items[1].passed
     good = [(2.0**40, 2.0**-100)]
     bad = [(2.0**40, 2.0**-80)]
