@@ -7,9 +7,12 @@ security-loss terms, and simulate runs the oracle-game harness.
 
 Every run is reproducible from its first output line: the resolved
 configuration, seed included, is echoed before any result.  ``COMMANDS``
-names each command's handler, help line and echo keys; ``Report`` writes
-the echo from them, so a handler passes only the values it resolved (the
-key file's n, k, w; attack's q; bound's preset, lambda and inputs).  Output
+names each command's handler, help line and echo keys, and declares its
+options; ``Report`` writes the echo from them, so a handler passes only the
+values it resolved (the key file's n, k, w; attack's q; bound's preset,
+lambda and inputs).  ``main`` reads a command line spelled exactly as the
+table spells it straight from the table; argparse, built from the same
+table, reads every other one: help, abbreviations and input errors.  Output
 is line-delimited key=value records in both formats; text mode adds comment
 headers.  Lines are printed as they are made, so a stopped run keeps its
 echo; handlers check inputs first, so an input error prints nothing.  Exit
@@ -25,14 +28,18 @@ command runs only the library modules it calls.
 from __future__ import annotations
 
 import _signal  # signal's builtin core; signal's enums cost a cold command 1 ms
-import argparse
 import functools
 import math
 import os
 import random
 import sys
+import types
 
 from . import STOP_SIGNALS, exponents, f2, hashing, isd, reduction, scheme
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: argparse loads where a parser is built
+    import argparse
 
 ATTACK_SIZE_GUARD = 64
 RHO_SAMPLES = 500  # the decoder outputs simulate measures rho_hat over
@@ -67,6 +74,8 @@ def parse_workers(text: str) -> int:
     """Process count for a trial pool: an integer of at least 1."""
     value = int(text)
     if value < 1:
+        import argparse  # its error type keeps the message argparse prints
+
         raise argparse.ArgumentTypeError(f"workers must be at least 1, got {value}")
     return value
 
@@ -434,104 +443,136 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 # --- argument plumbing ---------------------------------------------------------------
 
-# name: (handler, help, echo keys); the echo keys are argument dests or
-# values the handler resolves, and Report echoes them in this order
+
+def _opt(flag, convert=None, default=None, *, dest=None, choices=None, kind=None, help=None):
+    """One option: (flag, dest, type, default, choices, kind, help); kind is
+    None, "required" or "store_true", and a type of None keeps the text."""
+    return flag, dest or flag[2:].replace("-", "_"), convert, default, choices, kind, help
+
+
+def _code_opts(n: int, k: int, w: int) -> tuple:
+    return _opt("--n", int, n), _opt("--k", int, k), _opt("--w", int, w)
+
+
+def _lambda_opts(lam: int, lam0: int) -> tuple:
+    return _opt("--lambda", int, lam, dest="lam"), _opt("--lambda0", int, lam0, dest="lam0")
+
+
+# every command's first options
+COMMON_OPTS = (_opt("--seed", parse_count, 0),
+               _opt("--format", dest="fmt", choices=("text", "structured"), default="text"))
+_MESSAGE_OPTS = (_opt("--signature", kind="required"), _opt("--message"),
+                 _opt("--message-file"))
+
+# name: (handler, help, echo keys, options); the echo keys are argument dests or
+# values the handler resolves, and Report echoes them in this order; the
+# options follow COMMON_OPTS in the order --help lists them
 COMMANDS = {
-    "keygen": (cmd_keygen, "generate a key pair into flat files",
-               ("seed", "n", "k", "w", "lam", "lam0", "family", "k_u")),
-    "sign": (cmd_sign, "sign a message with a secret key file",
-             ("seed", "budget", "n", "k", "w")),
-    "verify": (cmd_verify, "check a signature file, print ACCEPT/REJECT",
-               ("seed", "n", "k", "w")),
-    "attack": (cmd_attack, "run a decoder on a planted instance",
-               ("mode", "seed", "n", "k", "w", "p", "l", "q", "budget", "workers",
-                "force")),
-    "exponents": (cmd_exponents, "print the asymptotic cost table",
-                  ("seed", "rate", "omega")),
-    "bound": (cmd_bound, "evaluate the security-loss terms",
-              ("seed", "preset", "lam", *BOUND_INPUTS)),
-    "simulate": (cmd_simulate, "run the oracle-game harness",
-                 ("seed", "n", "k", "w", "lam", "lam0", "trials", "games", "workers")),
+    "keygen": (
+        cmd_keygen, "generate a key pair into flat files",
+        ("seed", "n", "k", "w", "lam", "lam0", "family", "k_u"),
+        (*_code_opts(24, 12, 4), *_lambda_opts(128, 64),
+         _opt("--family", choices=("random", "uuv"), default="random"),
+         _opt("--ku", int, dest="k_u", help="uuv only; k_v is k - k_u"),
+         _opt("--public-key", kind="required"), _opt("--secret-key", kind="required")),
+    ),
+    "sign": (
+        cmd_sign, "sign a message with a secret key file",
+        ("seed", "budget", "n", "k", "w"),
+        (_opt("--secret-key", kind="required"), _opt("--budget", parse_count, 1000),
+         *_MESSAGE_OPTS),
+    ),
+    "verify": (
+        cmd_verify, "check a signature file, print ACCEPT/REJECT",
+        ("seed", "n", "k", "w"),
+        (_opt("--public-key", kind="required"), *_MESSAGE_OPTS),
+    ),
+    "attack": (
+        cmd_attack, "run a decoder on a planted instance",
+        ("mode", "seed", "n", "k", "w", "p", "l", "q", "budget", "workers", "force"),
+        (_opt("--mode", choices=("sd", "doom"), default="sd"), *_code_opts(24, 12, 4),
+         _opt("--p", int, 0), _opt("--l", int, 0),
+         _opt("--q", parse_count, help="DOOM targets; doom mode only"),
+         _opt("--budget", parse_count, 2000), _opt("--force", kind="store_true"),
+         _opt("--workers", parse_workers, 1,
+              help="trial processes; above 1, all q DOOM targets are hashed up "
+              "front, so --q is at most 2^16")),
+    ),
+    "exponents": (
+        cmd_exponents, "print the asymptotic cost table",
+        ("seed", "rate", "omega"),
+        (_opt("--rate", float), _opt(
+            "--omega", float, help="relative weight; the GV weight of --rate when omitted"
+        )),
+    ),
+    "bound": (
+        cmd_bound, "evaluate the security-loss terms",
+        ("seed", "preset", "lam", *BOUND_INPUTS),
+        (_opt("--preset", choices=("surf",)),
+         _opt("--lambda", int, dest="lam", help="the preset's, else 128"),
+         *(_opt("--" + key.replace("_", "-")) for key in BOUND_INPUTS)),
+    ),
+    "simulate": (
+        cmd_simulate, "run the oracle-game harness",
+        ("seed", "n", "k", "w", "lam", "lam0", "trials", "games", "workers"),
+        (*_code_opts(12, 6, 4), *_lambda_opts(8, 24),
+         _opt("--game", dest="games", default="all"), _opt("--trials", parse_count, 400),
+         _opt("--workers", parse_workers, 1)),
+    ),
 }
 
 
-def _add_code_params(parser: argparse.ArgumentParser, n: int, k: int, w: int) -> None:
-    parser.add_argument("--n", type=int, default=n)
-    parser.add_argument("--k", type=int, default=k)
-    parser.add_argument("--w", type=int, default=w)
+def _parse_exact(argv: list[str]) -> types.SimpleNamespace | None:
+    """What argparse makes of argv when every token is a spelling the table
+    owns: a command, then its flags as ``--f v`` or ``--f=v`` (store_true
+    ones bare), each value not starting with "-", converting and passing
+    its choices, and every required flag given; else None, for argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = {opt[0]: opt for opt in (*COMMON_OPTS, *COMMANDS[argv[0]][3])}
+    values = {dest: default for _, dest, _, default, *_ in options.values()}
+    missing = {flag for flag, *_, kind, _ in options.values() if kind == "required"}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            return None
+        _, dest, convert, _, choices, kind, _ = options[flag]
+        if kind == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")  # a missing value fails as "-..." does
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = convert(value) if convert else value
+        except Exception:  # argparse runs the same type and reports it
+            return None
+        if choices and values[dest] not in choices:
+            return None
+        missing.discard(flag)
+    return None if missing else types.SimpleNamespace(command=argv[0], **values)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cbfdh",
         description="workbench for code-based hash-and-sign signatures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subs = {}
-    for name, (_, help_text, _) in COMMANDS.items():
-        p = subs[name] = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=parse_count, default=0)
-        p.add_argument(
-            "--format", dest="fmt", choices=("text", "structured"), default="text"
-        )
-
-    p = subs["keygen"]
-    _add_code_params(p, 24, 12, 4)
-    p.add_argument("--lambda", dest="lam", type=int, default=128)
-    p.add_argument("--lambda0", dest="lam0", type=int, default=64)
-    p.add_argument("--family", choices=("random", "uuv"), default="random")
-    p.add_argument("--ku", dest="k_u", type=int, help="uuv only; k_v is k - k_u")
-    p.add_argument("--public-key", required=True)
-    p.add_argument("--secret-key", required=True)
-
-    p = subs["sign"]
-    p.add_argument("--secret-key", required=True)
-    p.add_argument("--budget", type=parse_count, default=1000)
-
-    p = subs["verify"]
-    p.add_argument("--public-key", required=True)
-
-    for name in ("sign", "verify"):
-        p = subs[name]
-        p.add_argument("--signature", required=True)
-        p.add_argument("--message")
-        p.add_argument("--message-file")
-
-    p = subs["attack"]
-    p.add_argument("--mode", choices=("sd", "doom"), default="sd")
-    _add_code_params(p, 24, 12, 4)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--l", type=int, default=0)
-    p.add_argument("--q", type=parse_count, help="DOOM targets; doom mode only")
-    p.add_argument("--budget", type=parse_count, default=2000)
-    p.add_argument("--force", action="store_true", default=None)
-    p.add_argument(
-        "--workers", type=parse_workers, default=1,
-        help="trial processes; above 1, all q DOOM targets are hashed up front, "
-        "so --q is at most 2^16",
-    )
-
-    p = subs["exponents"]
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument(
-        "--omega", type=float, default=None,
-        help="relative weight; the GV weight of --rate when omitted",
-    )
-
-    p = subs["bound"]
-    p.add_argument("--preset", choices=("surf",), default=None)
-    p.add_argument("--lambda", dest="lam", type=int, help="the preset's, else 128")
-    for key in BOUND_INPUTS:
-        p.add_argument("--" + key.replace("_", "-"))
-
-    p = subs["simulate"]
-    _add_code_params(p, 12, 6, 4)
-    p.add_argument("--lambda", dest="lam", type=int, default=8)
-    p.add_argument("--lambda0", dest="lam0", type=int, default=24)
-    p.add_argument("--game", dest="games", default="all")
-    p.add_argument("--trials", type=parse_count, default=400)
-    p.add_argument("--workers", type=parse_workers, default=1)
-
+    for name, (_, help_text, _, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, dest, convert, default, choices, kind, text in (*COMMON_OPTS, *options):
+            kwargs = (
+                {"action": kind} if kind == "store_true"
+                else {"type": convert, "choices": choices, "required": kind == "required"}
+            )
+            p.add_argument(flag, dest=dest, default=default, help=text, **kwargs)
     return parser
 
 
@@ -540,7 +581,9 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_exact(argv) or _parser().parse_args(argv)
     try:
         code = COMMANDS[args.command][0](args)
         sys.stdout.flush()  # a closed stdout fails here, not in the exit flush

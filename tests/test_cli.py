@@ -71,6 +71,91 @@ def test_literal_parsing():
         parse_level_log2("-0.5")
 
 
+# --- argument parsing ---------------------------------------------------------------
+
+
+def argparse_vars(argv):
+    """vars() of the namespace argparse makes of argv; None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cbfdh.cli._parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# values argparse refuses, reads as a flag, or reads another way than they look
+ODD_VALUES = ["", "-1", "-0.5", "-x", "--", "x", "nope", "a=b", " 7 ", "2^70", "0", "+3"]
+
+
+def good_value(option):
+    _, _, convert, _, choices, _, _ = option
+    if choices:
+        return st.sampled_from(choices)
+    if convert in (int, cbfdh.cli.parse_workers):
+        return st.integers(1, 40).map(str)
+    if convert is parse_count:
+        return st.sampled_from(["0", "7", "2^3"])
+    if convert is float:
+        return st.sampled_from(["0.5", "0.11", "1e-3"])
+    return st.text("ab =-.", max_size=4)
+
+
+@st.composite
+def table_argv(draw):
+    """An argv built from the command table's spellings, with the ways
+    around them: abbreviations, help, ``--``, unknown flags, stray words,
+    odd values, missing values and missing required flags."""
+    command = draw(st.sampled_from([*cbfdh.cli.COMMANDS, "bogus", "key", "-h", None]))
+    if command is None:
+        return []
+    own = cbfdh.cli.COMMANDS[command][3] if command in cbfdh.cli.COMMANDS else ()
+    options = [*cbfdh.cli.COMMON_OPTS, *own]
+    wanted = [opt for opt in options if opt[5] == "required" and draw(st.integers(0, 9))]
+    wanted += draw(st.lists(st.sampled_from(options), max_size=6))
+    argv = [command]
+    for opt in draw(st.permutations(wanted)):
+        flag = opt[0]
+        value = draw(st.one_of(good_value(opt), good_value(opt), st.sampled_from(ODD_VALUES)))
+        spelling = draw(st.sampled_from(
+            ["exact"] * 4 + ["equals"] * 2 + ["bare", "abbreviated", "other"]
+        ))
+        if opt[5] == "store_true" and spelling != "other":
+            argv += [flag] if spelling == "exact" else [f"{flag}={draw(st.sampled_from('01'))}"]
+        elif spelling == "exact":
+            argv += [flag, value]
+        elif spelling == "equals":
+            argv.append(f"{flag}={value}")
+        elif spelling == "bare":
+            argv.append(flag)
+        elif spelling == "abbreviated":
+            argv += [flag[:draw(st.integers(3, max(3, len(flag) - 1)))], value]
+        else:
+            argv += draw(st.sampled_from([["-h"], ["--help"], ["--"], ["--bogus", value], ["stray"]]))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(table_argv())
+def test_exact_parse_agrees_with_argparse(argv):
+    """Whatever the table's direct parse accepts, argparse, built from the
+    same table, accepts too, into the same values."""
+    direct = cbfdh.cli._parse_exact(argv)
+    if direct is not None:
+        assert vars(direct) == argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["attack", "--force=1"], ["attack", "--force="], ["attack", "--q"],
+    ["attack", "--mess", "x"], ["verify", "--sig", "m.sig", "--public-key", "pk.key"],
+    ["attack", "--"], ["attack", "--", "--n", "3"], ["attack", "-h"], ["keygen", "--help"],
+    ["keygen", "--seed", "-1", "--public-key", "x", "--secret-key", "y"],
+    ["attack", "--workers", "0"], ["attack", "--mode", "nope"], ["attack", "--n", ""],
+    ["sign", "--secret-key", "sk.key"], ["attack", "--n=-3"], ["exponents", "0.5"],
+])
+def test_what_the_exact_parse_leaves_to_argparse(argv):
+    assert cbfdh.cli._parse_exact(argv) is None
+
+
 # --- scheme pipeline ----------------------------------------------------------------
 
 

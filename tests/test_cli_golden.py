@@ -16,7 +16,7 @@ import shlex
 import sys
 import tempfile
 
-from cbfdh.cli import main
+from cbfdh.cli import _parse_exact, _parser, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_replay.txt")
 
@@ -26,6 +26,7 @@ KEYGEN = [
 ]
 ISD = ["--n", "24", "--k", "12", "--w", "4", "--p", "1", "--l", "2"]
 STRUCTURED = ["--format", "structured"]
+ABBREVIATED = ["verify", "--public-key", "pk.key", "--sig", "m.sig", "--message", "hello"]
 
 COMMANDS = [
     [*KEYGEN, "--public-key", "pk.key", "--secret-key", "sk.key"],
@@ -77,7 +78,15 @@ COMMANDS = [
     ["simulate", "--game", "9"],
     ["simulate", "--n", "40", "--k", "20", "--w", "9", "--trials", "1"],
     ["bound", "--preset", "surf", "--exp-rho-pub", "0"],
+    # spellings beside the exact ones: an abbreviation, which argparse
+    # expands, and the --f=v form, which the table's own parse reads
+    ABBREVIATED,
+    ["attack", "--mode=doom", "--q=8", "--n=24", "--k=12", "--w=4", "--p=1", "--l=2",
+     "--seed=3"],
 ]
+# the commands only argparse parses: a value that starts with "-", and the
+# abbreviation
+ARGPARSE_ONLY = [["bound", "--eps-doom", "-0.5"], ABBREVIATED]
 
 
 def transcript() -> str:
@@ -100,6 +109,16 @@ def test_cli_replays_golden_transcript(tmp_path, monkeypatch):
     got = transcript()
     assert got.splitlines() == golden.splitlines()
     assert got == golden
+
+
+def test_pinned_commands_skip_argparse_where_their_spelling_allows():
+    """Every pinned command but ARGPARSE_ONLY is read by the command
+    table's own parse, into the values argparse would give it."""
+    for argv in COMMANDS:
+        direct = _parse_exact(argv)
+        assert (direct is None) == (argv in ARGPARSE_ONLY), argv
+        if direct is not None:
+            assert vars(direct) == vars(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":
