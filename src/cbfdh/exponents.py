@@ -40,8 +40,6 @@ __all__ = [
     "ReductionBound",
     "theorem1_bound_log2",
     "ConditionItem",
-    "ConditionReport",
-    "condition_check",
 ]
 
 
@@ -252,12 +250,6 @@ SURF_PRESET = {
 }
 
 
-def _log2(x: float) -> float:
-    if x < 0:
-        raise ValueError("expected a nonnegative value")
-    return -math.inf if x == 0 else math.log2(x)
-
-
 def _log2_sum(terms: list[float]) -> float:
     finite = [t for t in terms if t != -math.inf]
     if not finite:
@@ -366,55 +358,3 @@ def theorem1_bound_log2(
     total = _log2_sum([doom, dist, zhandry, signing, birthday])
     return ReductionBound(doom, dist, pre_constant, zhandry, signing, birthday, total)
 
-
-class ConditionReport(FrozenRecord):
-    """Side-condition verdicts plus an echo of the measured inputs."""
-
-    def __init__(self, items: tuple[ConditionItem, ...], measured: dict) -> None:
-        set_fields(self, locals())
-
-    @property
-    def passed(self) -> bool:
-        return all(item.passed for item in self.items)
-
-
-def condition_check(
-    measured: dict[str, object], q_hash: float, q_sign: float, lam: float
-) -> ConditionReport:
-    """Check the three side conditions against measured desk-scale inputs.
-
-    ``measured`` carries ``exp_rho_pub`` (mean weight-w syndrome distance
-    over keys), ``rho_sign`` (decoder output distance), and optionally
-    ``dist_profile``, a sequence of (t, advantage) points for the key
-    distinguisher.  Items 1 and 2 compare their bound term against Theorem
-    1's threshold 2^(-lam/2).  Item 3 checks every profile point for
-    advantage <= t * 2^-lam, a finite-sample proxy for the required decay;
-    an empty profile passes vacuously.
-    """
-    bound = theorem1_bound_log2(
-        log2_eps_doom=-math.inf,
-        log2_dist=-math.inf,
-        log2_exp_rho_pub=_log2(float(measured["exp_rho_pub"])),
-        log2_rho_sign=_log2(float(measured["rho_sign"])),
-        log2_q_hash=_log2(q_hash),
-        log2_q_sign=_log2(q_sign),
-        lam=lam,
-    )
-    profile = tuple(measured.get("dist_profile") or ())
-    # worst log2 margin of advantage * 2^lam / t over the profile
-    margin3 = -math.inf
-    for t, adv in profile:
-        if t <= 0:
-            raise ValueError("profile times must be positive")
-        margin3 = max(margin3, _log2(float(adv)) + float(lam) - math.log2(t))
-    items = (
-        *bound.side_conditions(),
-        ConditionItem(
-            3,
-            "key distinguisher decays (advantage <= t / 2^lam)",
-            margin3,
-            0.0,
-            margin3 <= 0.0,
-        ),
-    )
-    return ConditionReport(items, dict(measured))

@@ -43,8 +43,6 @@ __all__ = [
     "ZOracle",
     "sign_without_secret",
     "Adversary",
-    "NullAdversary",
-    "ReplayAdversary",
     "OmniscientAdversary",
     "GameConfig",
     "GameTranscript",
@@ -193,28 +191,6 @@ class Adversary(FrozenRecord):
         sign_query: Callable[[bytes], Signature | None], rng: random.Random,
     ) -> tuple[bytes, BitVector, BitVector] | None:
         raise NotImplementedError
-
-
-class NullAdversary(Adversary):
-    """Outputs a fixed garbage triple without querying anything."""
-
-    q_hash, q_sign = 0, 0
-
-    def run(self, pk, hash_query, sign_query, rng):
-        return b"junk", BitVector.zeros(self.params.n), BitVector.zeros(self.params.lam0)
-
-
-class ReplayAdversary(Adversary):
-    """Asks for one signature and resubmits it verbatim; the freshness
-    requirement on the forged message makes this lose every game."""
-
-    q_hash, q_sign = 0, 1
-
-    def run(self, pk, hash_query, sign_query, rng):
-        sig = sign_query(b"replayed message")
-        if sig is None:
-            return None
-        return b"replayed message", sig.e, sig.salt
 
 
 class OmniscientAdversary(Adversary):
@@ -406,7 +382,10 @@ def run_game(
     the secret key, 4 replaces the public matrix by a uniform one, and 5
     additionally requires the hidden coin at the forgery point to be 0.
     Seeds are drawn as trials start, at most a block ahead under a pool,
-    so memory stays bounded and the outcome does not depend on ``workers``.
+    so the seeds held stay bounded and the outcome does not depend on
+    ``workers``.  The transcripts do not: with ``keep_transcripts`` every
+    trial keeps its own, about 2.5 KB at ``simulate``'s sizes, so memory
+    grows with ``trials``.
     """
     if not 0 <= game_id <= 5:
         raise ValueError("game_id must be in 0..5")

@@ -34,7 +34,6 @@ from cbfdh.isd import (
     doom_attack,
     generalized_isd,
     isd_success,
-    m_solutions,
     plant_instance,
     run_trials,
 )
@@ -86,16 +85,13 @@ def test_mitm_counter_matches_enumeration():
 # --- predictors -----------------------------------------------------------------
 
 
-def test_m_solutions_frozen_examples():
-    got = m_solutions(4, 2, 1)
-    assert got.exact == 1
-    assert got.log2 == 0.0
-    assert m_solutions(6, 3, 0).exact == Fraction(1, 8)
-
-
-def test_m_solutions_monte_carlo_mean():
+def test_expected_solution_count_monte_carlo_mean():
+    # where the surrogate is below its cap of 1, surrogate / hit is the
+    # count C(n, w) / 2^(n - k) that the attack predictor multiplies by
     n, k, w = 24, 12, 8
-    expect = float(m_solutions(n, k, w).exact)
+    est = isd_success(n, k, w)
+    assert est.surrogate_log2 < 0.0
+    expect = 2.0 ** (est.surrogate_log2 - est.hit_prob_log2)
     rng = random.Random(42)
     total = 0
     runs = 500
@@ -112,6 +108,9 @@ def test_prange_success_frozen_example():
     assert got.hit_prob == 0.5
     assert got.surrogate == 0.5
     assert abs(got.exact - 0.5) < 1e-12
+    # w = 0: every selection hits, and 1/8 of syndromes have the solution
+    got = isd_success(6, 3, 0)
+    assert (got.hit_prob, got.surrogate_log2) == (1.0, -3.0)
 
 
 def test_success_estimates_ordering_and_validation():
@@ -264,7 +263,8 @@ def test_prange_equals_generalized_at_zero_parameters():
         hit = Fraction(math.comb(n - k, w), math.comb(n, w))
         assert est.hit_prob == float(hit)
         assert est.hit_prob_log2 == math.log2(hit.numerator) - math.log2(hit.denominator)
-        assert est.surrogate_log2 == min(0.0, m_solutions(n, k, w).log2 + est.hit_prob_log2)
+        expected_log2 = math.log2(math.comb(n, w)) - (n - k)
+        assert est.surrogate_log2 == min(0.0, expected_log2 + est.hit_prob_log2)
     rng = random.Random(11)
     h, s, _ = plant_instance(14, 7, 3, rng)
     assert generalized_isd(h, s, 3, IsdParams(0, 0, 200), random.Random(123)).found
@@ -274,7 +274,7 @@ def success_by_fraction(n, k, w, p, l, q):
     """isd_success's fields computed through ``Fraction``: the reference
     its integer path must match bit for bit."""
     hit = Fraction(math.comb(k + l, p) * math.comb(n - k - l, w - p), math.comb(n, w))
-    expected_log2 = m_solutions(n, k, w).log2 + math.log2(q)
+    expected_log2 = math.log2(math.comb(n, w)) - (n - k) + math.log2(q)
     hit_f, hit_log2 = float(hit), math.log2(hit.numerator) - math.log2(hit.denominator)
     surrogate_log2 = min(0.0, expected_log2 + hit_log2)
     if hit_f >= 1.0 or expected_log2 + hit_log2 > 9:

@@ -7,17 +7,16 @@ from scipy import stats as scipy_stats
 
 from cbfdh import reduction
 from cbfdh.codes import distance_from_uniform, syndrome_counts
-from cbfdh.exponents import ZHANDRY_CONSTANT, condition_check, theorem1_bound_log2
+from cbfdh.exponents import ZHANDRY_CONSTANT, theorem1_bound_log2
 from cbfdh.f2 import BitMatrix, BitVector, mat_vec_mul, random_full_rank
 from cbfdh.reduction import (
+    Adversary,
     GameConfig,
     GameTranscript,
     HarnessError,
     LazyOracle,
-    NullAdversary,
     OmniscientAdversary,
     ReductionError,
-    ReplayAdversary,
     ZOracle,
     extract_doom_solution,
     run_game,
@@ -187,6 +186,28 @@ def test_sign_without_secret_cap(monkeypatch):
 
 
 # --- game harness ------------------------------------------------------------------
+
+
+class NullAdversary(Adversary):
+    """Outputs a fixed garbage triple without querying anything."""
+
+    q_hash, q_sign = 0, 0
+
+    def run(self, pk, hash_query, sign_query, rng):
+        return b"junk", BitVector.zeros(self.params.n), BitVector.zeros(self.params.lam0)
+
+
+class ReplayAdversary(Adversary):
+    """Asks for one signature and resubmits it verbatim; the freshness
+    requirement on the forged message makes this lose every game."""
+
+    q_hash, q_sign = 0, 1
+
+    def run(self, pk, hash_query, sign_query, rng):
+        sig = sign_query(b"replayed message")
+        if sig is None:
+            return None
+        return b"replayed message", sig.e, sig.salt
 
 
 def test_null_and_replay_adversaries_never_win():
@@ -375,9 +396,7 @@ def test_zhandry_bound_values():
     assert swap_term(8, 1e-6) > swap_term(4, 1e-6)
     assert swap_term(4, 1e-5) > swap_term(4, 1e-6)
     with pytest.raises(ValueError):
-        condition_check({"exp_rho_pub": 0.5, "rho_sign": 0.0}, -1, 1, 128)
-    with pytest.raises(ValueError):
-        condition_check({"exp_rho_pub": 1.5, "rho_sign": 0.0}, 4, 1, 128)
+        swap_term(4, 1.5)  # E[rho_pub] above 1
 
 
 def test_theorem1_bound_term_isolation():
@@ -443,16 +462,6 @@ def test_theorem1_bound_carries_the_oracle_swap_preconstant():
 
 
 def test_theorem1_bound_validates_inputs():
-    # float inputs reach the bound through condition_check's log2 conversion
-    for measured, q_hash, q_sign in (
-        ({"exp_rho_pub": 0.0, "rho_sign": 1.5}, 1, 1),
-        ({"exp_rho_pub": 0.5, "rho_sign": 0.0}, -1, 1),
-        ({"exp_rho_pub": 0.0, "rho_sign": -0.5}, 1, 1),
-        ({"exp_rho_pub": math.nan, "rho_sign": 0.0}, 1, 1),
-        ({"exp_rho_pub": 0.0, "rho_sign": 0.5}, 1, math.inf),
-    ):
-        with pytest.raises(ValueError):
-            condition_check(measured, q_hash, q_sign, 128)
     zero = ZERO
     args = dict(
         log2_eps_doom=zero, log2_dist=zero, log2_exp_rho_pub=zero,
@@ -461,7 +470,10 @@ def test_theorem1_bound_validates_inputs():
     for bad in (
         dict(log2_eps_doom=5.0),
         dict(log2_dist=math.nan),
+        dict(log2_rho_sign=math.log2(1.5)),
         dict(log2_rho_sign=math.inf, log2_q_sign=zero),
+        dict(log2_exp_rho_pub=math.nan),
+        dict(log2_rho_sign=-1.0, log2_q_sign=math.inf),
         dict(log2_q_hash=math.inf),
         dict(log2_q_hash=-1.0),  # half a query
         dict(log2_q_sign=math.nan),
@@ -471,25 +483,34 @@ def test_theorem1_bound_validates_inputs():
             theorem1_bound_log2(**{**args, **bad})
 
 
-def test_condition_check_items():
-    report = condition_check(
-        {"exp_rho_pub": 0.0, "rho_sign": 0.0}, 2**128, 2**64, 128
-    )
-    assert report.passed
-    report = condition_check({"exp_rho_pub": 1.0, "rho_sign": 0.0}, 1, 2**64, 128)
-    assert not report.items[0].passed
-    assert report.items[1].passed  # rho_sign = 0 passes at any q_sign
-    report = condition_check({"exp_rho_pub": 0.0, "rho_sign": 1e-30}, 0, 4, 16)
-    assert report.items[1].passed
-    good = [(2.0**40, 2.0**-100)]
-    bad = [(2.0**40, 2.0**-80)]
-    assert condition_check(
-        {"exp_rho_pub": 0.0, "rho_sign": 0.0, "dist_profile": good}, 1, 1, 128
-    ).items[2].passed
-    assert not condition_check(
-        {"exp_rho_pub": 0.0, "rho_sign": 0.0, "dist_profile": bad}, 1, 1, 128
-    ).items[2].passed
-    echoed = condition_check(
-        {"exp_rho_pub": 0.125, "rho_sign": 0.0}, 1, 1, 64
-    ).measured
-    assert echoed["exp_rho_pub"] == 0.125
+def side_conditions(log2_exp_rho_pub, log2_rho_sign, log2_q_hash, log2_q_sign, lam):
+    """Items 1 and 2 of the bound at the given inputs, with no DOOM or
+    distinguisher term."""
+    return theorem1_bound_log2(
+        ZERO, ZERO, log2_exp_rho_pub, log2_rho_sign, log2_q_hash, log2_q_sign, lam
+    ).side_conditions()
+
+
+def test_side_conditions_items():
+    items = side_conditions(ZERO, ZERO, 128.0, 64.0, 128)
+    assert all(item.passed for item in items)
+    assert [(item.index, item.threshold_log2) for item in items] == [(1, -64.0), (2, -64.0)]
+    swap, signing = side_conditions(0.0, ZERO, 0.0, 64.0, 128)
+    assert not swap.passed
+    assert signing.passed  # rho_sign = 0 passes at any q_sign
+    _, signing = side_conditions(ZERO, math.log2(1e-30), ZERO, 2.0, 16)
+    assert signing.passed
+
+
+def test_side_conditions_threshold_is_inclusive():
+    # the signing term q_sign * rho_sign against 2^(-lam/2), at q_sign = 1
+    _, signing = side_conditions(ZERO, -64.0, ZERO, 0.0, 128)
+    assert signing.value_log2 == signing.threshold_log2 == -64.0
+    assert signing.passed
+    _, signing = side_conditions(ZERO, math.nextafter(-64.0, 0.0), ZERO, 0.0, 128)
+    assert not signing.passed
+    # at lam = 0 the threshold is -0.0, and an exact zero term passes it
+    swap, signing = side_conditions(ZERO, ZERO, ZERO, ZERO, 0)
+    assert signing.threshold_log2 == 0.0
+    assert math.copysign(1.0, signing.threshold_log2) == -1.0
+    assert swap.passed and signing.passed and signing.value_log2 == -math.inf
