@@ -377,9 +377,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def _parse_games(text: str) -> list[int]:
     if text == "all":
         return list(range(6))
-    games = sorted({int(part) for part in text.split(",")})
-    if any(g < 0 or g > 5 for g in games):
-        raise ValueError("game ids must lie in 0..5")
+    try:
+        games = sorted({int(part) for part in text.split(",")})
+    except ValueError:
+        games = None
+    if games is None or any(g < 0 or g > 5 for g in games):
+        raise ValueError(
+            f"--game {text!r}: give comma-separated game ids in 0..5, or all"
+        )
     return games
 
 
@@ -398,35 +403,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     freq: dict[int, float] = {}
     for game_id in games:
         rng = random.Random(args.seed * 1_000_003 + game_id)
-        keep = game_id == 5
         stats = reduction.run_game(
-            game_id,
-            adversary,
-            game_config,
-            args.trials,
-            rng,
-            keep_transcripts=keep,
-            workers=args.workers,
+            game_id, adversary, game_config, args.trials, rng, workers=args.workers
         )
-        freq[game_id] = stats.frequency(game_id)
+        successes = stats.successes[game_id]
+        freq[game_id] = successes / args.trials if args.trials else 0.0
         if args.trials:
-            successes = stats.successes[game_id]
             lo, hi = reduction.wilson_interval(successes, args.trials)
             report.record(
                 ("game", game_id), ("trials", args.trials), ("successes", successes),
                 ("frequency", f"{freq[game_id]:.6f}"),
                 ("wilson_low", f"{lo:.6f}"), ("wilson_high", f"{hi:.6f}"),
             )
-        if keep:
-            wins = [t for t in stats.transcripts if t.win]
-            extracted = sum(
-                1 for t in wins if reduction.extract_doom_solution(t) is not None
-            )
-            rate = f"{extracted / len(wins):.6f}" if wins else "undefined"
+        if game_id == 5:
+            # run_game extracted every win in its trial, or raised
             report.record(
-                ("g5_wins", len(wins)),
-                ("g5_extracted", extracted),
-                ("g5_extraction_rate", rate),
+                ("g5_wins", successes),
+                ("g5_extracted", successes),
+                ("g5_extraction_rate", "1.000000" if successes else "undefined"),
             )
     if 4 in freq and 5 in freq:
         if freq[4] > 0:

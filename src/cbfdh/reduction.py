@@ -260,17 +260,12 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 class GameStats(FrozenRecord):
-    """Success and trial counts per game, plus any kept transcripts."""
+    """Wins per game, plus any transcripts kept for the caller to extract."""
 
     def __init__(
-        self, successes: dict[int, int], trials: dict[int, int],
-        transcripts: list[GameTranscript],
+        self, successes: dict[int, int], transcripts: list[GameTranscript]
     ) -> None:
         set_fields(self, locals())
-
-    def frequency(self, game_id: int) -> float:
-        t = self.trials.get(game_id, 0)
-        return self.successes.get(game_id, 0) / t if t else 0.0
 
 
 def _run_trial(
@@ -278,7 +273,10 @@ def _run_trial(
     keep_transcript: bool,
 ) -> tuple[bool, GameTranscript | None]:
     """One trial of game ``game_id``: whether it was won, and its transcript
-    if kept.  The trial draws one H; from game 2 on, Z reprograms it."""
+    if kept.  The trial draws one H; from game 2 on, Z reprograms it.  A
+    game-5 win that is not kept is extracted here, as the trial ends, and
+    raises :class:`ReductionError` if it does not replay; a kept one is left
+    to the keeper, so no win is extracted twice."""
     params = config.params
     trial_rng = random.Random(child_seed)
     keygen_seed, oracle_seed, signer_seed, adv_seed, h0_seed = (
@@ -356,13 +354,16 @@ def _run_trial(
             b_prime, _ = z.j_query(m_f, r_f)
             win = b_prime == 0
 
-    transcript = None
+    if not (keep_transcript or (game_id == 5 and win)):
+        return win, None
+    transcript = GameTranscript(
+        game_id=game_id, params=params, h_pub=pk.h_pub, h_seed=h_seed,
+        h_keys=h.queries(), forgery=forgery, win=win,
+    )
     if keep_transcript:
-        transcript = GameTranscript(
-            game_id=game_id, params=params, h_pub=pk.h_pub, h_seed=h_seed,
-            h_keys=h.queries(), forgery=forgery, win=win,
-        )
-    return win, transcript
+        return win, transcript
+    extract_doom_solution(transcript)
+    return win, None
 
 
 def run_game(
@@ -381,11 +382,12 @@ def run_game(
     the same message, 2 swaps the hash procedure for Z, 3 signs without
     the secret key, 4 replaces the public matrix by a uniform one, and 5
     additionally requires the hidden coin at the forgery point to be 0.
-    Seeds are drawn as trials start, at most a block ahead under a pool,
-    so the seeds held stay bounded and the outcome does not depend on
-    ``workers``.  The transcripts do not: with ``keep_transcripts`` every
-    trial keeps its own, about 2.5 KB at ``simulate``'s sizes, so memory
-    grows with ``trials``.
+    Each game-5 win is extracted in its trial, or, with
+    ``keep_transcripts``, left to the caller in the kept transcripts
+    (about 2.5 KB each at n = 12).  Without them nothing is held per trial,
+    and seeds are drawn as trials start, at most a block ahead under a
+    pool, so memory stays bounded and the outcome does not depend on
+    ``workers``.
     """
     if not 0 <= game_id <= 5:
         raise ValueError("game_id must be in 0..5")
@@ -397,7 +399,7 @@ def run_game(
         wins += win
         if transcript is not None:
             transcripts.append(transcript)
-    return GameStats({game_id: wins}, {game_id: trials}, transcripts)
+    return GameStats({game_id: wins}, transcripts)
 
 
 def extract_doom_solution(transcript: GameTranscript) -> DoomSolution | None:

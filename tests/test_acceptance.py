@@ -265,11 +265,12 @@ def test_criterion_7_reduction_simulation():
     config = GameConfig(params)
     adversary = OmniscientAdversary(params)
     trials = 2000
-    f4 = run_game(4, adversary, config, trials, random.Random(101)).frequency(4)
+    stats4 = run_game(4, adversary, config, trials, random.Random(101))
+    f4 = stats4.successes[4] / trials
     stats5 = run_game(
         5, adversary, config, trials, random.Random(102), keep_transcripts=True
     )
-    f5 = stats5.frequency(5)
+    f5 = stats5.successes[5] / trials
     wins = [t for t in stats5.transcripts if t.win]
     extracted = sum(1 for t in wins if extract_doom_solution(t) is not None)
     ratio = f5 / f4

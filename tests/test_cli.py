@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -839,8 +840,30 @@ def test_simulate_workers_match(capsys):
 
 
 def test_simulate_rejects_bad_game_list(capsys):
-    code, _, err = run_cli(capsys, "simulate", "--game", "9")
-    assert code == 2 and "error:" in err
+    for games in ("9", ",", "1,,2", "5,", "all,4"):
+        code, out, err = run_cli(capsys, "simulate", "--game", games)
+        assert (code, out) == (2, ""), games
+        assert err == (
+            f"error: --game {games!r}: give comma-separated game ids in 0..5, or all\n"
+        )
+
+
+def test_simulate_game_5_memory_does_not_grow_with_trials():
+    """Game 5 keeps no transcript: the peak Python allocation of 2,000
+    trials stays within 512 KB of 500 (kept transcripts cost about 2.5 KB
+    each)."""
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["simulate", "--game", "5", "--trials", str(trials), "--seed", "1"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # warm-up: imports, parser and caches
+    assert peak(2000) <= peak(500) + 512 * 1024
 
 
 def test_simulate_untallyable_weight_fails_before_any_game(capsys, monkeypatch):

@@ -216,8 +216,7 @@ def test_null_and_replay_adversaries_never_win():
     for game_id in range(6):
         for adv in (NullAdversary(params), ReplayAdversary(params)):
             stats = run_game(game_id, adv, config, 40, random.Random(game_id))
-            assert stats.frequency(game_id) == 0.0
-            assert stats.trials[game_id] == 40
+            assert stats.successes == {game_id: 0}
 
 
 def test_budget_enforcement_blames_the_adversary():
@@ -245,19 +244,18 @@ def test_harness_is_deterministic_and_worker_independent():
     adv = OmniscientAdversary(params)
     a = run_game(3, adv, config, 30, random.Random(5), keep_transcripts=True)
     b = run_game(3, adv, config, 30, random.Random(5), keep_transcripts=True)
-    assert a.successes == b.successes and a.trials == b.trials
+    assert a.successes == b.successes
     assert [t.win for t in a.transcripts] == [t.win for t in b.transcripts]
     # the transcripts come back pickled, matrices and all, from the workers
     c = run_game(3, adv, config, 30, random.Random(5), keep_transcripts=True, workers=2)
-    assert c.successes == a.successes and c.trials == a.trials
+    assert c.successes == a.successes
     assert c.transcripts == a.transcripts
 
 
 def test_run_game_tallies_a_game_with_no_trials():
     params = toy_params()
     stats = run_game(2, NullAdversary(params), GameConfig(params), 0, random.Random(0))
-    assert (stats.successes, stats.trials, stats.transcripts) == ({2: 0}, {2: 0}, [])
-    assert stats.frequency(2) == 0.0
+    assert (stats.successes, stats.transcripts) == ({2: 0}, [])
 
 
 def test_run_game_draws_each_seed_as_its_trial_starts():
@@ -280,7 +278,7 @@ def test_run_game_draws_each_seed_as_its_trial_starts():
 
     stats = run_game(0, Recording(params), GameConfig(params), 5, rng)
     assert seen == [1, 2, 3, 4, 5]  # not five draws before the first trial
-    assert stats.trials[0] == rng.draws == 5
+    assert rng.draws == 5 and stats.successes == {0: 0}
 
 
 def test_game_hop_birthday_bound():
@@ -289,8 +287,8 @@ def test_game_hop_birthday_bound():
     config = GameConfig(params)
     adv = OmniscientAdversary(params)
     trials = 600
-    f0 = run_game(0, adv, config, trials, random.Random(21)).frequency(0)
-    f1 = run_game(1, adv, config, trials, random.Random(21)).frequency(1)
+    f0 = run_game(0, adv, config, trials, random.Random(21)).successes[0] / trials
+    f1 = run_game(1, adv, config, trials, random.Random(21)).successes[1] / trials
     birthday = adv.q_sign**2 / 2**params.lam0
     sigma = math.sqrt(
         f0 * (1 - f0) / trials + f1 * (1 - f1) / trials
@@ -304,8 +302,8 @@ def test_game_hop_signer_swap_bounded_by_decoder_distance():
     config = GameConfig(params)
     adv = OmniscientAdversary(params)
     trials = 500
-    f2 = run_game(2, adv, config, trials, random.Random(31)).frequency(2)
-    f3 = run_game(3, adv, config, trials, random.Random(31)).frequency(3)
+    f2 = run_game(2, adv, config, trials, random.Random(31)).successes[2] / trials
+    f3 = run_game(3, adv, config, trials, random.Random(31)).successes[3] / trials
     rng = random.Random(33)
     h = random_full_rank(params.n_k, params.n, rng)
     rho_hat, _ = measure_decoder_distance(h, params.w, 1200, rng)
@@ -318,8 +316,8 @@ def test_final_game_halves_the_win_rate():
     config = GameConfig(params)
     adv = OmniscientAdversary(params)
     trials = 800
-    f4 = run_game(4, adv, config, trials, random.Random(41)).frequency(4)
-    f5 = run_game(5, adv, config, trials, random.Random(42)).frequency(5)
+    f4 = run_game(4, adv, config, trials, random.Random(41)).successes[4] / trials
+    f5 = run_game(5, adv, config, trials, random.Random(42)).successes[5] / trials
     assert f4 > 0.5  # the unbounded forger decodes almost every trial
     ratio = f5 / f4
     assert 0.35 <= ratio <= 0.65  # loose screen; the acceptance run tightens it
@@ -363,6 +361,55 @@ def test_extraction_rejects_tampered_transcripts():
         extract_doom_solution(bad)
     with pytest.raises(ValueError):
         extract_doom_solution(GameTranscript(4, *fields, win.forgery, win.win))
+
+
+def counting_extractor(monkeypatch):
+    """Count the harness's calls to ``extract_doom_solution``."""
+    calls = []
+    real = reduction.extract_doom_solution
+
+    def counting(transcript):
+        calls.append(transcript.win)
+        return real(transcript)
+
+    monkeypatch.setattr(reduction, "extract_doom_solution", counting)
+    return calls
+
+
+def test_final_game_extracts_each_win_once_in_its_trial(monkeypatch):
+    params = toy_params()
+    config = GameConfig(params)
+    adv = OmniscientAdversary(params)
+    calls = counting_extractor(monkeypatch)
+    stats = run_game(5, adv, config, 60, random.Random(71))
+    assert stats.successes[5] > 0 and stats.transcripts == []
+    assert calls == [True] * stats.successes[5]
+
+
+def test_kept_transcripts_are_left_to_the_keeper(monkeypatch):
+    params = toy_params()
+    config = GameConfig(params)
+    adv = OmniscientAdversary(params)
+    calls = counting_extractor(monkeypatch)
+    stats = run_game(5, adv, config, 60, random.Random(71), keep_transcripts=True)
+    assert stats.successes[5] > 0 and calls == []
+    assert sum(t.win for t in stats.transcripts) == stats.successes[5]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_win_that_fails_extraction_fails_the_game(monkeypatch, workers):
+    # pool workers fork with the patched module in place
+    params = toy_params()
+
+    def failing(transcript):
+        raise ReductionError("winning transcript failed validation")
+
+    monkeypatch.setattr(reduction, "extract_doom_solution", failing)
+    with pytest.raises(ReductionError, match="failed validation"):
+        run_game(
+            5, OmniscientAdversary(params), GameConfig(params), 40,
+            random.Random(71), workers=workers,
+        )
 
 
 def test_wilson_interval_behaves():
