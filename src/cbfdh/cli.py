@@ -14,11 +14,12 @@ lambda and inputs).  ``main`` reads a command line spelled exactly as the
 table spells it straight from the table; argparse, built from the same
 table, reads every other one: help, abbreviations and input errors.  Output
 is line-delimited key=value records in both formats; text mode adds comment
-headers.  Lines are printed as they are made, so a stopped run keeps its
-echo; handlers check inputs first, so an input error prints nothing.  Exit
-codes: 0 success, 1 verification reject, 2 input error, 3 budget exhausted,
-128 + the signal number after SIGINT or SIGTERM, and 141 (128 + SIGPIPE),
-with nothing on stderr, when the reader closes stdout.
+headers.  Each line is flushed as it is printed, so a stopped or killed run
+keeps its echo; handlers check inputs first, so an input error prints
+nothing.  Exit codes: 0 success, 1 verification reject, 2 input error, 3
+budget exhausted, 128 + the signal number after SIGINT or SIGTERM, whose
+handler ends the process at once, and 141 (128 + SIGPIPE), with nothing on
+stderr, when the reader closes stdout.
 
 The library is reached through its modules (``scheme.sign``,
 ``isd.doom_attack``), which the package loads on first use, so each
@@ -112,10 +113,11 @@ def _fmt_pow2(x: float) -> str:
 
 
 class Report:
-    """Prints output lines at once; text mode keeps # headers, structured drops
-    them so every line splits into key=value fields.  The first line echoes
-    the command's ``COMMANDS`` keys, read from the arguments overlaid with
-    the values the command resolved; a key that resolves to None is left out."""
+    """Prints and flushes each output line at once; text mode keeps # headers,
+    structured drops them so every line splits into key=value fields.  The
+    first line echoes the command's ``COMMANDS`` keys, read from the
+    arguments overlaid with the values the command resolved; a key that
+    resolves to None is left out."""
 
     def __init__(self, args: argparse.Namespace, **resolved: object) -> None:
         self.fmt = args.fmt
@@ -131,13 +133,14 @@ class Report:
 
     def header(self, title: str) -> None:
         if self.fmt == "text":
-            print(f"# {title}")
+            print(f"# {title}", flush=True)
 
     def record(self, *pairs: tuple[str, object]) -> None:
-        print(" ".join(f"{k}={v}" for k, v in pairs))
+        print(" ".join(f"{k}={v}" for k, v in pairs), flush=True)
 
     def note(self, text: str) -> None:
-        print(f"# {text}" if self.fmt == "text" else "note=" + text.replace(" ", "_"))
+        line = f"# {text}" if self.fmt == "text" else "note=" + text.replace(" ", "_")
+        print(line, flush=True)
 
 
 def _scheme_params(args: argparse.Namespace) -> scheme.SchemeParams:
@@ -579,12 +582,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse_exact(argv) or _parser().parse_args(argv)
     try:
-        code = COMMANDS[args.command][0](args)
-        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
-        return code
+        return COMMANDS[args.command][0](args)
     except BrokenPipeError:
-        # the reader closed stdout: end as SIGPIPE would, with nothing on
-        # stderr, and leave the exit flush nothing to fail on
+        # the reader closed stdout, which Report's flush finds: end as
+        # SIGPIPE would, with nothing on stderr, and leave the exit flush
+        # nothing to fail on
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -595,38 +597,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    """The ``cbfdh`` command.  SIGINT and SIGTERM end it with one error line
-    and exit 128 + the signal number, unwinding through every ``finally``,
-    so a trial pool shuts down; ``main`` installs no handler.  A stop that
-    CPython drops in a callback (importlib's module-lock weakref callback)
-    reaches ``sys.unraisablehook``, which only then handles SIGALRM and arms
-    a one-shot timer to raise the stop again; any other SIGALRM ends the
-    command as it ends a process that has no handler for it."""
-    stopped_by = []
+    """The ``cbfdh`` command.  SIGINT and SIGTERM end it from their handler:
+    one error line, then exit 128 + the signal number at once.  Nothing is
+    raised, which CPython would drop inside a callback, and nothing is
+    flushed, which is why ``Report`` flushes each line it prints.  A
+    ``--workers`` pool is left to its workers, which exit once their owner
+    is gone; ``main`` installs no handler."""
 
     def stop(signum: int, frame: object) -> None:
-        stopped_by.append(signum)
-        raise SystemExit(128 + signum)
+        try:
+            os.write(2, b"error: interrupted\n")
+        finally:
+            os._exit(128 + signum)
 
     for signum in STOP_SIGNALS:
         if _signal.getsignal(signum) != _signal.SIG_IGN:  # kept, as by nohup
             _signal.signal(signum, stop)
-    if hasattr(_signal, "setitimer"):
-        unraisablehook = sys.unraisablehook
-
-        def dropped(unraisable) -> None:
-            if stopped_by and isinstance(unraisable.exc_value, SystemExit):
-                _signal.signal(_signal.SIGALRM, lambda _, f: stop(stopped_by[0], f))
-                _signal.setitimer(_signal.ITIMER_REAL, 1e-4)  # once out of the callback
-            else:
-                unraisablehook(unraisable)
-
-        sys.unraisablehook = dropped
-    try:
-        sys.exit(main())
-    except BaseException:
-        if not stopped_by:
-            raise
-        # the stop's SystemExit, or an error it caused on its way up
-        print("error: interrupted", file=sys.stderr)
-        sys.exit(128 + stopped_by[0])
+    sys.exit(main())

@@ -323,11 +323,14 @@ def _isd_trial(
     return None
 
 
-def _worker_signals() -> None:
-    """Pool initializer: a terminal's ^C is for the pool's owner to handle,
-    SIGTERM ends a worker at once, whatever handler fork passed on, and a
-    worker whose owner died (say, by SIGKILL) exits.  Forked with the stops
-    blocked, the worker unblocks them under these handlers."""
+def _worker_signals(owner: int) -> None:
+    """Pool initializer, given its owner's pid: a terminal's ^C is for the
+    owner to handle, SIGTERM ends a worker at once, whatever handler fork
+    passed on, and a worker whose owner died (say, by SIGKILL or a stop,
+    neither of which shuts the pool down) exits within a second, also when
+    the owner died before this ran.  Forked with the stops blocked, the
+    worker unblocks them under these handlers."""
+    import multiprocessing
     import threading
     import time
 
@@ -335,13 +338,20 @@ def _worker_signals() -> None:
     _signal.signal(interrupt, _signal.SIG_IGN)
     _signal.signal(terminate, _signal.SIG_DFL)
     unblock_stops()
+    if multiprocessing.get_start_method(allow_none=True) == "forkserver":
+        # the parent is the server, which stays up while any worker holds
+        # its alive pipe; the owner holds this worker's sentinel pipe open
+        owner_alive = multiprocessing.parent_process().is_alive
+    else:
+        def owner_alive() -> bool:
+            return os.getppid() == owner
 
-    def exit_when_orphaned(owner: int) -> None:
-        while os.getppid() == owner:
+    def exit_when_orphaned() -> None:
+        while owner_alive():
             time.sleep(0.25)
         os._exit(1)
 
-    threading.Thread(target=exit_when_orphaned, args=(os.getppid(),), daemon=True).start()
+    threading.Thread(target=exit_when_orphaned, daemon=True).start()
 
 
 def run_trials(
@@ -361,7 +371,7 @@ def run_trials(
         return
     from concurrent.futures import ProcessPoolExecutor
     block, ahead = max(8 * workers, 16), iter(())
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_signals)
+    pool = ProcessPoolExecutor(workers, initializer=partial(_worker_signals, os.getpid()))
     try:
         while count > 0:
             seeds = [rng.getrandbits(64) for _ in range(min(block, count))]

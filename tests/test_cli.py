@@ -2,7 +2,9 @@ import concurrent.futures
 import contextlib
 import functools
 import io
+import multiprocessing
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -1085,6 +1087,11 @@ def _cpu_seconds(pid):
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
+# a child's environment without PYTHONUNBUFFERED, which a shell may export:
+# its stdout is block-buffered, as it is for most runs into a pipe or file
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads processes from /proc")
 @pytest.mark.parametrize("workers, settle", [
     ("1", True), ("2", True), ("2", False),
@@ -1095,15 +1102,16 @@ def _cpu_seconds(pid):
 def test_signal_ends_simulate_without_traceback_or_survivors(signum, code, workers, settle):
     """SIGINT reaches the whole process group, as a terminal's ^C does, and
     SIGTERM the command alone, as kill and timeout send it; either way the
-    run exits 128 + signum with no traceback, its trial pool shut down, and
-    its stdout keeps the lines it printed, echo first.  A settled run is
+    run exits 128 + signum with no traceback, its stdout, block-buffered,
+    keeps the lines it printed, echo first, and its pool's workers exit
+    once their owner is gone.  A settled run is
     signalled inside its games; the pool-start-up case signals as soon as
     the handler is installed, before or while the pool forks its workers."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "cbfdh", "simulate", "--game", "0",
          "--trials", "2^30", "--workers", workers],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True,
+        start_new_session=True, env=BUFFERED_ENV,
         # a shell may start the tests with SIGINT ignored, which the child
         # would inherit
         preexec_fn=functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
@@ -1149,15 +1157,14 @@ def test_signal_ends_simulate_without_traceback_or_survivors(signum, code, worke
         proc.wait()
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads processes from /proc")
-def test_pool_workers_exit_once_their_parent_is_killed():
-    """SIGKILL leaves the parent no ``finally`` to shut its pool down: each
-    worker sees that its parent is gone and exits within 5 s."""
+def _kill_a_pool_owner(argv, helpers):
+    """Start ``argv``, a run with two pool workers and ``helpers`` more
+    processes that ignore SIGINT, as they do, SIGKILL it once they all run,
+    and require every process of its group to exit within 5 s."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "cbfdh", "simulate", "--trials", "2^20", "--workers", "2"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+        argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
     )
-    pool_size = 2 if (os.cpu_count() or 1) >= 2 else 0
+    pool_size = 2 + helpers if (os.cpu_count() or 1) >= 2 else 0
     try:
         # every worker has run its initializer once it ignores SIGINT
         deadline = time.monotonic() + 60
@@ -1181,8 +1188,105 @@ def test_pool_workers_exit_once_their_parent_is_killed():
         proc.wait()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads processes from /proc")
+def test_pool_workers_exit_once_their_parent_is_killed():
+    """SIGKILL leaves the parent no ``finally`` to shut its pool down: each
+    worker sees that its parent is gone and exits within 5 s."""
+    _kill_a_pool_owner(
+        [sys.executable, "-m", "cbfdh", "simulate", "--trials", "2^20", "--workers", "2"], 0
+    )
+
+
+FORKSERVER_RUN = """
+import multiprocessing, sys
+from cbfdh.cli import main
+multiprocessing.set_start_method("forkserver")
+sys.exit(main(sys.argv[1:]))
+"""
+NO_FORKSERVER = "forkserver" not in multiprocessing.get_all_start_methods()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads processes from /proc")
+@pytest.mark.skipif(NO_FORKSERVER, reason="no forkserver")
+def test_forkserver_pool_workers_exit_once_their_owner_is_killed():
+    """A forkserver worker's parent is the server, which outlives a killed
+    owner while the workers hold its pipe open: each worker watches the
+    owner instead and exits within 5 s, and the server and the resource
+    tracker then exit too."""
+    _kill_a_pool_owner(
+        [sys.executable, "-c", FORKSERVER_RUN, "simulate", "--trials", "2^20", "--workers", "2"],
+        2,
+    )
+
+
+# a process that runs the pool initializer for the owner pid it is given,
+# then waits: only the initializer's orphan watcher can end it early
+ORPHAN_WORKER = """
+import sys, time
+from cbfdh import isd
+print("initializing", flush=True)
+isd._worker_signals(int(sys.argv[1]))
+time.sleep(60)
+"""
+
+
+def test_a_pool_worker_whose_owner_died_before_it_started_exits():
+    """A worker is given its owner's pid: one whose owner died between the
+    fork and the initializer, already reparented when the initializer
+    runs, still sees that its owner is gone and exits within a second."""
+    gone = subprocess.Popen([sys.executable, "-c", ""])
+    gone.wait()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ORPHAN_WORKER, str(gone.pid)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "initializing\n"
+        assert proc.wait(timeout=1) == 1
+        assert proc.stderr.read() == ""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+@pytest.mark.skipif(NO_FORKSERVER, reason="no forkserver")
+def test_forkserver_pool_workers_run_under_their_server(capsys):
+    """A forkserver worker's parent is the server, not its owner: its
+    workers keep to their trials and give the sequential run's records."""
+    argv = ["simulate", "--game", "0,5", "--trials", "200", "--seed", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-c", FORKSERVER_RUN, *argv, "--workers", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    _, seq, _ = run_cli(capsys, *argv)
+    assert proc.stdout.splitlines()[1:] == seq.splitlines()[1:]
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+def test_a_record_reaches_the_pipe_as_it_is_printed():
+    """With stdout a block-buffered pipe, a long run's echo line can be read
+    while the run goes on, so a run that is killed, by SIGKILL or the OOM
+    killer, keeps it."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cbfdh", "simulate", "--game", "0", "--trials", "2^30"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=BUFFERED_ENV,
+        start_new_session=True,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 5)
+        assert ready and proc.poll() is None
+        assert proc.stdout.readline().startswith(b"command=simulate ")
+    finally:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stdout.close()
+
+
 # a command whose stop handler runs inside a weakref callback, where CPython
-# drops the SystemExit it raises, then waits 10 s and says it ran on
+# drops any exception a handler raises, then waits 10 s and says it ran on
 DROPPED_STOP = """
 import _signal, sys, time, weakref
 from cbfdh import cli
@@ -1206,25 +1310,24 @@ cli.entry_point()
 """
 
 
-@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
 @pytest.mark.parametrize("signum, code", [
     (signal.SIGINT, 130), (signal.SIGTERM, 143),
 ], ids=("SIGINT", "SIGTERM"))
 def test_a_stop_dropped_in_a_callback_still_ends_the_run(signum, code):
-    """The stop handler's SystemExit, dropped inside a weakref callback as
-    at the end of an import, is raised again from the command's own code:
-    one error line, exit 128 + signum, and nothing else."""
+    """A stop inside a weakref callback, as at the end of an import, where
+    CPython would drop an exception the handler raised, ends the run from
+    the handler: one error line, exit 128 + signum, and nothing else."""
     proc = subprocess.run(
         [sys.executable, "-c", DROPPED_STOP, str(int(signum))],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=BUFFERED_ENV,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "error: interrupted\n")
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
 def test_a_sigalrm_ends_the_command_as_it_ends_any_process():
-    """No stop was dropped, so the command has no SIGALRM handler: the
-    signal ends it by its default action, with nothing on stderr."""
+    """The command installs no SIGALRM handler: the signal ends it by its
+    default action, with nothing on stderr."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "cbfdh", "simulate", "--game", "0", "--trials", "2^30"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
