@@ -8,8 +8,9 @@ pinned to the group size of a four-set sum subroutine: with
 beta = log2(window set size)/n, the balance constraint is beta = (5/8) *
 lambda_rel, the walk costs (6/5) * beta, and a Grover factor halves the
 (capped) per-iteration success exponent.  doom_quantum_exponent minimises
-that cost over lambda_rel: a grid search, then a golden-section polish
-around the best grid point.
+that cost over the window's relative weight tau, which fixes lambda_rel in
+closed form through the balance constraint: a grid search, then a
+golden-section polish around the best grid point.
 
 Theorem 1's loss bound lives here too: :func:`theorem1_bound_log2`, its
 side-condition check, and the SURF parameter preset it is evaluated at.
@@ -21,11 +22,8 @@ import math
 
 from ._record import FrozenRecord, set_fields
 
-GRID_STEP = 1e-3  # lambda grid step of doom_quantum_exponent, before its polish
+GRID_STEP = 1e-3  # tau grid step of doom_quantum_exponent, before its polish
 ENTROPY_TOL = 1e-12  # absolute tolerance of entropy_inv in x
-# [0, 1/2] halved until a cell is at most ENTROPY_TOL wide: 2^39 of 2^-40
-_CELLS = 2 ** math.ceil(math.log2(0.5 / ENTROPY_TOL))
-_CELL = 0.5 / _CELLS
 
 __all__ = [
     "RatePoint",
@@ -75,39 +73,14 @@ def entropy(x: float) -> float:
 def entropy_inv(y: float) -> float:
     """Inverse of h on [0, 1/2]; h^{-1}(0) = 0.
 
-    Returns what bisection of [0, 1/2] to ENTROPY_TOL returns, the midpoint
-    of the root's cell, but finds the root by Newton steps on h(x) - y.
-    They start below it, at Topsoe's bound h(x) <= (4x(1-x))^(1/ln 4),
-    bisect the bracket whenever a step leaves it, and stop at a step of at
-    most ENTROPY_TOL.  Bisection then runs only within the smallest of its
-    brackets that holds the root with a margin 20 times the rounding error
-    of h: none where h is steep, all of [0, 1/2] where h is flat near 1/2.
+    Bisection of [0, 1/2] until the bracket is at most ENTROPY_TOL wide
+    (39 halvings); returns the midpoint of the bracket that holds the root.
     """
     if not 0 <= y <= 1:
         raise ValueError(f"entropy value {y} outside [0, 1]")
     if y == 0:
         return 0.0
     lo, hi = 0.0, 0.5
-    u = y ** math.log(4)
-    x = u / (2 + 2 * math.sqrt(1 - u))
-    while hi - lo > ENTROPY_TOL:
-        if not lo < x < hi:
-            x = (lo + hi) / 2
-        lx, lx1 = math.log2(x), math.log2(1 - x)
-        f = -x * lx - (1 - x) * lx1 - y  # h(x) - y, as entropy() rounds h
-        if f < 0:
-            lo = x
-        else:
-            hi = x
-        step = f / (lx1 - lx)
-        x -= step
-        if abs(step) <= ENTROPY_TOL:
-            break
-    reach = 1e-14 / (lx1 - lx) + abs(step)
-    a = max(int((x - reach) / _CELL), 0)
-    b = min(int((x + reach) / _CELL), _CELLS - 1)
-    s = (a ^ b).bit_length()  # bisection's bracket of 2^s cells holding both
-    lo, hi = (a >> s << s) * _CELL, ((a >> s) + 1 << s) * _CELL
     while hi - lo > ENTROPY_TOL:
         mid = (lo + hi) / 2
         if entropy(mid) < y:
@@ -136,37 +109,34 @@ def prange_exponent_quantum(pt: RatePoint) -> float:
     return prange_exponent_classical(pt) / 2
 
 
-def doom_quantum_objective(pt: RatePoint, lambda_rel: float) -> tuple[float, float] | None:
-    """Objective value and window weight pi at a given lambda_rel.
+def doom_quantum_objective(
+    pt: RatePoint, tau: float
+) -> tuple[float, float, float] | None:
+    """Objective value, lambda_rel and window weight pi at window ratio tau.
 
-    lambda_rel is the window extension l/n.  The window holds R + lambda_rel
-    of the coordinates, the set-size exponent is beta = ((R + lambda) / 3) *
-    h(pi / (R + lambda)) with pi the relative window weight, and pi is pinned
-    by the balance constraint beta = (5/8) * lambda (solved by bisection).
-    Returns None when the constraint or weight split is infeasible.
+    tau = pi / (R + lambda_rel) is the relative weight of the window, which
+    holds R + lambda_rel of the coordinates (lambda_rel = l/n is the window
+    extension).  The set-size exponent beta = ((R + lambda) / 3) * h(tau)
+    meets the balance constraint beta = (5/8) * lambda at lambda = 8R h(tau)
+    / (15 - 8 h(tau)), which rises with tau from 0 at tau = 0.  Returns
+    None when lambda >= 1 - R or the weight split is infeasible.
     """
     r, omega = pt.rate, pt.omega
-    if not 0 <= lambda_rel < 1 - r:
+    h = entropy(tau)
+    lambda_rel = 8 * r * h / (15 - 8 * h)
+    if lambda_rel >= 1 - r:
         return None
     win = r + lambda_rel
     rest = 1 - r - lambda_rel
-    target = 15 / 8 * lambda_rel / win  # h(pi / win) needed for balance
-    if target > 1:
-        return None
-    pi = win * entropy_inv(target)
+    pi = win * tau
     if pi > omega or omega - pi > rest:
         return None
     beta = 5 / 8 * lambda_rel
     # per-iteration success exponent, capped at 0 (probabilities <= 1):
     # C(win*n, pi*n) * C(rest*n, (omega-pi)*n) * 2^{beta*n} / 2^{(1-R)*n}
-    p_exp = (
-        win * entropy(pi / win)
-        + (rest * entropy((omega - pi) / rest) if rest > 0 else 0.0)
-        + beta
-        - (1 - r)
-    )
+    p_exp = win * h + rest * entropy((omega - pi) / rest) + beta - (1 - r)
     value = 6 / 5 * beta - min(0.0, p_exp) / 2
-    return value, pi
+    return value, lambda_rel, pi
 
 
 def _golden_section(func, lo: float, hi: float, xatol: float) -> float:
@@ -193,38 +163,38 @@ def _golden_section(func, lo: float, hi: float, xatol: float) -> float:
 
 
 def doom_quantum_exponent(pt: RatePoint) -> ExponentResult:
-    """Minimize the multi-target quantum decoding exponent over lambda_rel.
+    """Minimize the multi-target quantum decoding exponent over the window
+    ratio tau, and so over lambda_rel.
 
-    A grid of step about GRID_STEP over [0, 1 - R), then a golden-section
+    A grid of step about GRID_STEP over [0, 1/2], then a golden-section
     polish on the best grid point +- 2 steps; the grid point stands when the
-    polish does worse.  The grid holds lambda = 0, where the objective is
-    quantum Prange, so every rate point is feasible.  The residual reports
-    how tightly the balance constraint beta = (5/8) * lambda holds at the
-    reported argmin.
+    polish does worse.  The grid holds tau = 0, where lambda = 0 and the
+    objective is quantum Prange, so every rate point is feasible.  The
+    residual reports how tightly the balance constraint beta = (5/8) *
+    lambda holds at the reported argmin: the closed form leaves rounding
+    only.
     """
-    r = pt.rate
 
-    def penalized(lam: float) -> float:
-        got = doom_quantum_objective(pt, lam)
+    def penalized(tau: float) -> float:
+        got = doom_quantum_objective(pt, tau)
         return got[0] if got is not None else math.inf
 
-    grid_n = max(2, int(round((1 - r) / GRID_STEP)))
-    grid = [i * (1 - r) / grid_n for i in range(grid_n)]
-    best_val, best_lam = min((penalized(lam), lam) for lam in grid)
-    step = (1 - r) / grid_n
-    lo = max(0.0, best_lam - 2 * step)
-    hi = min((1 - r) * (1 - 1e-12), best_lam + 2 * step)
-    lam = _golden_section(penalized, lo, hi, 1e-12)
-    if penalized(lam) > best_val:
-        lam = best_lam
-    value, pi = doom_quantum_objective(pt, lam)
-    win = r + lam
-    beta_check = win / 3 * entropy(pi / win)
+    grid_n = max(2, int(round(0.5 / GRID_STEP)))
+    step = 0.5 / grid_n
+    grid = [i * step for i in range(grid_n + 1)]
+    best_val, best_tau = min((penalized(tau), tau) for tau in grid)
+    lo = max(0.0, best_tau - 2 * step)
+    hi = min(0.5, best_tau + 2 * step)
+    tau = _golden_section(penalized, lo, hi, 1e-12)
+    if penalized(tau) > best_val:
+        tau = best_tau
+    value, lam, pi = doom_quantum_objective(pt, tau)
+    win = pt.rate + lam
     return ExponentResult(
         exponent=value,
         lambda_rel=lam,
         pi_rel=pi,
-        residual=abs(beta_check - 5 / 8 * lam),
+        residual=abs(win / 3 * entropy(pi / win) - 5 / 8 * lam),
     )
 
 
@@ -260,8 +230,7 @@ def _log2_sum(terms: list[float]) -> float:
 
 class ConditionItem(FrozenRecord):
     def __init__(
-        self, index: int, label: str, value_log2: float, threshold_log2: float,
-        passed: bool,
+        self, index: int, value_log2: float, threshold_log2: float, passed: bool
     ) -> None:
         set_fields(self, locals())
 
@@ -303,14 +272,8 @@ class ReductionBound(FrozenRecord):
         1's threshold 2^(-lam/2), half the birthday term's exponent."""
         thr = self.birthday_term / 2
         return (
-            ConditionItem(
-                1, "oracle-swap term small", self.zhandry_term, thr,
-                self.zhandry_term <= thr,
-            ),
-            ConditionItem(
-                2, "signing leakage small", self.signing_term, thr,
-                self.signing_term <= thr,
-            ),
+            ConditionItem(1, self.zhandry_term, thr, self.zhandry_term <= thr),
+            ConditionItem(2, self.signing_term, thr, self.signing_term <= thr),
         )
 
 

@@ -62,6 +62,8 @@ COMMANDS = [
     ["exponents", "--omega", "0.11"],
     ["exponents", "--rate", "1.5"],
     ["exponents", "--rate", "0.5", "--omega", "0.3"],
+    # README's rate sweep at the GV weight
+    *(["exponents", "--rate", f"0.{d}", *STRUCTURED] for d in range(1, 10)),
     ["bound"],
     ["bound", "--preset", "surf"],
     ["bound", "--preset", "surf", "--q-hash", "2^100", *STRUCTURED],
