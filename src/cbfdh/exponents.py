@@ -9,8 +9,9 @@ beta = log2(window set size)/n, the balance constraint is beta = (5/8) *
 lambda_rel, the walk costs (6/5) * beta, and a Grover factor halves the
 (capped) per-iteration success exponent.  doom_quantum_exponent minimises
 that cost over the window's relative weight tau, which fixes lambda_rel in
-closed form through the balance constraint: a grid search, then a
-golden-section polish around the best grid point.
+closed form through the balance constraint.  The cost is unimodal on its
+feasible tau interval, which starts at tau = 0, so one golden-section search
+over [0, 1/2] finds its minimum.
 
 Theorem 1's loss bound lives here too: :func:`theorem1_bound_log2`, its
 side-condition check, and the SURF parameter preset it is evaluated at.
@@ -22,7 +23,6 @@ import math
 
 from ._record import FrozenRecord, set_fields
 
-GRID_STEP = 1e-3  # tau grid step of doom_quantum_exponent, before its polish
 ENTROPY_TOL = 1e-12  # absolute tolerance of entropy_inv in x
 
 __all__ = [
@@ -53,11 +53,9 @@ class RatePoint(FrozenRecord):
 
 
 class ExponentResult(FrozenRecord):
-    """Minimized exponent with the optimizer's argmin and diagnostics."""
+    """Minimized exponent with the optimizer's argmin."""
 
-    def __init__(
-        self, exponent: float, lambda_rel: float, pi_rel: float, residual: float
-    ) -> None:
+    def __init__(self, exponent: float, lambda_rel: float, pi_rel: float) -> None:
         set_fields(self, locals())
 
 
@@ -166,36 +164,21 @@ def doom_quantum_exponent(pt: RatePoint) -> ExponentResult:
     """Minimize the multi-target quantum decoding exponent over the window
     ratio tau, and so over lambda_rel.
 
-    A grid of step about GRID_STEP over [0, 1/2], then a golden-section
-    polish on the best grid point +- 2 steps; the grid point stands when the
-    polish does worse.  The grid holds tau = 0, where lambda = 0 and the
-    objective is quantum Prange, so every rate point is feasible.  The
-    residual reports how tightly the balance constraint beta = (5/8) *
-    lambda holds at the reported argmin: the closed form leaves rounding
-    only.
+    The objective is feasible on an interval of tau that starts at 0 and
+    unimodal there, so one golden-section search over [0, 1/2] finds its
+    minimum.  That search never returns an endpoint, so tau = 0, where
+    lambda = 0 and the objective is quantum Prange, stands when it is no
+    worse; it is feasible at every rate point.
     """
 
     def penalized(tau: float) -> float:
         got = doom_quantum_objective(pt, tau)
         return got[0] if got is not None else math.inf
 
-    grid_n = max(2, int(round(0.5 / GRID_STEP)))
-    step = 0.5 / grid_n
-    grid = [i * step for i in range(grid_n + 1)]
-    best_val, best_tau = min((penalized(tau), tau) for tau in grid)
-    lo = max(0.0, best_tau - 2 * step)
-    hi = min(0.5, best_tau + 2 * step)
-    tau = _golden_section(penalized, lo, hi, 1e-12)
-    if penalized(tau) > best_val:
-        tau = best_tau
-    value, lam, pi = doom_quantum_objective(pt, tau)
-    win = pt.rate + lam
-    return ExponentResult(
-        exponent=value,
-        lambda_rel=lam,
-        pi_rel=pi,
-        residual=abs(win / 3 * entropy(pi / win) - 5 / 8 * lam),
-    )
+    found = doom_quantum_objective(pt, _golden_section(penalized, 0.0, 0.5, 1e-12))
+    prange = doom_quantum_objective(pt, 0.0)
+    value, lam, pi = prange if found is None or prange[0] <= found[0] else found
+    return ExponentResult(exponent=value, lambda_rel=lam, pi_rel=pi)
 
 
 # --- the Theorem 1 loss bound ------------------------------------------------------

@@ -64,6 +64,10 @@ COMMANDS = [
     ["exponents", "--rate", "0.5", "--omega", "0.3"],
     # README's rate sweep at the GV weight
     *(["exponents", "--rate", f"0.{d}", *STRUCTURED] for d in range(1, 10)),
+    # the two ends of the weight range: the search keeps tau = 0 at omega =
+    # 0, and meets the feasible region's right edge at omega = (1 - R)/2
+    ["exponents", "--rate", "0.5", "--omega", "0"],
+    ["exponents", "--rate", "0.5", "--omega", "0.25", *STRUCTURED],
     ["bound"],
     ["bound", "--preset", "surf"],
     ["bound", "--preset", "surf", "--q-hash", "2^100", *STRUCTURED],
